@@ -133,23 +133,24 @@ def wkb_roi_norm_quadrature(geom: Geometry, mu, n: int,
     """Step-free norm of the profile over (a2, a3 - mu) by quadrature.
 
     Used to tie the profile to the ROI-norm model at the few-percent
-    level; integration starts a hair above a2 where the quartic vanishes
-    (the squared profile is integrable there and its contribution is
-    exponentially negligible).
+    level.  The squared profile has an (x - a2)^(-1/2) singularity where
+    the quartic vanishes; the substitution x = a2 + h s^2, h = a3 - mu - a2,
+    on s in [0, 1] removes it: the Jacobian 2 h s cancels the sqrt(h) s of
+    sqrt(x - a2), leaving an integrand smooth up to s = 0.
     """
     from .quadrature import integrate
 
     m = check_roi(geom, mu)
     eps = wkb_epsilon(geom, n, tol)
     km = k_minus(geom, tol)
-    lo = geom.a2 + 1e-9 * geom.overlap_width
-    hi = geom.a3 - m
+    h = geom.a3 - m - geom.a2
 
-    def f(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        p = poly_P(geom, xs)
+    def f(s):
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        xs = geom.a2 + h * s * s
+        rest = (xs - geom.a1) * (geom.a3 - xs) * (geom.a4 - xs)   # P / (x - a2)
         w = _w3_vectorized(geom, xs)
-        return (2.0 / km) / np.sqrt(np.maximum(p, 1e-300)) * np.exp(-2.0 * w / eps)
+        return (4.0 * np.sqrt(h) / km) / np.sqrt(rest) * np.exp(-2.0 * w / eps)
 
-    val, _ = integrate(f, lo, hi, max(tol, 1e-9))
+    val, _ = integrate(f, 0.0, 1.0, max(tol, 1e-9))
     return float(np.sqrt(val))

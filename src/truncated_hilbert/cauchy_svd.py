@@ -17,18 +17,21 @@ additive cancellation:
    small they get.  Complete pivoting keeps |L| <= 1 and |U| <= 1
    entrywise, hence L and U well conditioned:  H = P_r^T (L D U) P_c^T.
 
-2. Pivoted-QR iteration on the core.  After a column-pivoted QR of L*D,
-   the problem reduces to a graded triangular core T between accumulated
-   orthogonal factors.  Each further pivoted QR of T (alternating sides)
-   shrinks the coupling between singular-value scale groups by the
-   squared ratio of their magnitudes; with the huge relative gaps of the
-   exponential tail a handful of iterations decouples the scales.
+2. Pivoted QR of the graded factor.  A column-pivoted QR of L*D gives
+   L*D*P = Q*R, so L D U = Q W with W = R * (P^T U).  The rows of W are
+   graded by the pivots and W is otherwise well conditioned.
 
-3. Scale-split block SVD.  Once the cross-scale coupling is negligible
-   both in absolute terms and relative to each column scale, T is treated
-   as block diagonal and each moderate-range block is finished by a dense
-   SVD, which is accurate relative to that block's own scale.
+3. One-sided Jacobi SVD of W^T, whose columns are therefore scaled but
+   otherwise well conditioned.  Jacobi rotations are accurate relative to
+   each column's own scale, so W^T = u diag(sigma) v^T carries the tiny
+   singular values to high relative accuracy, and the SVD of the
+   original matrix is (Q v, sigma, u).  LAPACK's dgejsv does this step.
 
+Steps 1-3 are Algorithm 3.1 of Demmel, Gu, Eisenstat, Slapnicar, Veselic
+and Drmac, "Computing the singular value decomposition with high
+relative accuracy" (Linear Algebra Appl. 299, 1999); step 3 is the
+preconditioned Jacobi SVD of Drmac and Veselic, "New fast and accurate
+Jacobi SVD algorithm I/II" (SIAM J. Matrix Anal. Appl. 29, 2008).
 Every operation on the way is either exact-ratio arithmetic (step 1) or
 columnwise backward-stable orthogonal transforms applied to graded
 columns, so small singular values and their vectors come out with high
@@ -113,101 +116,30 @@ def gecp_cauchy(x_nodes, y_nodes, scale: float, floor_rel: float = 1e-28) -> Cau
     return CauchyRRD(rperm=rperm, cperm=cperm, L=L[:, :rank], d=d[:rank], U=U[:rank, :])
 
 
-def _split_blocks(diag, block_range=1e8, gap_min=30.0):
-    """Partition a graded diagonal into moderate-range scale blocks.
-
-    A new block starts only where the running dynamic range exceeds
-    block_range AND the local consecutive gap exceeds gap_min, so block
-    boundaries always sit at genuine scale gaps (the gap drives the
-    decoupling speed of the QR iteration).
-    """
-    r = diag.size
-    if r == 0:
-        return []
-    blocks = []
-    start = 0
-    cur_max = diag[0]
-    for i in range(1, r):
-        di = max(diag[i], 1e-300)
-        if cur_max / di > block_range and diag[i - 1] / di > gap_min:
-            blocks.append((start, i))
-            start = i
-            cur_max = diag[i]
-        else:
-            cur_max = max(cur_max, diag[i])
-    blocks.append((start, r))
-    return blocks
-
-
-def svd_from_rrd(L, d, U, max_flips: int = 16, cross_abs_tol: float = 1e-12,
-                 cross_rel_tol: float = 1e-9):
+def svd_from_rrd(L, d, U):
     """SVD of L @ diag(d) @ U from a rank-revealing decomposition.
 
     Returns (left, sigma, right) with left (m x r) and right (n x r)
-    orthonormal and sigma descending.  Raises SpectralError if the QR
-    iteration fails to decouple the scale blocks, which for graded
-    spectra indicates a gap structure outside this solver's assumptions.
+    orthonormal and sigma descending.  Raises SpectralError if the Jacobi
+    SVD reports a failure.
     """
     m, r = L.shape
     n = U.shape[1]
     if r == 0:
         return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
 
-    X = L * d[None, :]
-    Q0, R0, piv0 = sla.qr(X, mode="economic", pivoting=True)
-    W = R0 @ U[piv0, :]
-
-    Q1, R1, p1 = sla.qr(W.T, mode="economic", pivoting=True)
-    left = np.zeros((r, r))
-    left[p1, np.arange(r)] = 1.0
-    T = R1.T
-    right = Q1
-    lower = True
-
-    crossF = np.inf
-    rel = np.inf
-    for _ in range(max_flips):
-        if lower:
-            Q2, R2, p2 = sla.qr(T, mode="economic", pivoting=True)
-            left = left @ Q2
-            right = right[:, p2]
-            T = R2
-        else:
-            Q2, R2, p2 = sla.qr(T.T, mode="economic", pivoting=True)
-            left = left[:, p2]
-            right = right @ Q2
-            T = R2.T
-        lower = not lower
-        dg = np.abs(np.diag(T))
-        blocks = _split_blocks(dg)
-        E = T.copy()
-        for a, b in blocks:
-            E[a:b, a:b] = 0.0
-        crossF = float(np.linalg.norm(E))
-        col_f = np.sqrt((E ** 2).sum(axis=0))
-        rel = float((col_f / np.maximum(dg, 1e-300)).max()) if r else 0.0
-        if crossF <= cross_abs_tol * dg.max() and rel <= cross_rel_tol:
-            break
-    else:
-        raise SpectralError(
-            f"scale blocks did not decouple in {max_flips} QR iterations "
-            f"(cross norm {crossF:.2e}, worst relative coupling {rel:.2e})")
-
-    dg = np.abs(np.diag(T))
-    blocks = _split_blocks(dg)
-    Ub = np.zeros((r, r))
-    Vb = np.zeros((r, r))
-    s = np.zeros(r)
-    for a, b in blocks:
-        u, sv, vt = np.linalg.svd(T[a:b, a:b])
-        Ub[a:b, a:b] = u
-        Vb[a:b, a:b] = vt.T
-        s[a:b] = sv
-
-    order = np.argsort(s)[::-1]
-    left_full = Q0 @ (left @ Ub)
-    right_full = right @ Vb
-    return left_full[:, order], s[order], right_full[:, order]
+    Q, R, piv = sla.qr(L * d[None, :], mode="economic", pivoting=True)
+    W = R @ U[piv, :]
+    # joba='C': W.T is a well-conditioned matrix times a column scaling, the
+    # case dgejsv resolves to high relative accuracy (the default 'A' treats
+    # values below eps * sigma_max as noise and zeroes the tail); jobr='R'
+    # keeps the scaled values in [sqrt(sfmin), sqrt(big)], jobp='N' adds no
+    # perturbation.  sigma is sva times work[1] / work[0].
+    sva, u, v, work, _, info = sla.lapack.dgejsv(
+        W.T, joba=0, jobu=0, jobv=0, jobr=1, jobt=0, jobp=0)
+    if info != 0:
+        raise SpectralError(f"Jacobi SVD (dgejsv) failed with info={info}")
+    return Q @ v, sva * (work[1] / work[0]), u
 
 
 def accurate_cauchy_svd(x_nodes, y_nodes, scale: float, floor_rel: float = 1e-28):

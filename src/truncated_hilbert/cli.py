@@ -167,7 +167,7 @@ def _cmd_svd_report(cfg, outdir) -> None:
         nf = near_one_tail_fit(sys_, head_len=5)
         summary["near_one_fit"] = {"rate": nf.rate, "amplitude": nf.amplitude}
         summary["near_one_rate_expected"] = geo.near_one_rate(geom)
-    except Exception as exc:   # small systems may lack the near-one branch
+    except SpectralError as exc:   # small systems may lack the near-one branch
         summary["near_one_fit"] = {"error": str(exc)}
     for n, k in tail_index_map(sys_, tail_len):
         summary["monotone_tail"].append(

@@ -1,6 +1,7 @@
 """Experiment configuration: JSON document, schema-checked, presets."""
 
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -51,15 +52,36 @@ def default_config(small: bool = False) -> ExperimentConfig:
     return cfg
 
 
+def _check_real(name, val):
+    """Reject anything but a real number; JSON true/false are not numbers."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {val!r}")
+
+
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     from .errors import GeometryError
 
+    for name in ("step", "shift", "E", "kappa", "c_tv"):
+        _check_real(name, getattr(cfg, name))
+    for name in ("A", "rank_tol"):
+        if getattr(cfg, name) is not None:
+            _check_real(name, getattr(cfg, name))
+    for name in ("mu_list", "delta_list"):
+        values = getattr(cfg, name)
+        if not isinstance(values, (list, tuple)):
+            raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
+        for val in values:
+            _check_real(f"{name} entry", val)
+    if isinstance(cfg.seed, bool) or not isinstance(cfg.seed, int):
+        raise ConfigError(f"seed must be an integer, got {cfg.seed!r}")
     try:
         geom = cfg.geom()
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
     if not isinstance(cfg.geometry, (list, tuple)) or len(cfg.geometry) != 4:
         raise ConfigError("geometry must list exactly four breakpoints")
+    for val in cfg.geometry:
+        _check_real("geometry entry", val)
     if not cfg.step > 0:
         raise ConfigError(f"step must be positive, got {cfg.step}")
     if not (0.0 < cfg.shift < 1.0):
@@ -72,7 +94,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         except GeometryError as exc:
             raise ConfigError(str(exc)) from exc
     for d in cfg.delta_list:
-        if not float(d) > 0:
+        if not d > 0:
             raise ConfigError(f"delta values must be positive, got {d}")
     if not cfg.E > 0:
         raise ConfigError(f"E must be positive, got {cfg.E}")
@@ -80,11 +102,9 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"kappa must be positive, got {cfg.kappa}")
     if not cfg.c_tv > 0:
         raise ConfigError(f"c_tv must be positive, got {cfg.c_tv}")
-    if cfg.A is not None and not (0.0 < float(cfg.A) < 2.0):
+    if cfg.A is not None and not (0.0 < cfg.A < 2.0):
         raise ConfigError(f"A must lie in (0, 2), got {cfg.A}")
-    if not isinstance(cfg.seed, int):
-        raise ConfigError(f"seed must be an integer, got {cfg.seed!r}")
-    if cfg.rank_tol is not None and not float(cfg.rank_tol) > 0:
+    if cfg.rank_tol is not None and not cfg.rank_tol > 0:
         raise ConfigError(f"rank_tol must be positive, got {cfg.rank_tol}")
     if cfg.svd_method not in ("cauchy", "lapack"):
         raise ConfigError(f"svd_method must be 'cauchy' or 'lapack', got {cfg.svd_method!r}")

@@ -75,12 +75,12 @@ def compute_svd(op: DiscreteOperator, rank_tol: float | None = None,
     """
     if rank_tol is not None and rank_tol < 0:
         raise SpectralError(f"rank_tol must be nonnegative, got {rank_tol}")
+    empty = SingularSystem(sigmas=np.zeros(0), u=np.zeros((op.matrix.shape[1], 0)),
+                           v=np.zeros((op.matrix.shape[0], 0)),
+                           object_grid=op.object_grid, data_grid=op.data_grid,
+                           step=op.step, geom=op.geom)
     if not np.any(op.matrix):
-        empty_u = np.zeros((op.matrix.shape[1], 0))
-        empty_v = np.zeros((op.matrix.shape[0], 0))
-        return SingularSystem(sigmas=np.zeros(0), u=empty_u, v=empty_v,
-                              object_grid=op.object_grid, data_grid=op.data_grid,
-                              step=op.step, geom=op.geom)
+        return empty
     if method == "cauchy":
         tol = 1e-21 if rank_tol is None else rank_tol
         xs = op.data_grid.points
@@ -96,11 +96,7 @@ def compute_svd(op: DiscreteOperator, rank_tol: float | None = None,
         raise SpectralError(f"unknown SVD method {method!r}")
 
     if s_all.size == 0 or s_all[0] == 0.0:
-        empty_u = np.zeros((op.matrix.shape[1], 0))
-        empty_v = np.zeros((op.matrix.shape[0], 0))
-        return SingularSystem(sigmas=np.zeros(0), u=empty_u, v=empty_v,
-                              object_grid=op.object_grid, data_grid=op.data_grid,
-                              step=op.step, geom=op.geom)
+        return empty
 
     keep = s_all > tol * s_all[0]
     s = s_all[keep].copy()

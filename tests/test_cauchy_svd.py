@@ -2,8 +2,9 @@
 
 The solver's whole purpose is relative accuracy for singular values far
 below eps * sigma_max, so it is checked against multiprecision references
-(frozen 50-digit values for the preset geometry, a live 40-digit run on a
-smaller instance) rather than against a double-precision SVD only.
+(frozen 50-digit values for the preset geometry, live 40-digit runs on
+smaller instances, two of them slowly decaying) rather than against a
+double-precision SVD only.
 """
 
 import numpy as np
@@ -16,6 +17,30 @@ from truncated_hilbert.cauchy_svd import (accurate_cauchy_svd, gecp_cauchy,
 
 def cauchy_matrix(x, y, scale):
     return scale / (np.asarray(y)[None, :] - np.asarray(x)[:, None])
+
+
+def step1_nodes(a1, a2, a3, a4):
+    """Data and object nodes of an integer geometry at step 1, shift 1/2."""
+    x = a1 + np.arange(a3 - a1 + 1.0)
+    y = a2 - 0.5 + np.arange(a4 - a2 + 1.0)
+    return x, y
+
+
+def mpmath_sigmas(x, y, dps=40):
+    """Singular values of C[i, j] = 1 / (pi (y_j - x_i)) by mpmath svd_r."""
+    mp_mod = pytest.importorskip("mpmath")
+    mp = mp_mod.mp
+    old_dps = mp.dps
+    try:
+        mp.dps = dps
+        A = mp_mod.matrix(len(x), len(y))
+        for i in range(len(x)):
+            for j in range(len(y)):
+                A[i, j] = 1 / (mp.pi * (mp.mpf(y[j]) - mp.mpf(x[i])))
+        S = mp.svd_r(A, compute_uv=False)
+        return np.sort([float(S[i]) for i in range(min(len(x), len(y)))])[::-1]
+    finally:
+        mp.dps = old_dps
 
 
 class TestGecp:
@@ -99,26 +124,31 @@ class TestDeepTailAgainstMultiprecision:
             assert rel2.max() < 1e-4
 
     def test_live_mpmath_oracle(self):
-        mp_mod = pytest.importorskip("mpmath")
-        mp = mp_mod.mp
-        x = np.arange(37.0)         # geometry (0, 12, 36, 46), paper/37.5
-        y = 11.5 + np.arange(35.0)
-        old_dps = mp.dps
-        try:
-            mp.dps = 40
-            A = mp_mod.matrix(len(x), len(y))
-            for i in range(len(x)):
-                for j in range(len(y)):
-                    A[i, j] = 1 / (mp.pi * (mp.mpf(y[j]) - mp.mpf(x[i])))
-            _, S, _ = mp.svd_r(A)
-            ref = np.sort([float(S[i]) for i in range(len(y))])[::-1]
-        finally:
-            mp.dps = old_dps
+        x, y = step1_nodes(0, 12, 36, 46)   # paper geometry / 37.5
+        ref = mpmath_sigmas(x, y)
         _, s, _ = accurate_cauchy_svd(x, y, 1.0 / np.pi)
         valid = ref > 1e-24 * ref[0]
         m = valid.sum()
         rel = np.abs(s[:m] - ref[:m]) / ref[:m]
         assert rel.max() < 1e-9
+
+    @pytest.mark.parametrize("geometry, retained", [
+        ((0, 60, 61, 120), 23),    # alpha ~ 1.6
+        ((0, 50, 60, 115), 29),    # alpha ~ 2.6
+    ])
+    def test_slow_decay_against_mpmath(self, geometry, retained):
+        # consecutive ratios exp(alpha) of only 5..14: no scale gaps to exploit
+        x, y = step1_nodes(*geometry)
+        ref = mpmath_sigmas(x, y)
+        _, s, _ = accurate_cauchy_svd(x, y, 1.0 / np.pi)
+        assert (s > 1e-21 * s[0]).sum() == retained
+
+        def worst(lo_rel):
+            m = (ref > lo_rel * ref[0]).sum()
+            return (np.abs(s[:m] - ref[:m]) / ref[:m]).max()
+
+        assert worst(1e-20) < 1e-9
+        assert worst(1e-21) < 2e-8
 
 
 class TestEdgeCases:

@@ -70,6 +70,17 @@ class TestCliExitCodes:
         rc = main(["constants", "--config", str(bad)])
         assert rc == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"step": "1"}, {"mu_list": ["a"]}, {"E": True}, {"seed": True},
+        {"geometry": ["0", 450, 1350, 1725]},
+    ])
+    def test_wrongly_typed_value_exit_2(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["validate", "--config", str(bad)])
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_numerical_failure_exit_3(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"rank_tol": 1.5}))
