@@ -14,16 +14,29 @@ Predictive models cross-checked against the computed decomposition:
   which is the affine-invariant realization of an O(eps) margin (eps
   carries the dimension of an inverse length, so the margin must be
   rescaled by the squared length scale to stay a length).
+
+The squared profile is an exact derivative.  Since dw3/dx = -P^(-1/2),
+
+      u_n(x)^2 dx = (2/K-) P^(-1/2) exp(-2 w3/eps) dx
+                  = (eps/K-) d/dx exp(-2 w3(x)/eps),
+
+and eps/K- = 1/(n pi).  With w3(a3 - mu) = K- beta_mu / pi and
+w3(a2) = K+ = K- alpha / pi, the profile mass on the ROI (a2, a3 - mu) is
+
+      |chi_mu u_n|^2 = (exp(-2 n beta_mu) - exp(-2 n alpha)) / (n pi),
+
+so roi_norm_model is its leading term: the remaining factor
+sqrt(1 - exp(-2 n (alpha - beta_mu))) differs from one by about 2e-4 at
+n = 1, 1e-7 at n = 2 and less beyond (paper geometry, mu = 100).
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .geometry import (Geometry, alpha, beta_mu_exact, check_roi, k_minus,
-                       near_one_rate, poly_P, w3, DEFAULT_TOL)
+from .geometry import (Geometry, alpha, beta_mu_exact, k_minus, near_one_rate,
+                       poly_P, w3, DEFAULT_TOL)
 
 
 def sigma_model_pos(geom: Geometry, n: int, tol: float = DEFAULT_TOL) -> float:
@@ -103,54 +116,18 @@ def u_wkb(geom: Geometry, n: int, x: float, tol: float = DEFAULT_TOL) -> float:
     return wkb_profile(geom, n, tol)(x, tol)
 
 
-@functools.lru_cache(maxsize=32)
-def _phase_table(geom: Geometry, n_nodes: int = 131073):
-    """Dense table of w3 over the overlap, for vectorized profile integrals.
-
-    Cumulative trapezoid of the angle-space integrand; accuracy ~1e-9,
-    ample for the consistency checks this feeds.
-    """
-    a1, a2, a3, a4 = geom.points
-    m2, r2 = 0.5 * (a2 + a3), 0.5 * (a3 - a2)
-    th = np.linspace(-np.pi / 2, np.pi / 2, n_nodes)
-    t = m2 + r2 * np.sin(th)
-    g = 1.0 / np.sqrt(np.maximum((t - a1) * (a4 - t), 1e-300))
-    seg = 0.5 * (g[1:] + g[:-1]) * np.diff(th)
-    upto = np.concatenate([[0.0], np.cumsum(seg)])   # integral from -pi/2 to theta
-    total = upto[-1]
-    return th, total - upto                          # w3 as a function of theta
-
-
-def _w3_vectorized(geom: Geometry, xs: np.ndarray) -> np.ndarray:
-    th_grid, w3_grid = _phase_table(geom)
-    m2, r2 = 0.5 * (geom.a2 + geom.a3), 0.5 * (geom.a3 - geom.a2)
-    th = np.arcsin(np.clip((xs - m2) / r2, -1.0, 1.0))
-    return np.interp(th, th_grid, w3_grid)
-
-
 def wkb_roi_norm_quadrature(geom: Geometry, mu, n: int,
                             tol: float = DEFAULT_TOL) -> float:
-    """Step-free norm of the profile over (a2, a3 - mu) by quadrature.
+    """Norm of the profile over the ROI (a2, a3 - mu), in closed form.
 
-    Used to tie the profile to the ROI-norm model at the few-percent
-    level.  The squared profile has an (x - a2)^(-1/2) singularity where
-    the quartic vanishes; the substitution x = a2 + h s^2, h = a3 - mu - a2,
-    on s in [0, 1] removes it: the Jacobian 2 h s cancels the sqrt(h) s of
-    sqrt(x - a2), leaving an integrand smooth up to s = 0.
+    The squared profile is (1/(n pi)) d/dx exp(-2 n pi w3(x)/K-) (module
+    docstring), so the norm is exp(-n beta_mu) sqrt((1 - exp(-2 n (alpha
+    - beta_mu))) / (n pi)), exact up to the quadrature error of beta_mu
+    and alpha; roi_norm_model is the leading factor.
     """
-    from .quadrature import integrate
-
-    m = check_roi(geom, mu)
-    eps = wkb_epsilon(geom, n, tol)
-    km = k_minus(geom, tol)
-    h = geom.a3 - m - geom.a2
-
-    def f(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        xs = geom.a2 + h * s * s
-        rest = (xs - geom.a1) * (geom.a3 - xs) * (geom.a4 - xs)   # P / (x - a2)
-        w = _w3_vectorized(geom, xs)
-        return (4.0 * np.sqrt(h) / km) / np.sqrt(rest) * np.exp(-2.0 * w / eps)
-
-    val, _ = integrate(f, 0.0, 1.0, max(tol, 1e-9))
-    return float(np.sqrt(val))
+    if n < 1:
+        raise DomainError(f"profile index must be >= 1, got {n}")
+    beta = beta_mu_exact(geom, mu, tol)
+    a = alpha(geom, tol)
+    return float(np.exp(-n * beta) * np.sqrt(-np.expm1(-2.0 * n * (a - beta))
+                                              / (n * np.pi)))

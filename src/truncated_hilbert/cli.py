@@ -5,21 +5,31 @@
 
 Every command is deterministic given the config and seed; reruns produce
 byte-identical files.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure.  The environment variable HT_THREADS caps the thread
-count of the underlying linear-algebra libraries.
+3 numerical failure.
 """
 
 import argparse
+import csv
+import json
 import os
 import sys
 
+import numpy as np
 
-def _apply_thread_cap():
-    cap = os.environ.get("HT_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
+from . import geometry as geo
+from .bounds import (calibrate_constants, l2_validity, roi_bound_l2,
+                     write_bounds_csv)
+from .config import load_config
+from .errors import (ConfigError, QuadratureError, SpectralError,
+                     TruncatedHilbertError)
+from .operator import apply_forward, build_operator, weighted_norm
+from .regularization import (add_noise, export_reconstruction, make_phantom,
+                             optimal_cutoff_l2, tikhonov_reconstruct,
+                             tsvd_reconstruct)
+from .spectral import (check_monotone, compute_svd, export_spectrum_csv,
+                       fit_roi_decay, fit_tail_decay, near_one_tail_fit,
+                       roi_mask, roi_norm, sigma_counts, tail_index_map,
+                       DEFAULT_TAIL_LEN)
 
 
 def _build_parser():
@@ -43,12 +53,7 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = _build_parser().parse_args(argv)
-
-    from .errors import ConfigError, TruncatedHilbertError
-    from .config import load_config
-
     try:
         cfg = load_config(args.config, small=args.small,
                           overrides={"seed": args.seed, "output_dir": args.out})
@@ -92,10 +97,6 @@ def _cmd_validate(cfg, outdir) -> None:
 
 
 def _cmd_constants(cfg, outdir) -> None:
-    import csv
-
-    from . import geometry as geo
-
     geom = cfg.geom()
     km = geo.k_minus(geom)
     kp = geo.k_plus(geom)
@@ -118,23 +119,12 @@ def _cmd_constants(cfg, outdir) -> None:
 
 
 def _spectral_setup(cfg):
-    from .operator import build_operator
-    from .spectral import compute_svd
-
     op = build_operator(cfg.geom(), step=cfg.step, shift=cfg.shift)
     sys_ = compute_svd(op, rank_tol=cfg.rank_tol, method=cfg.svd_method)
     return op, sys_
 
 
 def _cmd_svd_report(cfg, outdir) -> None:
-    import json
-
-    from . import geometry as geo
-    from .errors import SpectralError
-    from .spectral import (check_monotone, export_spectrum_csv, fit_roi_decay,
-                           fit_tail_decay, near_one_tail_fit, sigma_counts,
-                           tail_index_map, DEFAULT_TAIL_LEN)
-
     geom = cfg.geom()
     op, sys_ = _spectral_setup(cfg)
     if sys_.count == 0:
@@ -189,13 +179,6 @@ def _cmd_svd_report(cfg, outdir) -> None:
 
 
 def _cmd_figure1(cfg, outdir) -> None:
-    import csv
-
-    import numpy as np
-
-    from . import geometry as geo
-    from .errors import QuadratureError
-
     fractions = (0.25, 0.10, 0.01)
     path = os.path.join(outdir, "figure1.csv")
     with open(path, "w", newline="") as fh:
@@ -215,13 +198,6 @@ def _cmd_figure1(cfg, outdir) -> None:
 
 
 def _cmd_figure2(cfg, outdir) -> None:
-    import csv
-
-    import numpy as np
-
-    from . import geometry as geo
-    from .spectral import roi_norm, tail_index_map, DEFAULT_TAIL_LEN
-
     geom = cfg.geom()
     op, sys_ = _spectral_setup(cfg)
     tail_len = min(DEFAULT_TAIL_LEN, sys_.count)
@@ -262,16 +238,6 @@ def _default_phantom(cfg):
 
 
 def _cmd_reconstruct(cfg, outdir) -> None:
-    import csv
-
-    from .bounds import calibrate_constants, l2_validity, roi_bound_l2
-    from .errors import ConfigError
-    from .operator import apply_forward, weighted_norm
-    from .regularization import (add_noise, export_reconstruction, make_phantom,
-                                 optimal_cutoff_l2, tikhonov_reconstruct,
-                                 tsvd_reconstruct)
-    from .spectral import roi_mask
-
     geom = cfg.geom()
     op, sys_ = _spectral_setup(cfg)
     phantom_spec = cfg.phantom or _default_phantom(cfg)
@@ -328,8 +294,6 @@ def _cmd_reconstruct(cfg, outdir) -> None:
 
 
 def _cmd_bounds(cfg, outdir) -> None:
-    from .bounds import calibrate_constants, write_bounds_csv
-
     geom = cfg.geom()
     op, sys_ = _spectral_setup(cfg)
     mu = float(cfg.mu_list[0])

@@ -4,11 +4,24 @@ import json
 import numbers
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, GeometryError
 from .geometry import Geometry, check_roi
 
 PAPER_GEOMETRY = (0.0, 450.0, 1350.0, 1725.0)
 SMALL_GEOMETRY = (0.0, 30.0, 90.0, 115.0)   # paper geometry scaled by 1/15
+
+# Largest data x object sample count accepted: about 12x the paper's
+# 1351 x 1276 matrix.  The solver keeps a few dense copies of the matrix
+# and its factors, so larger grids would exhaust memory (or fail inside
+# numpy) long after the config was accepted.
+_MAX_MATRIX_ENTRIES = 2e7
+
+# phantom kind -> (required, optional) real-valued parameters
+_PHANTOM_PARAMS = {
+    "bump": (("center", "width"), ("amplitude",)),
+    "indicator": (("c", "d"), ()),
+    "hat": (("center", "half_width"), ("peak",)),
+}
 
 
 @dataclass
@@ -59,8 +72,6 @@ def _check_real(name, val):
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    from .errors import GeometryError
-
     for name in ("step", "shift", "E", "kappa", "c_tv"):
         _check_real(name, getattr(cfg, name))
     for name in ("A", "rank_tol"):
@@ -84,6 +95,11 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         _check_real("geometry entry", val)
     if not cfg.step > 0:
         raise ConfigError(f"step must be positive, got {cfg.step}")
+    entries = (((geom.a3 - geom.a1) / cfg.step + 1)
+               * ((geom.a4 - geom.a2) / cfg.step + 1))
+    if not entries <= _MAX_MATRIX_ENTRIES:
+        raise ConfigError(f"step {cfg.step} gives about {entries:.3g} matrix "
+                          f"entries, more than the cap of {_MAX_MATRIX_ENTRIES:g}")
     if not (0.0 < cfg.shift < 1.0):
         raise ConfigError(f"shift must lie in (0, 1), got {cfg.shift}")
     if not cfg.mu_list:
@@ -109,11 +125,26 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.svd_method not in ("cauchy", "lapack"):
         raise ConfigError(f"svd_method must be 'cauchy' or 'lapack', got {cfg.svd_method!r}")
     if cfg.phantom is not None:
-        if not isinstance(cfg.phantom, dict) or "kind" not in cfg.phantom:
-            raise ConfigError("phantom must be an object with a 'kind' key")
-        if cfg.phantom["kind"] not in ("bump", "indicator", "hat"):
-            raise ConfigError(f"unknown phantom kind {cfg.phantom['kind']!r}")
+        _validate_phantom(cfg.phantom)
     return cfg
+
+
+def _validate_phantom(phantom) -> None:
+    if not isinstance(phantom, dict) or "kind" not in phantom:
+        raise ConfigError("phantom must be an object with a 'kind' key")
+    kind = phantom["kind"]
+    if not isinstance(kind, str) or kind not in _PHANTOM_PARAMS:
+        raise ConfigError(f"unknown phantom kind {kind!r}")
+    required, optional = _PHANTOM_PARAMS[kind]
+    params = {k: v for k, v in phantom.items() if k != "kind"}
+    missing = [k for k in required if k not in params]
+    if missing:
+        raise ConfigError(f"{kind} phantom needs {missing}")
+    unknown = sorted(set(params) - set(required) - set(optional))
+    if unknown:
+        raise ConfigError(f"{kind} phantom does not use {unknown}")
+    for key, val in params.items():
+        _check_real(f"phantom {key}", val)
 
 
 def load_config(path, small: bool = False, overrides: dict | None = None) -> ExperimentConfig:

@@ -100,6 +100,29 @@ def poly_P_prime_a3(geom: Geometry) -> float:
     return (geom.a3 - geom.a1) * (geom.a3 - geom.a2) * (geom.a3 - geom.a4)
 
 
+def _overlap_angle(geom: Geometry, x: float) -> float:
+    """Overlap angle theta of x = m2 + r2 sin(theta), clipped to [-pi/2, pi/2]."""
+    m2, r2 = 0.5 * (geom.a2 + geom.a3), 0.5 * (geom.a3 - geom.a2)
+    return np.arcsin(min(1.0, max(-1.0, (x - m2) / r2)))
+
+
+def _overlap_integrand(geom: Geometry):
+    """K+ integrand in the overlap angle, 1/sqrt((t-a1)(a4-t)) at t(theta).
+
+    With t = m2 + r2 sin(theta), (t-a2)(a3-t) = r2^2 cos^2(theta) cancels
+    against dt = r2 cos(theta) d(theta), so this is dt/sqrt(P(t)) with both
+    overlap singularities absorbed.
+    """
+    a1, a2, a3, a4 = geom.points
+    m2, r2 = 0.5 * (a2 + a3), 0.5 * (a3 - a2)
+
+    def g_plus(th):
+        t = m2 + r2 * np.sin(th)
+        return 1.0 / np.sqrt((t - a1) * (a4 - t))
+
+    return g_plus
+
+
 @functools.lru_cache(maxsize=256)
 def _k_pair(geom: Geometry, tol: float):
     """Both singular integrals with the sin substitution on the full interval.
@@ -116,14 +139,8 @@ def _k_pair(geom: Geometry, tol: float):
         t = m1 + r1 * np.sin(th)
         return 1.0 / np.sqrt((a3 - t) * (a4 - t))
 
-    m2, r2 = 0.5 * (a2 + a3), 0.5 * (a3 - a2)
-
-    def g_plus(th):
-        t = m2 + r2 * np.sin(th)
-        return 1.0 / np.sqrt((t - a1) * (a4 - t))
-
     km, ekm = integrate(g_minus, -np.pi / 2, np.pi / 2, tol)
-    kp, ekp = integrate(g_plus, -np.pi / 2, np.pi / 2, tol)
+    kp, ekp = integrate(_overlap_integrand(geom), -np.pi / 2, np.pi / 2, tol)
     return km, kp, ekm, ekp
 
 
@@ -161,17 +178,10 @@ def w3(geom: Geometry, x: float, tol: float = DEFAULT_TOL) -> float:
     angle variable, so the singularity at a3 (and at a2 as x -> a2+) is
     absorbed exactly; w3(a2) = K+ and w3(a3) = 0 by construction.
     """
-    a1, a2, a3, a4 = geom.points
-    if not (a2 < x <= a3):
+    if not (geom.a2 < x <= geom.a3):
         raise GeometryError(f"w3 requires a2 < x <= a3, got x={x}")
-    m2, r2 = 0.5 * (a2 + a3), 0.5 * (a3 - a2)
-
-    def g_plus(th):
-        t = m2 + r2 * np.sin(th)
-        return 1.0 / np.sqrt((t - a1) * (a4 - t))
-
-    th_x = np.arcsin(min(1.0, max(-1.0, (x - m2) / r2)))
-    val, _ = integrate(g_plus, th_x, np.pi / 2, tol)
+    val, _ = integrate(_overlap_integrand(geom), _overlap_angle(geom, x),
+                       np.pi / 2, tol)
     return val
 
 
@@ -189,15 +199,8 @@ def beta_mu_exact(geom: Geometry, mu, tol: float = DEFAULT_TOL) -> float:
     km = k_minus(geom, tol)
 
     # inner half (a3-mu, a3-mu/2) in the overlap angle variable
-    m2, r2 = 0.5 * (a2 + a3), 0.5 * (a3 - a2)
-
-    def g_plus(th):
-        t = m2 + r2 * np.sin(th)
-        return 1.0 / np.sqrt((t - a1) * (a4 - t))
-
-    th_lo = np.arcsin(min(1.0, max(-1.0, (a3 - m - m2) / r2)))
-    th_hi = np.arcsin(min(1.0, max(-1.0, (a3 - 0.5 * m - m2) / r2)))
-    i_inner, _ = integrate(g_plus, th_lo, th_hi, tol)
+    i_inner, _ = integrate(_overlap_integrand(geom), _overlap_angle(geom, a3 - m),
+                           _overlap_angle(geom, a3 - 0.5 * m), tol)
 
     # outer half: t = mc + rc sin(theta) with (a3 - t) = rc (1 - sin theta)
     mc, rc = a3 - 0.25 * m, 0.25 * m

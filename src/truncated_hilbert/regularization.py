@@ -42,14 +42,6 @@ class ReconstructionResult:
     method: str                      # "tsvd" or "tikhonov"
     cutoff_n: int | None = None
     eta: float | None = None
-    roi_error: float | None = None
-
-    def with_roi_error(self, err: float) -> "ReconstructionResult":
-        if err < 0:
-            raise ValueError("roi_error must be nonnegative")
-        return ReconstructionResult(f=self.f, method=self.method,
-                                    cutoff_n=self.cutoff_n, eta=self.eta,
-                                    roi_error=err)
 
 
 def add_noise(g_ex: np.ndarray, delta: float, seed: int, step: float = 1.0) -> NoisyData:

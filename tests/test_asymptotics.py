@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import goldens as G
 from conftest import PAPER_GEOM, UNIT_GEOM
@@ -117,6 +118,22 @@ class TestWkbProfile:
             got = wkb_roi_norm_quadrature(PAPER_GEOM, 100.0, n)
             want = roi_norm_model(PAPER_GEOM, 100.0, n)
             assert abs(got - want) / want <= 0.2
+
+    @pytest.mark.parametrize("geom, mu", [(PAPER_GEOM, 100.0), (UNIT_GEOM, 0.05)])
+    def test_profile_mass_matches_closed_form(self, geom, mu):
+        # independent adaptive quadrature of the squared profile over the ROI;
+        # x = a2 + h s^2 removes the (x - a2)^(-1/2) singularity of P^(-1/2)
+        h = geom.a3 - mu - geom.a2
+        for n in range(1, 10):
+            prof = wkb_profile(geom, n)
+
+            def f(s):
+                return 2.0 * h * s * prof.evaluate_raw(geom.a2 + h * s * s) ** 2 \
+                    if s > 0 else 0.0
+
+            mass, _ = quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+            got = wkb_roi_norm_quadrature(geom, mu, n)
+            assert abs(got - np.sqrt(mass)) <= 1e-10 * np.sqrt(mass)
 
     def test_correlation_with_computed_vectors(self, paper_sys):
         pairs = tail_index_map(paper_sys, 9)

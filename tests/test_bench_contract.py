@@ -1,0 +1,34 @@
+"""Names the benchmark traces by attribute must exist in the package.
+
+bench/tracing.py wraps the functions in its TARGETS table by name, and
+bench/worker.py reads the hit counts of the w3 cache; renaming or removing
+one of them breaks `bench/run.py --trace 1`.  This module only reads bench/.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from truncated_hilbert import geometry
+
+_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _resolves(module, attr):
+    obj = importlib.import_module(f"truncated_hilbert.{module}")
+    for part in attr.split("."):
+        obj = getattr(obj, part, None)
+    return callable(obj)
+
+
+def test_traced_names_resolve():
+    spec = importlib.util.spec_from_file_location("bench_tracing", _TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{m}.{a}" for m, attrs in tracing.TARGETS.items() for a in attrs
+               if not _resolves(m, a)]
+    assert missing == []
+
+
+def test_w3_keeps_its_cache():
+    assert callable(geometry.w3.cache_info)

@@ -51,6 +51,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("phantom", [
+        {"kind": "bump", "center": 60.0, "width": 10.0},
+        {"kind": "bump", "center": 60.0, "width": 10.0, "amplitude": 0.5},
+        {"kind": "indicator", "c": 40.0, "d": 80.0},
+        {"kind": "hat", "center": 60.0, "half_width": 5.0, "peak": 2.0},
+    ])
+    def test_phantom_params_accepted(self, tmp_path, phantom):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"phantom": phantom}))
+        assert load_config(path, small=True).phantom == phantom
+
 
 class TestCliExitCodes:
     def test_validate_ok(self, tmp_path, capsys):
@@ -78,6 +89,22 @@ class TestCliExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         rc = main(["validate", "--config", str(bad)])
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"step": 1e-300}, {"step": 0.001},
+        {"phantom": {"kind": "bump"}},
+        {"phantom": {"kind": "bump", "center": 60.0, "widht": 10.0}},
+        {"phantom": {"kind": "hat", "center": 60.0, "half_width": "5"}},
+    ])
+    def test_refused_config_exit_2(self, tmp_path, capsys, doc):
+        # oversized grids and phantoms without their parameters are refused
+        # before any matrix is built
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["reconstruct", "--small", "--config", str(bad),
+                   "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "Traceback" not in capsys.readouterr().err
 
