@@ -1,8 +1,8 @@
 """Truncated Hilbert transform with overlap.
 
 Numerical library for the finite-interval Hilbert transform whose data
-interval only partially overlaps the object support: exact interval
-constants by singularity-absorbing quadrature, the sampled operator and
+interval only partially overlaps the object support: the interval
+constants as elliptic integrals in Carlson form, the sampled operator and
 its singular value decomposition at high relative accuracy, closed-form
 asymptotic laws for both ends of the spectrum, truncated-SVD and Tikhonov
 inversion with quasi-optimal parameter choices, and the worst-case

@@ -36,37 +36,37 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import (Geometry, alpha, beta_mu_exact, k_minus, near_one_rate,
-                       poly_P, w3, DEFAULT_TOL)
+                       poly_P, w3)
 
 
-def sigma_model_pos(geom: Geometry, n: int, tol: float = DEFAULT_TOL) -> float:
+def sigma_model_pos(geom: Geometry, n: int) -> float:
     """Tail model 2 exp(-alpha n); meaningful for n >= 1."""
-    return 2.0 * np.exp(-alpha(geom, tol) * n)
+    return 2.0 * np.exp(-alpha(geom) * n)
 
 
-def sigma_model_neg(geom: Geometry, n_abs: int, tol: float = DEFAULT_TOL) -> float:
+def sigma_model_neg(geom: Geometry, n_abs: int) -> float:
     """Near-one model 1 - 2 exp(-2 |n| pi K-/K+)."""
-    return 1.0 - 2.0 * np.exp(-near_one_rate(geom, tol) * n_abs)
+    return 1.0 - 2.0 * np.exp(-near_one_rate(geom) * n_abs)
 
 
-def near_one_model_valid(geom: Geometry, tol: float = DEFAULT_TOL) -> bool:
+def near_one_model_valid(geom: Geometry) -> bool:
     """Whether the near-one model already lies in (0, 1) at |n| = 1."""
-    return sigma_model_neg(geom, 1, tol) > 0.0
+    return sigma_model_neg(geom, 1) > 0.0
 
 
-def roi_norm_model(geom: Geometry, mu, n: int, tol: float = DEFAULT_TOL) -> float:
+def roi_norm_model(geom: Geometry, mu, n: int) -> float:
     """ROI-norm model exp(-beta_mu n) / sqrt(n pi) for n >= 1."""
     if n < 1:
         raise DomainError(f"model index must be >= 1, got {n}")
-    beta = beta_mu_exact(geom, mu, tol)
+    beta = beta_mu_exact(geom, mu)
     return np.exp(-beta * n) / np.sqrt(n * np.pi)
 
 
-def wkb_epsilon(geom: Geometry, n: int, tol: float = DEFAULT_TOL) -> float:
+def wkb_epsilon(geom: Geometry, n: int) -> float:
     """Small parameter eps = K- / (n pi) of the profile at tail index n."""
     if n < 1:
         raise DomainError(f"profile index must be >= 1, got {n}")
-    return k_minus(geom, tol) / (n * np.pi)
+    return k_minus(geom) / (n * np.pi)
 
 
 @dataclass(frozen=True)
@@ -82,52 +82,50 @@ class WkbProfile:
         inset = self.epsilon * self.geom.overlap_width ** 2
         return (self.geom.a2 + inset, self.geom.a3 - inset)
 
-    def evaluate_raw(self, x: float, tol: float = DEFAULT_TOL) -> float:
+    def evaluate_raw(self, x: float) -> float:
         """Profile value without the domain guard (for integral checks)."""
         g = self.geom
         p = poly_P(g, x)
         if p <= 0:
             raise DomainError(f"profile undefined where P(x) <= 0 (x={x})")
         sign = -1.0 if self.n % 2 == 0 else 1.0
-        return (np.sqrt(2.0 / k_minus(g, tol)) * sign * p ** (-0.25)
-                * np.exp(-w3(g, x, tol) / self.epsilon))
+        return (np.sqrt(2.0 / k_minus(g)) * sign * p ** (-0.25)
+                * np.exp(-w3(g, x) / self.epsilon))
 
-    def __call__(self, x: float, tol: float = DEFAULT_TOL) -> float:
+    def __call__(self, x: float) -> float:
         lo, hi = self.validity_interval
         if lo >= hi:
             raise DomainError(
                 f"validity interval empty for n={self.n} on {self.geom.points}")
         if not (lo < x < hi):
             raise DomainError(f"x={x} outside validity interval ({lo}, {hi})")
-        return self.evaluate_raw(x, tol)
+        return self.evaluate_raw(x)
 
 
-def wkb_profile(geom: Geometry, n: int, tol: float = DEFAULT_TOL) -> WkbProfile:
-    return WkbProfile(geom=geom, n=n, epsilon=wkb_epsilon(geom, n, tol))
+def wkb_profile(geom: Geometry, n: int) -> WkbProfile:
+    return WkbProfile(geom=geom, n=n, epsilon=wkb_epsilon(geom, n))
 
 
-def u_wkb(geom: Geometry, n: int, x: float, tol: float = DEFAULT_TOL) -> float:
+def u_wkb(geom: Geometry, n: int, x: float) -> float:
     """Profile of u_n at x, restricted to the validity interval.
 
     Sign alternates with n through the factor (-1)^(n+1); magnitude grows
     toward a3 like P(x)^(-1/4) while the exponential factor tends to one
     since w3(a3) = 0.
     """
-    return wkb_profile(geom, n, tol)(x, tol)
+    return wkb_profile(geom, n)(x)
 
 
-def wkb_roi_norm_quadrature(geom: Geometry, mu, n: int,
-                            tol: float = DEFAULT_TOL) -> float:
+def wkb_roi_norm_quadrature(geom: Geometry, mu, n: int) -> float:
     """Norm of the profile over the ROI (a2, a3 - mu), in closed form.
 
     The squared profile is (1/(n pi)) d/dx exp(-2 n pi w3(x)/K-) (module
     docstring), so the norm is exp(-n beta_mu) sqrt((1 - exp(-2 n (alpha
-    - beta_mu))) / (n pi)), exact up to the quadrature error of beta_mu
-    and alpha; roi_norm_model is the leading factor.
+    - beta_mu))) / (n pi)); roi_norm_model is the leading factor.
     """
     if n < 1:
         raise DomainError(f"profile index must be >= 1, got {n}")
-    beta = beta_mu_exact(geom, mu, tol)
-    a = alpha(geom, tol)
+    beta = beta_mu_exact(geom, mu)
+    a = alpha(geom)
     return float(np.exp(-n * beta) * np.sqrt(-np.expm1(-2.0 * n * (a - beta))
                                               / (n * np.pi)))

@@ -2,10 +2,12 @@
 
 import json
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, GeometryError
 from .geometry import Geometry, check_roi
+from .regularization import phantom_support
 
 PAPER_GEOMETRY = (0.0, 450.0, 1350.0, 1725.0)
 SMALL_GEOMETRY = (0.0, 30.0, 90.0, 115.0)   # paper geometry scaled by 1/15
@@ -44,7 +46,7 @@ class ExperimentConfig:
     def geom(self) -> Geometry:
         try:
             return Geometry(*[float(v) for v in self.geometry])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, GeometryError) as exc:
             raise ConfigError(f"invalid geometry {self.geometry!r}: {exc}") from exc
 
 
@@ -66,9 +68,11 @@ def default_config(small: bool = False) -> ExperimentConfig:
 
 
 def _check_real(name, val):
-    """Reject anything but a real number; JSON true/false are not numbers."""
-    if isinstance(val, bool) or not isinstance(val, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {val!r}")
+    """Reject anything but a finite real number; JSON true/false are not numbers."""
+    # the bound also refuses ints too large for a float, which isfinite cannot
+    if (isinstance(val, bool) or not isinstance(val, numbers.Real)
+            or not abs(val) <= sys.float_info.max):
+        raise ConfigError(f"{name} must be a finite number, got {val!r}")
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -83,16 +87,15 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
         for val in values:
             _check_real(f"{name} entry", val)
-    if isinstance(cfg.seed, bool) or not isinstance(cfg.seed, int):
-        raise ConfigError(f"seed must be an integer, got {cfg.seed!r}")
-    try:
-        geom = cfg.geom()
-    except Exception as exc:
-        raise ConfigError(str(exc)) from exc
+    if isinstance(cfg.seed, bool) or not isinstance(cfg.seed, int) or cfg.seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {cfg.seed!r}")
+    if not isinstance(cfg.output_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {cfg.output_dir!r}")
     if not isinstance(cfg.geometry, (list, tuple)) or len(cfg.geometry) != 4:
         raise ConfigError("geometry must list exactly four breakpoints")
     for val in cfg.geometry:
         _check_real("geometry entry", val)
+    geom = cfg.geom()
     if not cfg.step > 0:
         raise ConfigError(f"step must be positive, got {cfg.step}")
     entries = (((geom.a3 - geom.a1) / cfg.step + 1)
@@ -125,11 +128,11 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.svd_method not in ("cauchy", "lapack"):
         raise ConfigError(f"svd_method must be 'cauchy' or 'lapack', got {cfg.svd_method!r}")
     if cfg.phantom is not None:
-        _validate_phantom(cfg.phantom)
+        _validate_phantom(cfg.phantom, geom)
     return cfg
 
 
-def _validate_phantom(phantom) -> None:
+def _validate_phantom(phantom, geom: Geometry) -> None:
     if not isinstance(phantom, dict) or "kind" not in phantom:
         raise ConfigError("phantom must be an object with a 'kind' key")
     kind = phantom["kind"]
@@ -145,6 +148,10 @@ def _validate_phantom(phantom) -> None:
         raise ConfigError(f"{kind} phantom does not use {unknown}")
     for key, val in params.items():
         _check_real(f"phantom {key}", val)
+    try:
+        phantom_support(kind, geom, params)
+    except GeometryError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path, small: bool = False, overrides: dict | None = None) -> ExperimentConfig:
@@ -165,7 +172,8 @@ def load_config(path, small: bool = False, overrides: dict | None = None) -> Exp
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, val in doc.items():
-            setattr(cfg, key, tuple(val) if key == "geometry" else val)
+            setattr(cfg, key, tuple(val) if key == "geometry" and isinstance(val, list)
+                    else val)
     for key, val in (overrides or {}).items():
         if val is not None:
             setattr(cfg, key, val)

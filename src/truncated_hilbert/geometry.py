@@ -18,20 +18,27 @@ for the attenuation of singular functions on the region of interest
 (a2, a3 - mu).  beta_mu / alpha is the Hoelder power of every stability
 estimate downstream.
 
-All integrands have inverse-square-root endpoint singularities; they are
-removed analytically with the substitution x = m + r sin(theta) before
-any numerical rule is applied.
+P is a quartic, so all three are elliptic integrals of the first kind.
+In Legendre form, with the cross-ratio parameter and scale
+
+    m = (a3 - a2)(a4 - a1) / ((a3 - a1)(a4 - a2)),
+    c = 2 / sqrt((a3 - a1)(a4 - a2)),
+
+K+ = c K(m) and K- = c K(1 - m).  They are evaluated in Carlson's
+symmetric form R_F (scipy.special.elliprf), whose arguments are sums and
+products of positive breakpoint differences.  Neither m nor 1 - m is
+ever formed by subtraction, so the values keep close to full double
+precision however thin the overlap or the outer segments, endpoint
+singularities included.
 """
 
 import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import elliprf
 
 from .errors import GeometryError
-from .quadrature import integrate
-
-DEFAULT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -100,122 +107,93 @@ def poly_P_prime_a3(geom: Geometry) -> float:
     return (geom.a3 - geom.a1) * (geom.a3 - geom.a2) * (geom.a3 - geom.a4)
 
 
-def _overlap_angle(geom: Geometry, x: float) -> float:
-    """Overlap angle theta of x = m2 + r2 sin(theta), clipped to [-pi/2, pi/2]."""
-    m2, r2 = 0.5 * (geom.a2 + geom.a3), 0.5 * (geom.a3 - geom.a2)
-    return np.arcsin(min(1.0, max(-1.0, (x - m2) / r2)))
+def _overlap_units(geom: Geometry):
+    """Overlap width r = a3 - a2 and the outer segments p, q in units of r.
 
-
-def _overlap_integrand(geom: Geometry):
-    """K+ integrand in the overlap angle, 1/sqrt((t-a1)(a4-t)) at t(theta).
-
-    With t = m2 + r2 sin(theta), (t-a2)(a3-t) = r2^2 cos^2(theta) cancels
-    against dt = r2 cos(theta) d(theta), so this is dt/sqrt(P(t)) with both
-    overlap singularities absorbed.
+    p = (a2 - a1)/r and q = (a4 - a3)/r.  The constants scale as 1/r, so
+    working in overlap units keeps the products of differences below
+    inside the floating-point range at any scale of the breakpoints.
     """
-    a1, a2, a3, a4 = geom.points
-    m2, r2 = 0.5 * (a2 + a3), 0.5 * (a3 - a2)
-
-    def g_plus(th):
-        t = m2 + r2 * np.sin(th)
-        return 1.0 / np.sqrt((t - a1) * (a4 - t))
-
-    return g_plus
+    r = geom.a3 - geom.a2
+    return r, (geom.a2 - geom.a1) / r, (geom.a4 - geom.a3) / r
 
 
 @functools.lru_cache(maxsize=256)
-def _k_pair(geom: Geometry, tol: float):
-    """Both singular integrals with the sin substitution on the full interval.
+def _k_pair(geom: Geometry):
+    """(K-, K+) = (2/r) (R_F(0, 1 + p + q, d), R_F(0, p q, d)), d = (1+p)(1+q).
 
-    On (a1, a2): -P = (x-a1)(a2-x)(a3-x)(a4-x) and the substitution
-    x = m + r sin(theta) maps (x-a1)(a2-x) to r^2 cos^2(theta), leaving the
-    analytic integrand 1/sqrt((a3-x)(a4-x)) d(theta).  Same construction
-    on (a2, a3) for K+.
+    These are c K(1 - m) and c K(m) of the module docstring, by
+    K(m) = R_F(0, 1 - m, 1) and the homogeneity of R_F of degree -1/2.
     """
-    a1, a2, a3, a4 = geom.points
-    m1, r1 = 0.5 * (a1 + a2), 0.5 * (a2 - a1)
-
-    def g_minus(th):
-        t = m1 + r1 * np.sin(th)
-        return 1.0 / np.sqrt((a3 - t) * (a4 - t))
-
-    km, ekm = integrate(g_minus, -np.pi / 2, np.pi / 2, tol)
-    kp, ekp = integrate(_overlap_integrand(geom), -np.pi / 2, np.pi / 2, tol)
-    return km, kp, ekm, ekp
+    r, p, q = _overlap_units(geom)
+    d = (1.0 + p) * (1.0 + q)
+    return (float(2.0 / r * elliprf(0.0, 1.0 + p + q, d)),
+            float(2.0 / r * elliprf(0.0, p * q, d)))
 
 
-def k_minus(geom: Geometry, tol: float = DEFAULT_TOL) -> float:
-    """K- = int_{a1}^{a2} dx/sqrt(-P(x)), absolute error <= tol."""
-    if tol <= 0:
-        raise GeometryError("tol must be positive")
-    return _k_pair(geom, tol)[0]
+def k_minus(geom: Geometry) -> float:
+    """K- = int_{a1}^{a2} dx/sqrt(-P(x))."""
+    return _k_pair(geom)[0]
 
 
-def k_plus(geom: Geometry, tol: float = DEFAULT_TOL) -> float:
-    """K+ = int_{a2}^{a3} dx/sqrt(P(x)), absolute error <= tol."""
-    if tol <= 0:
-        raise GeometryError("tol must be positive")
-    return _k_pair(geom, tol)[1]
+def k_plus(geom: Geometry) -> float:
+    """K+ = int_{a2}^{a3} dx/sqrt(P(x))."""
+    return _k_pair(geom)[1]
 
 
-def alpha(geom: Geometry, tol: float = DEFAULT_TOL) -> float:
+def alpha(geom: Geometry) -> float:
     """Decay rate pi K+ / K- of the small singular values."""
-    km, kp, _, _ = _k_pair(geom, tol)
+    km, kp = _k_pair(geom)
     return np.pi * kp / km
 
 
-def near_one_rate(geom: Geometry, tol: float = DEFAULT_TOL) -> float:
+def near_one_rate(geom: Geometry) -> float:
     """Rate 2 pi K- / K+ at which 1 - sigma decays on the large-sigma branch."""
-    km, kp, _, _ = _k_pair(geom, tol)
+    km, kp = _k_pair(geom)
     return 2.0 * np.pi * km / kp
 
 
+def _phase(geom: Geometry, below: float, above: float) -> float:
+    """int_x^{a3} dt/sqrt(P(t)) at x = a2 + below = a3 - above.
+
+    Carlson's reduction of an integral of 1/sqrt(quartic) (DLMF 19.29.4)
+    with the upper limit at the root a3, in overlap units b = below/r and
+    e = above/r:
+
+        (2/r) sqrt(e) R_F((1+p)(q+e), (p+b) q, (1+p) q b).
+
+    The caller passes both distances of x to the overlap ends, so every
+    argument is a product of sums of positive terms and nothing cancels,
+    however close x is to either end.
+    """
+    r, p, q = _overlap_units(geom)
+    b, e = below / r, above / r
+    return float(2.0 / r * np.sqrt(e)
+                 * elliprf((1.0 + p) * (q + e), (p + b) * q, (1.0 + p) * q * b))
+
+
 @functools.lru_cache(maxsize=65536)
-def w3(geom: Geometry, x: float, tol: float = DEFAULT_TOL) -> float:
+def w3(geom: Geometry, x: float) -> float:
     """Phase integral w3(x) = int_x^{a3} dt/sqrt(P(t)) for a2 < x <= a3.
 
-    Computed as a partial integral of the K+ integrand in the transformed
-    angle variable, so the singularity at a3 (and at a2 as x -> a2+) is
-    absorbed exactly; w3(a2) = K+ and w3(a3) = 0 by construction.
+    w3(a3) = 0 and w3(x) -> K+ as x -> a2.
     """
     if not (geom.a2 < x <= geom.a3):
         raise GeometryError(f"w3 requires a2 < x <= a3, got x={x}")
-    val, _ = integrate(_overlap_integrand(geom), _overlap_angle(geom, x),
-                       np.pi / 2, tol)
-    return val
+    return _phase(geom, x - geom.a2, geom.a3 - x)
 
 
-def beta_mu_exact(geom: Geometry, mu, tol: float = DEFAULT_TOL) -> float:
-    """beta_mu = (pi/K-) int_{a3-mu}^{a3} dt/sqrt(P(t)), exact by quadrature.
+def beta_mu_exact(geom: Geometry, mu) -> float:
+    """beta_mu = (pi/K-) w3(a3 - mu) = (pi/K-) int_{a3-mu}^{a3} dt/sqrt(P(t)).
 
-    Deliberately decomposed differently than w3 so the two can cross-check
-    each other: the interval (a3-mu, a3) is split at its midpoint; the
-    half touching a3 gets a local sin substitution anchored at a3 (one-
-    sided singularity), while the inner half is integrated in the global
-    overlap angle, which stays regular even when a3-mu approaches a2.
+    Evaluated from mu itself rather than from the rounded a3 - mu, so small
+    mu keep full relative accuracy.
     """
     m = check_roi(geom, mu)
-    a1, a2, a3, a4 = geom.points
-    km = k_minus(geom, tol)
-
-    # inner half (a3-mu, a3-mu/2) in the overlap angle variable
-    i_inner, _ = integrate(_overlap_integrand(geom), _overlap_angle(geom, a3 - m),
-                           _overlap_angle(geom, a3 - 0.5 * m), tol)
-
-    # outer half: t = mc + rc sin(theta) with (a3 - t) = rc (1 - sin theta)
-    mc, rc = a3 - 0.25 * m, 0.25 * m
-
-    def f_sin(th):
-        s = np.sin(th)
-        t = mc + rc * s
-        return np.sqrt(rc) * np.sqrt(np.maximum(1.0 + s, 0.0)) / np.sqrt(
-            (t - a1) * (t - a2) * (a4 - t))
-
-    i_outer, _ = integrate(f_sin, -np.pi / 2, np.pi / 2, tol)
-    return np.pi / km * (i_inner + i_outer)
+    return np.pi / k_minus(geom) * _phase(geom, geom.overlap_width - m, m)
 
 
-def beta_mu_approx(geom: Geometry, mu, tol: float = DEFAULT_TOL) -> float:
+def beta_mu_approx(geom: Geometry, mu) -> float:
     """Leading small-mu form (2 pi / K-) sqrt(mu) / sqrt(-P'(a3)).
 
     Relative error against beta_mu_exact is O(mu).
@@ -224,10 +202,10 @@ def beta_mu_approx(geom: Geometry, mu, tol: float = DEFAULT_TOL) -> float:
     if m < 0:
         raise GeometryError(f"mu must be nonnegative, got {m}")
     dp = poly_P_prime_a3(geom)
-    km = k_minus(geom, tol)
+    km = k_minus(geom)
     return 2.0 * np.pi / km * np.sqrt(m) / np.sqrt(-dp)
 
 
-def holder_exponent(geom: Geometry, mu, tol: float = DEFAULT_TOL) -> float:
+def holder_exponent(geom: Geometry, mu) -> float:
     """Stability power beta_mu / alpha, strictly between 0 and 1."""
-    return beta_mu_exact(geom, mu, tol) / alpha(geom, tol)
+    return beta_mu_exact(geom, mu) / alpha(geom)

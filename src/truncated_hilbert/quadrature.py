@@ -1,10 +1,10 @@
 """Composite Gauss-Legendre quadrature with panel-doubling refinement.
 
-The integrands produced by the geometry module are smooth on closed
-intervals (endpoint singularities are removed analytically before they
-get here), so a fixed high-order rule refined by panel doubling converges
-geometrically.  The difference between two successive refinement levels
-serves as a conservative error bound.
+For integrands smooth on closed intervals (endpoint singularities
+removed analytically beforehand) a fixed high-order rule refined by panel
+doubling converges geometrically.  The difference between two successive
+refinement levels serves as a conservative error bound.  The package no
+longer calls it; the tests use it as an independent reference.
 """
 
 import numpy as np

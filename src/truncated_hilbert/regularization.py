@@ -132,6 +132,22 @@ def tikhonov_reconstruct(sys: SingularSystem, g: np.ndarray, eta: float) -> Reco
     return ReconstructionResult(f=f, method="tikhonov", eta=eta)
 
 
+def phantom_support(kind: str, geom: Geometry, params: dict):
+    """Support (lo, hi) of a phantom; GeometryError unless a2 < lo < hi < a4."""
+    if kind == "indicator":
+        lo, hi = float(params["c"]), float(params["d"])
+    elif kind in ("bump", "hat"):
+        c = float(params["center"])
+        w = float(params["width" if kind == "bump" else "half_width"])
+        lo, hi = c - w, c + w
+    else:
+        raise GeometryError(f"unknown phantom kind {kind!r}")
+    if not (geom.a2 < lo < hi < geom.a4):
+        raise GeometryError(f"{kind} support ({lo}, {hi}) is not an interval "
+                            f"inside ({geom.a2}, {geom.a4})")
+    return lo, hi
+
+
 def make_phantom(kind: str, geom: Geometry, grid: SampledGrid, **params) -> np.ndarray:
     """Sample a test object on the object grid.
 
@@ -141,43 +157,28 @@ def make_phantom(kind: str, geom: Geometry, grid: SampledGrid, **params) -> np.n
       indicator characteristic function of (c, d);
       hat       piecewise-linear peak, zero at center +- half_width, with
                 total variation exactly 2*peak.
-    Support must lie inside the open object interval (a2, a4); the hat and
-    bump vanish at their support ends, so objects built from them vanish
-    at a2 and a4 as the variation-based estimates require.
+    Support must lie inside the open object interval (a2, a4)
+    (phantom_support); the hat and bump vanish at their support ends, so
+    objects built from them vanish at a2 and a4 as the variation-based
+    estimates require.
     """
+    lo, hi = phantom_support(kind, geom, params)
     ys = grid.points
     if kind == "bump":
         c = float(params["center"])
         w = float(params["width"])
         amp = float(params.get("amplitude", 1.0))
-        if w <= 0:
-            raise GeometryError("bump width must be positive")
-        if not (geom.a2 < c - w and c + w < geom.a4):
-            raise GeometryError(f"bump support ({c - w}, {c + w}) outside "
-                                f"({geom.a2}, {geom.a4})")
         t = (ys - c) / w
         out = np.zeros_like(ys)
         core = np.abs(t) < 1.0
         out[core] = amp * np.exp(1.0 - 1.0 / (1.0 - t[core] ** 2))
         return out
     if kind == "indicator":
-        c = float(params["c"])
-        d = float(params["d"])
-        if not (geom.a2 < c < d < geom.a4):
-            raise GeometryError(f"indicator support ({c}, {d}) outside "
-                                f"({geom.a2}, {geom.a4})")
-        return ((ys > c) & (ys < d)).astype(float)
-    if kind == "hat":
-        c = float(params["center"])
-        hw = float(params["half_width"])
-        peak = float(params.get("peak", 1.0))
-        if hw <= 0:
-            raise GeometryError("hat half_width must be positive")
-        if not (geom.a2 < c - hw and c + hw < geom.a4):
-            raise GeometryError(f"hat support ({c - hw}, {c + hw}) outside "
-                                f"({geom.a2}, {geom.a4})")
-        return np.maximum(0.0, peak * (1.0 - np.abs(ys - c) / hw))
-    raise GeometryError(f"unknown phantom kind {kind!r}")
+        return ((ys > lo) & (ys < hi)).astype(float)
+    c = float(params["center"])
+    hw = float(params["half_width"])
+    peak = float(params.get("peak", 1.0))
+    return np.maximum(0.0, peak * (1.0 - np.abs(ys - c) / hw))
 
 
 def export_reconstruction(path_csv, grid: SampledGrid, f_true: np.ndarray,

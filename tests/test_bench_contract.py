@@ -32,3 +32,19 @@ def test_traced_names_resolve():
 
 def test_w3_keeps_its_cache():
     assert callable(geometry.w3.cache_info)
+
+
+def test_geometry_sweep_operations_pass(monkeypatch):
+    # both fixed members and four random ones, run and checked the way the
+    # benchmark does, so a signature the sweep calls cannot drift unnoticed
+    monkeypatch.syspath_prepend(str(_TRACING.parent))
+    workloads = importlib.import_module("workloads")
+    sweep = workloads.GeometrySweep(seed=1)
+    failures = {}
+    for i in range(len(workloads.FIXED_MEMBERS) + 4):
+        res = {}
+        sweep.run(i, res)
+        reasons = sweep.check(i, res)
+        if reasons:
+            failures[res["name"]] = reasons
+    assert failures == {}

@@ -84,6 +84,8 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("doc", [
         {"step": "1"}, {"mu_list": ["a"]}, {"E": True}, {"seed": True},
         {"geometry": ["0", 450, 1350, 1725]},
+        {"E": float("inf")}, {"delta_list": [float("inf")]}, {"geometry": 5},
+        {"output_dir": 5}, {"seed": -1},
     ])
     def test_wrongly_typed_value_exit_2(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
@@ -97,10 +99,12 @@ class TestCliExitCodes:
         {"phantom": {"kind": "bump"}},
         {"phantom": {"kind": "bump", "center": 60.0, "widht": 10.0}},
         {"phantom": {"kind": "hat", "center": 60.0, "half_width": "5"}},
+        {"phantom": {"kind": "bump", "center": 10.0, "width": 50.0}},
+        {"phantom": {"kind": "indicator", "c": 80.0, "d": 40.0}},
     ])
     def test_refused_config_exit_2(self, tmp_path, capsys, doc):
-        # oversized grids and phantoms without their parameters are refused
-        # before any matrix is built
+        # oversized grids, phantoms without their parameters and phantoms
+        # whose support leaves (a2, a4) are refused before any matrix is built
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         rc = main(["reconstruct", "--small", "--config", str(bad),
