@@ -7,15 +7,21 @@ stable SVD can resolve (absolute accuracy eps * sigma_max ~ 1e-16).  The
 standard remedy is a rank-revealing decomposition computed without
 additive cancellation:
 
-1. Gaussian elimination with complete pivoting.  The Schur complement of
-   a Cauchy matrix is again Cauchy-like, and one elimination step
-   multiplies every remaining entry by the exact node ratio
+1. Gaussian elimination with rook pivoting, in generator form.  Every
+   Schur complement of a Cauchy matrix is Cauchy-like,
+   S[i, j] = a_i b_j / (y_j - x_i), so only the O(m + n) generators are
+   kept; eliminating the pivot (p, q) multiplies them by exact node ratios
 
-       (x_i - x_p)(y_j - y_q) / ((x_i - y_q)(y_j - x_p)),
+       a_i *= (x_i - x_p) / (x_i - y_q),    b_j *= (y_j - y_q) / (y_j - x_p),
 
    so entries, pivots, and multipliers retain relative accuracy however
-   small they get.  Complete pivoting keeps |L| <= 1 and |U| <= 1
+   small they get.  Rook pivoting alternates column and row maxima, each
+   an O(m) or O(n) scan of the generators, until the entry is largest in
+   both its row and its column (Foster, J. Comput. Appl. Math. 86, 1997;
+   Poole and Neal, ibid. 123, 2000).  That keeps |L| <= 1 and |U| <= 1
    entrywise, hence L and U well conditioned:  H = P_r^T (L D U) P_c^T.
+   Elimination stops once a pivot falls below floor_rel times max |H|,
+   the entry of the closest node pair.
 
 2. Pivoted QR of the graded factor.  A column-pivoted QR of L*D gives
    L*D*P = Q*R, so L D U = Q W with W = R * (P^T U).  The rows of W are
@@ -61,57 +67,81 @@ class CauchyRRD:
         return self.d.size
 
 
-def gecp_cauchy(x_nodes, y_nodes, scale: float, floor_rel: float = 1e-28) -> CauchyRRD:
-    """Complete-pivoting elimination of C[i, j] = scale / (y_j - x_i).
+def _max_entry(x, y, scale: float) -> float:
+    """max |scale / (y_j - x_i)|, from the closest node pair by a sorted search."""
+    ys = np.sort(y)
+    pos = np.searchsorted(ys, x)
+    below = ys[np.maximum(pos - 1, 0)]
+    above = ys[np.minimum(pos, ys.size - 1)]
+    gap = np.minimum(np.abs(x - below), np.abs(above - x)).min()
+    return abs(scale) / gap
 
-    Stops once the pivot magnitude falls below floor_rel times the first
-    pivot; the discarded remainder perturbs the spectrum by at most that
-    scale.  All Schur updates are multiplicative in exact node
-    differences, never additive.
+
+def gecp_cauchy(x_nodes, y_nodes, scale: float, floor_rel: float = 1e-28) -> CauchyRRD:
+    """Rook-pivoted elimination of C[i, j] = scale / (y_j - x_i) in generator form.
+
+    Every Schur complement is S[i, j] = a_i b_j / (y_j - x_i), so only the
+    generators a, b are stored and updated.  Stops once the pivot magnitude
+    falls below floor_rel times max |C|; the discarded remainder perturbs
+    the spectrum by at most that scale.  All updates are multiplicative in
+    exact node differences, never additive.  Raises SpectralError for
+    non-finite nodes or scale, on which the rook search could cycle.
     """
     xa = np.array(x_nodes, dtype=float, copy=True)
     ya = np.array(y_nodes, dtype=float, copy=True)
+    if not (np.isfinite(scale) and np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise SpectralError("Cauchy nodes and scale must be finite")
     m, n = xa.size, ya.size
-    S = scale / (ya[None, :] - xa[:, None])
+    r_max = min(m, n)
+    a = np.full(m, float(scale))
+    b = np.ones(n)
     rperm = np.arange(m)
     cperm = np.arange(n)
-    r_max = min(m, n)
     L = np.zeros((m, r_max))
     U = np.zeros((r_max, n))
     d = np.zeros(r_max)
+    floor = floor_rel * _max_entry(xa, ya, scale) if r_max else 0.0
     rank = 0
-    piv0 = 0.0
     for k in range(r_max):
-        blk = S[k:, k:]
-        pi, pj = np.unravel_index(np.abs(blk).argmax(), blk.shape)
-        pi += k
-        pj += k
-        piv = S[pi, pj]
-        if k == 0:
-            piv0 = abs(piv)
-            if piv0 == 0.0:
+        xk, yk, ak, bk = xa[k:], ya[k:], a[k:], b[k:]   # the active part
+        # rook search: alternate column and row maxima until the entry is
+        # largest in both its row and its column; every entry is evaluated
+        # as (a_i * b_j) / (y_j - x_i), so both scans agree bitwise
+        j = 0
+        col = (ak * bk[j]) / (yk[j] - xk)
+        i = int(np.abs(col).argmax())
+        while True:
+            row = (ak[i] * bk) / (yk - xk[i])
+            j_new = int(np.abs(row).argmax())
+            if abs(row[j_new]) <= abs(row[j]):
                 break
-        if abs(piv) <= floor_rel * piv0:
+            j = j_new
+            col = (ak * bk[j]) / (yk[j] - xk)
+            i_new = int(np.abs(col).argmax())
+            if abs(col[i_new]) <= abs(col[i]):
+                break
+            i = i_new
+        piv = row[j]
+        if abs(piv) <= floor:
             break
-        if pi != k:
-            S[[k, pi], :] = S[[pi, k], :]
-            xa[[k, pi]] = xa[[pi, k]]
-            rperm[[k, pi]] = rperm[[pi, k]]
-            L[[k, pi], :] = L[[pi, k], :]
-        if pj != k:
-            S[:, [k, pj]] = S[:, [pj, k]]
-            ya[[k, pj]] = ya[[pj, k]]
-            cperm[[k, pj]] = cperm[[pj, k]]
-            U[:, [k, pj]] = U[:, [pj, k]]
-        d[k] = S[k, k]
+        # move the pivot to (k, k); col and row are its column and row
+        if i:
+            for arr in (xk, ak, rperm[k:], col):
+                arr[0], arr[i] = arr[i], arr[0]
+            L[[k, k + i], :k] = L[[k + i, k], :k]
+        if j:
+            for arr in (yk, bk, cperm[k:], row):
+                arr[0], arr[j] = arr[j], arr[0]
+            U[:k, [k, k + j]] = U[:k, [k + j, k]]
+        d[k] = piv
         L[k, k] = 1.0
         U[k, k] = 1.0
-        L[k + 1:, k] = S[k + 1:, k] / S[k, k]
-        U[k, k + 1:] = S[k, k + 1:] / S[k, k]
-        xi = xa[k + 1:]
-        yj = ya[k + 1:]
-        S[k + 1:, k + 1:] *= ((xi - xa[k]) / (xi - ya[k]))[:, None] \
-            * ((yj - ya[k]) / (yj - xa[k]))[None, :]
+        L[k + 1:, k] = col[1:] / piv
+        U[k, k + 1:] = row[1:] / piv
+        xi = xk[1:]
+        yj = yk[1:]
+        ak[1:] *= (xi - xk[0]) / (xi - yk[0])
+        bk[1:] *= (yj - yk[0]) / (yj - xk[0])
         rank = k + 1
     return CauchyRRD(rperm=rperm, cperm=cperm, L=L[:, :rank], d=d[:rank], U=U[:rank, :])
 

@@ -238,15 +238,17 @@ def _default_phantom(cfg):
 
 def _cmd_reconstruct(cfg, outdir) -> None:
     geom = cfg.geom()
-    op, sys_ = _spectral_setup(cfg)
+    op = build_operator(geom, step=cfg.step, shift=cfg.shift)
     phantom_spec = cfg.phantom or _default_phantom(cfg)
     kind = phantom_spec["kind"]
     params = {k: v for k, v in phantom_spec.items() if k != "kind"}
     f_true = make_phantom(kind, geom, op.object_grid, **params)
     norm_true = weighted_norm(f_true, op.step)
+    # the prior check needs only the object grid: refuse before decomposing
     if norm_true > cfg.E:
         raise ConfigError(f"phantom norm {norm_true:.6g} exceeds the prior bound "
                           f"E={cfg.E}; raise E or shrink the phantom")
+    sys_ = compute_svd(op, rank_tol=cfg.rank_tol, method=cfg.svd_method)
     g_ex = apply_forward(op, f_true)
     mu = float(cfg.mu_list[0])
     consts = calibrate_constants(sys_, geom, mu, c_tv=cfg.c_tv, amplitude=cfg.A)

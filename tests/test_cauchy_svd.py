@@ -3,16 +3,19 @@
 The solver's whole purpose is relative accuracy for singular values far
 below eps * sigma_max, so it is checked against multiprecision references
 (frozen 50-digit values for the preset geometry, live 40-digit runs on
-smaller instances, two of them slowly decaying) rather than against a
-double-precision SVD only.
+smaller instances, two of them slowly decaying, and on randomly drawn
+integer geometries) rather than against a double-precision SVD only.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goldens as G
 from truncated_hilbert.cauchy_svd import (accurate_cauchy_svd, gecp_cauchy,
                                           svd_from_rrd)
+from truncated_hilbert.errors import SpectralError
 
 
 def cauchy_matrix(x, y, scale):
@@ -61,14 +64,43 @@ class TestGecp:
         assert np.abs(rrd.U).max() <= 1.0 + 1e-12
 
     def test_pivots_track_floor(self):
+        # the floor is relative to max |C|, not to the first pivot
         x = np.arange(40.0)
         y = 11.5 + np.arange(35.0)
         rrd = gecp_cauchy(x, y, 1.0, floor_rel=1e-20)
-        assert np.abs(rrd.d[-1]) > 1e-20 * np.abs(rrd.d[0])
+        c_max = np.abs(cauchy_matrix(x, y, 1.0)).max()
+        assert np.all(np.abs(rrd.d) > 1e-20 * c_max)
+
+        # one object node 0.01 from a data node, far from where the rook
+        # search starts: the first pivot is fifty times below max |C|
+        y[20] = 31.01
+        rrd = gecp_cauchy(x, y, 1.0, floor_rel=1e-15)
+        c_max = np.abs(cauchy_matrix(x, y, 1.0)).max()
+        assert np.abs(rrd.d[0]) < 0.1 * c_max
+        assert rrd.rank < y.size
+        assert np.all(np.abs(rrd.d) > 1e-15 * c_max)
 
     def test_zero_scale(self):
         rrd = gecp_cauchy(np.arange(4.0), 5.5 + np.arange(3.0), 0.0)
         assert rrd.rank == 0
+
+    def test_non_finite_input_refused(self):
+        with pytest.raises(SpectralError):
+            gecp_cauchy(np.array([0.0, np.nan]), np.array([0.5, 1.5]), 1.0)
+        with pytest.raises(SpectralError):
+            gecp_cauchy(np.arange(3.0), 0.5 + np.arange(3.0), np.inf)
+
+    @pytest.mark.parametrize("fixture", ["paper_op", "small_preset_op"])
+    def test_factors_bounded_and_well_conditioned(self, fixture, request):
+        # rook pivoting bounds |L| and |U| like complete pivoting but has a
+        # weaker rank-revealing guarantee, so gate the factors' conditioning
+        op = request.getfixturevalue(fixture)
+        rrd = gecp_cauchy(op.data_grid.points, op.object_grid.points,
+                          op.step / np.pi)
+        assert np.abs(rrd.L).max() <= 1.0 + 1e-12
+        assert np.abs(rrd.U).max() <= 1.0 + 1e-12
+        assert np.linalg.cond(rrd.L) < 1e4
+        assert np.linalg.cond(rrd.U) < 1e4
 
 
 class TestAgainstLapackWhereValid:
@@ -142,6 +174,32 @@ class TestDeepTailAgainstMultiprecision:
         ref = mpmath_sigmas(x, y)
         _, s, _ = accurate_cauchy_svd(x, y, 1.0 / np.pi)
         assert (s > 1e-21 * s[0]).sum() == retained
+
+        def worst(lo_rel):
+            m = (ref > lo_rel * ref[0]).sum()
+            return (np.abs(s[:m] - ref[:m]) / ref[:m]).max()
+
+        assert worst(1e-20) < 1e-9
+        assert worst(1e-21) < 2e-8
+
+
+@st.composite
+def integer_geometries(draw):
+    """Integer breakpoints 0 < a2 < a3 < a4 with at most 40 nodes per side."""
+    a3 = draw(st.integers(2, 39))
+    a2 = draw(st.integers(1, a3 - 1))
+    a4 = draw(st.integers(a3 + 1, a2 + 39))
+    return 0, a2, a3, a4
+
+
+class TestRandomGeometriesAgainstMultiprecision:
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(integer_geometries())
+    def test_matches_mpmath(self, geometry):
+        x, y = step1_nodes(*geometry)
+        ref = mpmath_sigmas(x, y)
+        _, s, _ = accurate_cauchy_svd(x, y, 1.0 / np.pi)
+        assert (s > 1e-21 * s[0]).sum() == (ref > 1e-21 * ref[0]).sum()
 
         def worst(lo_rel):
             m = (ref > lo_rel * ref[0]).sum()

@@ -112,6 +112,18 @@ class TestCliExitCodes:
         assert rc == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_phantom_norm_refused_before_svd(self, tmp_path, capsys, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("compute_svd called before the prior check")
+
+        monkeypatch.setattr("truncated_hilbert.cli.compute_svd", no_svd)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"E": 0.001}))
+        rc = main(["reconstruct", "--small", "--config", str(cfg),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "exceeds the prior bound E=0.001" in capsys.readouterr().err
+
     def test_numerical_failure_exit_3(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"rank_tol": 1.5}))
