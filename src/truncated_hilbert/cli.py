@@ -6,29 +6,39 @@
 Every command is deterministic given the config and seed; reruns produce
 byte-identical files.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure.
+
+svd-report, figure2, reconstruct and bounds share one decomposition per
+output directory: the first of them to run writes the raw factors to
+svd_cache.npy there, the others read them back and repeat every check.
 """
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import sys
 
 import numpy as np
 
+from . import __version__
 from . import geometry as geo
 from .bounds import (calibrate_constants, l2_validity, roi_bound_l2,
                      write_bounds_csv)
 from .config import load_config
 from .errors import ConfigError, SpectralError, TruncatedHilbertError
-from .operator import apply_forward, build_operator, weighted_norm
+from .operator import apply_forward, build_operator, sample_grids, weighted_norm
 from .regularization import (add_noise, export_reconstruction, make_phantom,
                              optimal_cutoff_l2, tikhonov_reconstruct,
                              tsvd_reconstruct)
-from .spectral import (check_monotone, compute_svd, export_spectrum_csv,
+from .spectral import (apply_conventions, check_monotone, export_spectrum_csv,
                        fit_roi_decay, fit_tail_decay, near_one_tail_fit,
-                       roi_mask, roi_norm, sigma_counts, tail_index_map,
+                       raw_svd, roi_mask, roi_norm, sigma_counts, tail_index_map,
                        DEFAULT_TAIL_LEN)
+
+# raw SVD factors of the configured operator: four consecutive .npy
+# records (key, data vectors, sigmas, object vectors)
+SVD_CACHE = "svd_cache.npy"
 
 
 def _build_parser():
@@ -121,15 +131,65 @@ def _cmd_constants(cfg, outdir) -> None:
     print(f"wrote {path}")
 
 
-def _spectral_setup(cfg):
+def _svd_cache_key(cfg) -> str:
+    """Digest of everything the raw factors depend on."""
+    doc = [[float(v) for v in cfg.geometry], float(cfg.step), float(cfg.shift),
+           None if cfg.rank_tol is None else float(cfg.rank_tol),
+           cfg.svd_method, __version__]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+def _load_factors(path, key, shape):
+    """Cached factors of an m x n matrix under key; None if missing, unreadable or stale."""
+    try:
+        with open(path, "rb") as fh:
+            if np.lib.format.read_array(fh, allow_pickle=False).tolist() != key:
+                return None
+            v, s, u = (np.lib.format.read_array(fh, allow_pickle=False)
+                       for _ in range(3))
+    except (OSError, ValueError, EOFError):
+        return None
+    m, n = shape
+    if (any(a.dtype != np.float64 for a in (v, s, u)) or s.ndim != 1
+            or v.shape != (m, s.size) or u.shape != (n, s.size)):
+        return None
+    return v, s, u
+
+
+def _save_factors(path, key, factors) -> None:
+    # a reader never sees a partial file: write aside, then rename over
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as fh:
+        for arr in (np.array(key), *factors):
+            np.save(fh, arr, allow_pickle=False)
+    os.replace(tmp, path)
+
+
+def _spectral_setup(cfg, outdir):
+    """Operator and singular system, decomposed at most once per output directory.
+
+    Cached factors go through the same reconstruction check, truncation
+    and conventions as fresh ones; a cache that is unreadable, keyed to
+    another configuration or fails the check is replaced by a fresh solve.
+    """
     op = build_operator(cfg.geom(), step=cfg.step, shift=cfg.shift)
-    sys_ = compute_svd(op, rank_tol=cfg.rank_tol, method=cfg.svd_method)
+    path = os.path.join(outdir, SVD_CACHE)
+    key = _svd_cache_key(cfg)
+    factors = _load_factors(path, key, op.shape)
+    if factors is not None:
+        try:
+            return op, apply_conventions(op, factors, cfg.rank_tol, cfg.svd_method)
+        except SpectralError:
+            pass
+    factors = raw_svd(op, rank_tol=cfg.rank_tol, method=cfg.svd_method)
+    sys_ = apply_conventions(op, factors, cfg.rank_tol, cfg.svd_method)
+    _save_factors(path, key, factors)
     return op, sys_
 
 
 def _cmd_svd_report(cfg, outdir) -> None:
     geom = cfg.geom()
-    op, sys_ = _spectral_setup(cfg)
+    op, sys_ = _spectral_setup(cfg, outdir)
     if sys_.count == 0:
         raise SpectralError("spectrum is empty after rank truncation")
     tail_len = min(DEFAULT_TAIL_LEN, sys_.count)
@@ -198,7 +258,7 @@ def _cmd_figure1(cfg, outdir) -> None:
 
 def _cmd_figure2(cfg, outdir) -> None:
     geom = cfg.geom()
-    op, sys_ = _spectral_setup(cfg)
+    op, sys_ = _spectral_setup(cfg, outdir)
     tail_len = min(DEFAULT_TAIL_LEN, sys_.count)
     pairs = tail_index_map(sys_, tail_len)
     a = geo.alpha(geom)
@@ -238,21 +298,21 @@ def _default_phantom(cfg):
 
 def _cmd_reconstruct(cfg, outdir) -> None:
     geom = cfg.geom()
-    op = build_operator(geom, step=cfg.step, shift=cfg.shift)
+    _, object_grid = sample_grids(geom, cfg.step, cfg.shift)
     phantom_spec = cfg.phantom or _default_phantom(cfg)
     kind = phantom_spec["kind"]
     params = {k: v for k, v in phantom_spec.items() if k != "kind"}
-    f_true = make_phantom(kind, geom, op.object_grid, **params)
-    norm_true = weighted_norm(f_true, op.step)
+    f_true = make_phantom(kind, geom, object_grid, **params)
+    norm_true = weighted_norm(f_true, cfg.step)
     # the prior check needs only the object grid: refuse before decomposing
     if norm_true > cfg.E:
         raise ConfigError(f"phantom norm {norm_true:.6g} exceeds the prior bound "
                           f"E={cfg.E}; raise E or shrink the phantom")
-    sys_ = compute_svd(op, rank_tol=cfg.rank_tol, method=cfg.svd_method)
+    op, sys_ = _spectral_setup(cfg, outdir)
     g_ex = apply_forward(op, f_true)
     mu = float(cfg.mu_list[0])
     consts = calibrate_constants(sys_, geom, mu, c_tv=cfg.c_tv, amplitude=cfg.A)
-    mask = roi_mask(geom, op.object_grid, mu)
+    mask = roi_mask(geom, object_grid, mu)
 
     summary_path = os.path.join(outdir, "reconstruction_summary.csv")
     with open(summary_path, "w", newline="") as fh:
@@ -296,7 +356,7 @@ def _cmd_reconstruct(cfg, outdir) -> None:
 
 def _cmd_bounds(cfg, outdir) -> None:
     geom = cfg.geom()
-    op, sys_ = _spectral_setup(cfg)
+    op, sys_ = _spectral_setup(cfg, outdir)
     mu = float(cfg.mu_list[0])
     consts = calibrate_constants(sys_, geom, mu, c_tv=cfg.c_tv, amplitude=cfg.A)
     path = os.path.join(outdir, "bounds.csv")

@@ -5,9 +5,11 @@ import numbers
 import sys
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError, GeometryError
-from .geometry import Geometry, check_roi
+from .errors import ConfigError, GeometryError, GridError
+from .geometry import Geometry
+from .operator import sample_grids
 from .regularization import phantom_support
+from .spectral import roi_mask
 
 PAPER_GEOMETRY = (0.0, 450.0, 1350.0, 1725.0)
 SMALL_GEOMETRY = (0.0, 30.0, 90.0, 115.0)   # paper geometry scaled by 1/15
@@ -105,13 +107,22 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
                           f"entries, more than the cap of {_MAX_MATRIX_ENTRIES:g}")
     if not (0.0 < cfg.shift < 1.0):
         raise ConfigError(f"shift must lie in (0, 1), got {cfg.shift}")
+    # the grids every spectral command samples on, refused here rather
+    # than after the decomposition
+    try:
+        _, object_grid = sample_grids(geom, cfg.step, cfg.shift)
+    except GridError as exc:
+        raise ConfigError(str(exc)) from exc
     if not cfg.mu_list:
         raise ConfigError("mu_list must not be empty")
     for mu in cfg.mu_list:
         try:
-            check_roi(geom, float(mu))
+            roi = roi_mask(geom, object_grid, float(mu))
         except GeometryError as exc:
             raise ConfigError(str(exc)) from exc
+        if not roi.any():
+            raise ConfigError(f"region of interest (a2, a3 - mu) for mu={mu:g} "
+                              f"contains no object grid points at step {cfg.step:g}")
     for d in cfg.delta_list:
         if not d > 0:
             raise ConfigError(f"delta values must be positive, got {d}")

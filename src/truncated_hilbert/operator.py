@@ -57,12 +57,14 @@ class DiscreteOperator:
         return self.matrix.shape
 
 
-def build_operator(geom: Geometry, step: float = 1.0, shift: float = 0.5) -> DiscreteOperator:
-    """Assemble the sampled operator for the given geometry.
+def sample_grids(geom: Geometry, step: float = 1.0,
+                 shift: float = 0.5) -> tuple[SampledGrid, SampledGrid]:
+    """Data and object grids of the sampled operator, in O(m + n).
 
     shift is the offset of the object grid relative to the data grid, as a
     fraction of step in (0, 1).  Breakpoints that are not multiples of step
-    round the sample counts down.
+    round the sample counts down.  Raises GridError if an object sample
+    coincides with a data sample, where the kernel would be singular.
     """
     if step <= 0:
         raise GridError(f"step must be positive, got {step}")
@@ -79,13 +81,23 @@ def build_operator(geom: Geometry, step: float = 1.0, shift: float = 0.5) -> Dis
     if y.size == 0:
         raise GridError("empty object grid; step too large for the geometry")
 
-    diff = y[None, :] - x[:, None]
-    if np.abs(diff).min() < 1e-12 * step:
+    # x ascends, so the closest data sample to each y is one of its two
+    # neighbours in sorted order
+    i = np.searchsorted(x, y)
+    gap = np.minimum(np.abs(y - x[np.maximum(i - 1, 0)]),
+                     np.abs(y - x[np.minimum(i, n_data - 1)]))
+    if gap.min() < 1e-12 * step:
         raise GridError("object and data grids collide; adjust shift or step")
 
+    return (SampledGrid(start=float(x[0]), step=step, count=n_data),
+            SampledGrid(start=float(y[0]), step=step, count=int(y.size)))
+
+
+def build_operator(geom: Geometry, step: float = 1.0, shift: float = 0.5) -> DiscreteOperator:
+    """Assemble the sampled operator on the grids of sample_grids."""
+    data_grid, object_grid = sample_grids(geom, step, shift)
+    diff = object_grid.points[None, :] - data_grid.points[:, None]
     matrix = (step / np.pi) / diff
-    data_grid = SampledGrid(start=float(x[0]), step=step, count=n_data)
-    object_grid = SampledGrid(start=float(y[0]), step=step, count=int(y.size))
     return DiscreteOperator(matrix=matrix, data_grid=data_grid,
                             object_grid=object_grid, step=step, geom=geom)
 

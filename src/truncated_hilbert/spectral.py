@@ -25,6 +25,8 @@ from .geometry import Geometry, check_roi
 from .operator import DiscreteOperator, SampledGrid
 
 DEFAULT_TAIL_LEN = 9
+# rank_tol = None: the default truncation, relative to sigma_max, per method
+_DEFAULT_RANK_TOL = {"cauchy": 1e-21, "lapack": 1e-13}
 # components below this fraction of a vector's peak cannot survive a
 # double-precision orthogonal assembly and are excluded from shape checks
 MONOTONE_NOISE_FLOOR = 1e-12
@@ -71,43 +73,68 @@ def compute_svd(op: DiscreteOperator, rank_tol: float | None = None,
     rank_tol is relative to the largest singular value.  method "cauchy"
     uses the structured high relative-accuracy solver (default; resolves
     the exponential tail far below the conventional double-precision
-    floor), "lapack" the standard dense SVD for cross-validation.
+    floor), "lapack" the standard dense SVD for cross-validation.  This is
+    raw_svd followed by apply_conventions.
     """
+    return apply_conventions(op, raw_svd(op, rank_tol, method), rank_tol, method)
+
+
+def _rank_tol(rank_tol: float | None, method: str) -> float:
     if rank_tol is not None and rank_tol < 0:
         raise SpectralError(f"rank_tol must be nonnegative, got {rank_tol}")
-    empty = SingularSystem(sigmas=np.zeros(0), u=np.zeros((op.matrix.shape[1], 0)),
-                           v=np.zeros((op.matrix.shape[0], 0)),
-                           object_grid=op.object_grid, data_grid=op.data_grid,
-                           step=op.step, geom=op.geom)
-    if not np.any(op.matrix):
-        return empty
-    if method == "cauchy":
-        tol = 1e-21 if rank_tol is None else rank_tol
-        xs = op.data_grid.points
-        ys = op.object_grid.points
-        floor_rel = min(1e-28, tol * 1e-7) if tol > 0 else 1e-30
-        v_all, s_all, u_all = accurate_cauchy_svd(xs, ys, op.step / np.pi,
-                                                  floor_rel=floor_rel)
-    elif method == "lapack":
-        tol = 1e-13 if rank_tol is None else rank_tol
-        v_all, s_all, ut = np.linalg.svd(op.matrix, full_matrices=False)
-        u_all = ut.T
-    else:
+    if method not in _DEFAULT_RANK_TOL:
         raise SpectralError(f"unknown SVD method {method!r}")
+    return _DEFAULT_RANK_TOL[method] if rank_tol is None else rank_tol
 
-    if s_all.size == 0 or s_all[0] == 0.0:
-        return empty
+
+def raw_svd(op: DiscreteOperator, rank_tol: float | None = None,
+            method: str = "cauchy"):
+    """Untruncated factorization (data_vectors, sigmas, object_vectors).
+
+    The columns are Euclidean-orthonormal and sigmas descend; nothing of
+    the package conventions is applied yet.  The structured solver stops
+    its elimination at a pivot floor set by rank_tol, so the factors
+    depend on it as well as on the operator and the method.
+    """
+    tol = _rank_tol(rank_tol, method)
+    m, n = op.shape
+    if not np.any(op.matrix):
+        return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
+    if method == "cauchy":
+        floor_rel = min(1e-28, tol * 1e-7) if tol > 0 else 1e-30
+        return accurate_cauchy_svd(op.data_grid.points, op.object_grid.points,
+                                   op.step / np.pi, floor_rel=floor_rel)
+    v_all, s_all, ut = np.linalg.svd(op.matrix, full_matrices=False)
+    return v_all, s_all, ut.T
+
+
+def apply_conventions(op: DiscreteOperator, factors, rank_tol: float | None = None,
+                      method: str = "cauchy") -> SingularSystem:
+    """Singular system of op from a raw_svd factorization of its matrix.
+
+    Raises SpectralError unless the factors reconstruct the matrix to a
+    relative Frobenius error below 1e-10; then truncates at rank_tol,
+    normalizes in the step-weighted norm and fixes the signs.
+    """
+    tol = _rank_tol(rank_tol, method)
+    v_all, s_all, u_all = factors
+    if not np.any(op.matrix):
+        return SingularSystem(sigmas=np.zeros(0), u=np.zeros((op.shape[1], 0)),
+                              v=np.zeros((op.shape[0], 0)),
+                              object_grid=op.object_grid, data_grid=op.data_grid,
+                              step=op.step, geom=op.geom)
+
+    # reconstruction sanity on the resolvable part of the matrix
+    recon = (v_all * s_all[None, :]) @ u_all.T
+    rel_err = np.linalg.norm(op.matrix - recon) / np.linalg.norm(op.matrix)
+    del recon   # free the m x n product before the truncated copies below
+    if not rel_err < 1e-10:
+        raise SpectralError(f"SVD reconstruction error {rel_err:.2e} too large")
 
     keep = s_all > tol * s_all[0]
     s = s_all[keep].copy()
     u = u_all[:, keep].copy()
     v = v_all[:, keep].copy()
-
-    # reconstruction sanity on the resolvable part of the matrix
-    recon = (v_all * s_all[None, :]) @ u_all.T
-    rel_err = np.linalg.norm(op.matrix - recon) / np.linalg.norm(op.matrix)
-    if not rel_err < 1e-10:
-        raise SpectralError(f"SVD reconstruction error {rel_err:.2e} too large")
 
     # weighted normalization: euclidean-unit columns scaled by 1/sqrt(step)
     scale = 1.0 / np.sqrt(op.step)

@@ -2,6 +2,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truncated_hilbert.cli import main
 from truncated_hilbert.config import default_config, load_config
@@ -114,9 +116,9 @@ class TestCliExitCodes:
 
     def test_phantom_norm_refused_before_svd(self, tmp_path, capsys, monkeypatch):
         def no_svd(*args, **kwargs):
-            raise AssertionError("compute_svd called before the prior check")
+            raise AssertionError("SVD set up before the prior check")
 
-        monkeypatch.setattr("truncated_hilbert.cli.compute_svd", no_svd)
+        monkeypatch.setattr("truncated_hilbert.cli._spectral_setup", no_svd)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"E": 0.001}))
         rc = main(["reconstruct", "--small", "--config", str(cfg),
@@ -124,12 +126,76 @@ class TestCliExitCodes:
         assert rc == 2
         assert "exceeds the prior bound E=0.001" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        {"geometry": [0, 0.5, 0.9, 3], "mu_list": [0.1]},   # a2 - step/2 = a1
+        {"geometry": [0, 2, 4, 6], "step": 3.0, "mu_list": [0.5]},
+    ])
+    def test_grids_the_svd_commands_reject_exit_2(self, tmp_path, capsys, doc):
+        # colliding grids and a region of interest without object samples
+        # used to pass validate and fail every SVD command with exit 3
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        for cmd in ("validate", "bounds"):
+            rc = main([cmd, "--config", str(bad), "--out", str(tmp_path / "o")])
+            assert rc == 2
+        err = capsys.readouterr().err
+        assert "collide" in err or "no object grid points" in err
+        assert "Traceback" not in err
+
     def test_numerical_failure_exit_3(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"rank_tol": 1.5}))
         rc = main(["svd-report", "--config", str(cfg), "--small",
                    "--out", str(tmp_path / "o")])
         assert rc == 3
+
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**400, 10**400)
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+_NUM = st.integers(-5, 2000) | st.floats(-5.0, 2000.0)
+# plausible values, so that most documents get past the type checks
+_FIELDS = {
+    "geometry": st.tuples(_NUM, *[st.floats(0.5, 600.0)] * 3).map(
+        lambda t: [t[0], t[0] + t[1], t[0] + t[1] + t[2], t[0] + sum(t[1:])]),
+    "step": st.floats(0.2, 50.0) | st.sampled_from([1, 0.5, 3.0]),
+    "shift": st.floats(0.0, 1.0),
+    "mu_list": st.lists(st.floats(0.0, 600.0), max_size=3),
+    "delta_list": st.lists(st.floats(-1e-3, 1e-2), max_size=3),
+    "E": _NUM, "kappa": _NUM, "c_tv": _NUM, "A": st.none() | st.floats(-1.0, 3.0),
+    "seed": st.integers(-3, 2**70),
+    "rank_tol": st.none() | st.floats(-1.0, 2.0),
+    "svd_method": st.sampled_from(["cauchy", "lapack", "qr"]),
+    "phantom": st.none() | st.fixed_dictionaries(
+        {"kind": st.sampled_from(["bump", "indicator", "hat", "cube"])},
+        optional={k: _NUM for k in ("center", "width", "amplitude", "c", "d",
+                                    "half_width", "peak")}),
+}
+
+
+@st.composite
+def _documents(draw):
+    """A config document with plausible fields, one of them maybe arbitrary JSON."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_ANY_JSON)
+    doc = draw(st.fixed_dictionaries({}, optional=_FIELDS))
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(sorted(_FIELDS) + ["stepp"]))] = draw(_ANY_JSON)
+    return doc
+
+
+class TestCliContract:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(doc=_documents(), cmd=st.sampled_from(["validate", "constants"]))
+    def test_any_json_document_exits_0_2_or_3(self, tmp_path_factory, doc, cmd):
+        # any JSON config ends in exit 0, 2 or 3; an escaping exception fails here
+        work = tmp_path_factory.mktemp("fuzz")
+        path = work / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main([cmd, "--config", str(path), "--out", str(work / "o")]) in (0, 2, 3)
 
 
 class TestCommands:
