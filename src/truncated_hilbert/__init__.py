@@ -21,9 +21,9 @@ from .config import ExperimentConfig, default_config, load_config
 from .errors import (BoundNotApplicableError, ConfigError, DomainError,
                      GeometryError, GridError, QuadratureError, SpectralError,
                      TruncatedHilbertError)
-from .geometry import (Geometry, RoiParam, alpha, beta_mu_approx,
-                       beta_mu_exact, check_roi, holder_exponent, k_minus,
-                       k_plus, near_one_rate, poly_P, poly_P_prime_a3, w3)
+from .geometry import (Geometry, alpha, beta_mu_approx, beta_mu_exact,
+                       check_roi, holder_exponent, k_minus, k_plus,
+                       near_one_rate, poly_P, poly_P_prime_a3, w3)
 from .operator import (DiscreteOperator, SampledGrid, apply_adjoint,
                        apply_forward, build_operator, export_matrix_csv,
                        weighted_dot, weighted_norm)

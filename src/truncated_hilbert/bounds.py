@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BoundNotApplicableError, SpectralError
 from .geometry import Geometry, alpha as geom_alpha, beta_mu_exact, check_roi
-from .spectral import SingularSystem, roi_norm, tail_index_map, DEFAULT_TAIL_LEN
+from .spectral import SingularSystem, roi_norm, tail_index_map
 
 _AUTO_AMPLITUDE_MARGIN = 0.98
 
@@ -69,8 +69,7 @@ def v_mu(alpha: float, beta_mu: float) -> float:
         raise BoundNotApplicableError(
             f"v_mu needs alpha > beta_mu > 0, got {alpha}, {beta_mu}")
     gap = alpha - beta_mu
-    return beta_mu / gap * np.sqrt((1.0 - np.exp(-2.0 * gap))
-                                   / (np.exp(2.0 * beta_mu) - 1.0))
+    return beta_mu / gap * np.sqrt(-np.expm1(-2.0 * gap) / np.expm1(2.0 * beta_mu))
 
 
 def w_mu(alpha: float, beta_mu: float, c_tv: float, n_mu: int) -> float:
@@ -81,13 +80,13 @@ def w_mu(alpha: float, beta_mu: float, c_tv: float, n_mu: int) -> float:
     if c_tv <= 0 or n_mu < 1:
         raise BoundNotApplicableError("w_mu needs c_tv > 0 and N_mu >= 1")
     gap = alpha - beta_mu
-    return (beta_mu / gap * np.sqrt(1.0 - np.exp(-2.0 * gap))
+    return (beta_mu / gap * np.sqrt(-np.expm1(-2.0 * gap))
             * c_tv / (n_mu * (np.expm1(beta_mu))))
 
 
 def calibrate_constants(sys: SingularSystem, geom: Geometry, mu,
-                        c_tv: float = 1.0, amplitude: float | None = None,
-                        tail_len: int = DEFAULT_TAIL_LEN) -> AsymptoticConstants:
+                        c_tv: float = 1.0,
+                        amplitude: float | None = None) -> AsymptoticConstants:
     """Fit the envelope constants against the computed tail.
 
     amplitude None picks A automatically a margin below the smallest
@@ -103,7 +102,7 @@ def calibrate_constants(sys: SingularSystem, geom: Geometry, mu,
         raise SpectralError(f"c_tv must be positive, got {c_tv}")
     a = geom_alpha(geom)
     beta = beta_mu_exact(geom, m)
-    pairs = tail_index_map(sys, min(tail_len, sys.count))
+    pairs = tail_index_map(sys)
     ns = np.array([n for n, _ in pairs])
     sig = np.array([sys.sigmas[k] for _, k in pairs])
     prefactors = sig * np.exp(a * ns)

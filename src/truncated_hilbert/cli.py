@@ -23,8 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import geometry as geo
-from .bounds import (calibrate_constants, l2_validity, roi_bound_l2,
-                     write_bounds_csv)
+from .bounds import calibrate_constants, roi_bound_l2, write_bounds_csv
 from .config import load_config
 from .errors import ConfigError, SpectralError, TruncatedHilbertError
 from .operator import apply_forward, build_operator, sample_grids, weighted_norm
@@ -33,8 +32,7 @@ from .regularization import (add_noise, export_reconstruction, make_phantom,
                              tsvd_reconstruct)
 from .spectral import (apply_conventions, check_monotone, export_spectrum_csv,
                        fit_roi_decay, fit_tail_decay, near_one_tail_fit,
-                       raw_svd, roi_mask, roi_norm, sigma_counts, tail_index_map,
-                       DEFAULT_TAIL_LEN)
+                       raw_svd, roi_mask, roi_norm, sigma_counts, tail_index_map)
 
 # raw SVD factors of the configured operator: four consecutive .npy
 # records (key, data vectors, sigmas, object vectors)
@@ -119,14 +117,13 @@ def _cmd_constants(cfg, outdir) -> None:
         w = csv.writer(fh)
         w.writerow(["mu", "k_minus", "k_plus", "alpha", "beta_mu_exact",
                     "beta_mu_approx", "holder_exponent"])
-        for mu in cfg.mu_list:
-            be = geo.beta_mu_exact(geom, mu)
+        betas = [geo.beta_mu_exact(geom, mu) for mu in cfg.mu_list]
+        for mu, be in zip(cfg.mu_list, betas):
             ba = geo.beta_mu_approx(geom, mu)
             w.writerow([_fmt(mu), _fmt(km), _fmt(kp), _fmt(a), _fmt(be),
                         _fmt(ba), _fmt(be / a)])
     print(f"K- = {km:.12e}   K+ = {kp:.12e}   alpha = {a:.12e}")
-    for mu in cfg.mu_list:
-        be = geo.beta_mu_exact(geom, mu)
+    for mu, be in zip(cfg.mu_list, betas):
         print(f"mu = {mu:g}: beta = {be:.12e}   beta/alpha = {be / a:.6f}")
     print(f"wrote {path}")
 
@@ -192,9 +189,9 @@ def _cmd_svd_report(cfg, outdir) -> None:
     op, sys_ = _spectral_setup(cfg, outdir)
     if sys_.count == 0:
         raise SpectralError("spectrum is empty after rank truncation")
-    tail_len = min(DEFAULT_TAIL_LEN, sys_.count)
+    pairs = tail_index_map(sys_)
     below_097, below_001 = sigma_counts(sys_)
-    tail_fit = fit_tail_decay(sys_, tail_len)
+    tail_fit = fit_tail_decay(sys_)
     a = geo.alpha(geom)
     summary = {
         "matrix_shape": list(op.shape),
@@ -210,7 +207,7 @@ def _cmd_svd_report(cfg, outdir) -> None:
         "monotone_tail": [],
     }
     for mu in cfg.mu_list:
-        rf = fit_roi_decay(sys_, mu, tail_len)
+        rf = fit_roi_decay(sys_, mu)
         beta = geo.beta_mu_exact(geom, mu)
         summary["roi_fits"][f"{mu:g}"] = {
             "rate": rf.rate, "beta_mu": beta,
@@ -222,14 +219,14 @@ def _cmd_svd_report(cfg, outdir) -> None:
         summary["near_one_rate_expected"] = geo.near_one_rate(geom)
     except SpectralError as exc:   # small systems may lack the near-one branch
         summary["near_one_fit"] = {"error": str(exc)}
-    for n, k in tail_index_map(sys_, tail_len):
+    for n, k in pairs:
         summary["monotone_tail"].append(
             {"n": n, "monotone": check_monotone(sys_, k)})
-    head_index = max(0, sys_.count - DEFAULT_TAIL_LEN - 20)
+    head_index = max(0, pairs[0][1] - 20)
     summary["head_vector_monotone"] = check_monotone(sys_, head_index)
 
     spec_path = os.path.join(outdir, "spectrum.csv")
-    export_spectrum_csv(sys_, spec_path, cfg.mu_list, tail_len)
+    export_spectrum_csv(sys_, spec_path, cfg.mu_list)
     sum_path = os.path.join(outdir, "svd_summary.json")
     with open(sum_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=float)
@@ -259,8 +256,7 @@ def _cmd_figure1(cfg, outdir) -> None:
 def _cmd_figure2(cfg, outdir) -> None:
     geom = cfg.geom()
     op, sys_ = _spectral_setup(cfg, outdir)
-    tail_len = min(DEFAULT_TAIL_LEN, sys_.count)
-    pairs = tail_index_map(sys_, tail_len)
+    pairs = tail_index_map(sys_)
     a = geo.alpha(geom)
 
     sig_path = os.path.join(outdir, "figure2_sigma.csv")
@@ -296,6 +292,18 @@ def _default_phantom(cfg):
     return {"kind": "bump", "center": center, "width": width, "amplitude": 1.0}
 
 
+def _tikhonov_eta(delta: float, E) -> float:
+    """Default Tikhonov parameter delta^2/E^2; ConfigError unless a positive double."""
+    try:
+        eta = delta ** 2 / E ** 2
+    except (OverflowError, ZeroDivisionError):
+        eta = float("nan")
+    if not 0.0 < eta < float("inf"):
+        raise ConfigError(f"delta={delta:g} with E={E:g} gives the Tikhonov "
+                          f"parameter delta^2/E^2 = {eta:g}, not a positive double")
+    return eta
+
+
 def _cmd_reconstruct(cfg, outdir) -> None:
     geom = cfg.geom()
     _, object_grid = sample_grids(geom, cfg.step, cfg.shift)
@@ -308,6 +316,8 @@ def _cmd_reconstruct(cfg, outdir) -> None:
     if norm_true > cfg.E:
         raise ConfigError(f"phantom norm {norm_true:.6g} exceeds the prior bound "
                           f"E={cfg.E}; raise E or shrink the phantom")
+    deltas = [float(d) for d in cfg.delta_list]
+    etas = [_tikhonov_eta(delta, cfg.E) for delta in deltas]
     op, sys_ = _spectral_setup(cfg, outdir)
     g_ex = apply_forward(op, f_true)
     mu = float(cfg.mu_list[0])
@@ -319,26 +329,23 @@ def _cmd_reconstruct(cfg, outdir) -> None:
         w = csv.writer(fh)
         w.writerow(["delta", "method", "cutoff_n", "eta", "roi_error",
                     "bound", "bound_valid"])
-        for delta in cfg.delta_list:
-            delta = float(delta)
+        for delta, eta in zip(deltas, etas):
             noisy = add_noise(g_ex, delta, cfg.seed, step=op.step)
             cut = optimal_cutoff_l2(delta, cfg.E, consts)
-            eta = delta ** 2 / cfg.E ** 2
             runs = [
                 ("tsvd", tsvd_reconstruct(sys_, noisy.g, cut.n_cut)),
                 ("tikhonov", tikhonov_reconstruct(sys_, noisy.g, eta)),
             ]
             for method, rec in runs:
                 err = weighted_norm((rec.f - f_true)[mask], op.step)
-                valid = l2_validity(delta, cfg.E, consts)
                 bound = (roi_bound_l2(delta, cfg.E, consts, method)
-                         if valid else float("nan"))
+                         if cut.valid else float("nan"))
                 w.writerow([
                     _fmt(delta), method,
                     str(cut.n_cut) if method == "tsvd" else "",
                     _fmt(eta) if method == "tikhonov" else "",
-                    _fmt(err), _fmt(bound) if valid else "nan",
-                    str(valid).lower(),
+                    _fmt(err), _fmt(bound) if cut.valid else "nan",
+                    str(cut.valid).lower(),
                 ])
                 run_path = os.path.join(
                     outdir, f"recon_{method}_delta{delta:.0e}.csv")
@@ -348,8 +355,8 @@ def _cmd_reconstruct(cfg, outdir) -> None:
                     "cutoff_n": cut.n_cut if method == "tsvd" else None,
                     "eta": eta if method == "tikhonov" else None,
                     "roi_error": err,
-                    "bound": None if not valid else bound,
-                    "bound_valid": valid,
+                    "bound": bound if cut.valid else None,
+                    "bound_valid": cut.valid,
                 })
     print(f"wrote {summary_path}")
 

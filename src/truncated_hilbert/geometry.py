@@ -66,21 +66,6 @@ class Geometry:
         return self.a3 - self.a2
 
 
-@dataclass(frozen=True)
-class RoiParam:
-    """Width mu > 0 trimmed off the overlap at a3; ROI is (a2, a3 - mu)."""
-
-    mu: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.mu) and self.mu > 0):
-            raise GeometryError(f"mu must be positive and finite, got {self.mu}")
-
-
-def _mu_value(mu) -> float:
-    return mu.mu if isinstance(mu, RoiParam) else float(mu)
-
-
 def check_roi(geom: Geometry, mu) -> float:
     """Validate 0 < mu < a3 - a2 and return mu as a float.
 
@@ -88,7 +73,7 @@ def check_roi(geom: Geometry, mu) -> float:
     clamped, since every estimate using mu is stated for fixed mu inside
     the overlap.
     """
-    m = _mu_value(mu)
+    m = float(mu)
     if not (0.0 < m < geom.overlap_width):
         raise GeometryError(
             f"mu={m} outside (0, {geom.overlap_width}) for geometry {geom.points}")
@@ -198,7 +183,7 @@ def beta_mu_approx(geom: Geometry, mu) -> float:
 
     Relative error against beta_mu_exact is O(mu).
     """
-    m = _mu_value(mu)
+    m = float(mu)
     if m < 0:
         raise GeometryError(f"mu must be nonnegative, got {m}")
     dp = poly_P_prime_a3(geom)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import GeometryError
 from .geometry import Geometry
 from .operator import SampledGrid, weighted_norm
-from .spectral import SingularSystem, tail_index_map, DEFAULT_TAIL_LEN
+from .spectral import SingularSystem, tail_index_map
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,7 @@ def _coefficients(sys: SingularSystem, g: np.ndarray) -> np.ndarray:
 
 
 def tsvd_reconstruct(sys: SingularSystem, g: np.ndarray, n_cut: int,
-                     sigma_floor: float = 0.0,
-                     tail_len: int | None = None) -> ReconstructionResult:
+                     sigma_floor: float = 0.0) -> ReconstructionResult:
     """Truncated expansion sum <g, v_k>/sigma_k u_k.
 
     Includes every retained non-tail component (the discrete stand-in for
@@ -110,11 +109,9 @@ def tsvd_reconstruct(sys: SingularSystem, g: np.ndarray, n_cut: int,
         raise ValueError(f"n_cut must be >= 0, got {n_cut}")
     if sigma_floor < 0:
         raise ValueError(f"sigma_floor must be >= 0, got {sigma_floor}")
-    if tail_len is None:
-        tail_len = min(DEFAULT_TAIL_LEN, sys.count)
     coeffs = _coefficients(sys, g)
     include = np.ones(sys.count, dtype=bool)
-    for n, k in tail_index_map(sys, tail_len):
+    for n, k in tail_index_map(sys):
         include[k] = n <= n_cut
     include &= sys.sigmas >= sigma_floor
     weights = np.where(include, coeffs / sys.sigmas, 0.0)

@@ -7,9 +7,9 @@ Conventions fixed here:
 * singular vectors are unit in the step-weighted norm, with the sign of
   each object-side vector set so that its first sample strictly inside
   (a2, a3) is positive (the data-side partner flips along with it);
-* the asymptotic tail index n = 1, 2, ... counts from the tail_len-th
-  smallest retained value toward the smallest, mirroring the convention
-  used for the decay-law fits;
+* the asymptotic tail is the last min(DEFAULT_TAIL_LEN, count) retained
+  triples, decided by tail_index_map alone; its index n = 1, 2, ...
+  counts from the largest of them toward the smallest value;
 * the accumulation branch near one is indexed |n| = 1, 2, ... away from
   the transition value that separates the two branches.
 """
@@ -22,7 +22,7 @@ import numpy as np
 from .cauchy_svd import accurate_cauchy_svd
 from .errors import SpectralError
 from .geometry import Geometry, check_roi
-from .operator import DiscreteOperator, SampledGrid
+from .operator import DiscreteOperator, SampledGrid, weighted_norm
 
 DEFAULT_TAIL_LEN = 9
 # rank_tol = None: the default truncation, relative to sigma_max, per method
@@ -97,9 +97,6 @@ def raw_svd(op: DiscreteOperator, rank_tol: float | None = None,
     depend on it as well as on the operator and the method.
     """
     tol = _rank_tol(rank_tol, method)
-    m, n = op.shape
-    if not np.any(op.matrix):
-        return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
     if method == "cauchy":
         floor_rel = min(1e-28, tol * 1e-7) if tol > 0 else 1e-30
         return accurate_cauchy_svd(op.data_grid.points, op.object_grid.points,
@@ -155,12 +152,16 @@ def apply_conventions(op: DiscreteOperator, factors, rank_tol: float | None = No
                           data_grid=op.data_grid, step=op.step, geom=op.geom)
 
 
-def tail_index_map(sys: SingularSystem, tail_len: int):
+def tail_index_map(sys: SingularSystem, tail_len: int | None = None):
     """Pairs (n, k): asymptotic index n = 1..tail_len onto the last triples.
 
     n = 1 is the tail_len-th smallest retained value, n = tail_len the
-    smallest, so the map is strictly order-reversing in sigma.
+    smallest, so the map is strictly order-reversing in sigma.  tail_len
+    None is the asymptotic tail every fit, constant and cutoff reads:
+    the last min(DEFAULT_TAIL_LEN, count) triples.
     """
+    if tail_len is None:
+        tail_len = min(DEFAULT_TAIL_LEN, sys.count)
     if tail_len < 1 or tail_len > sys.count:
         raise SpectralError(f"tail_len={tail_len} outside 1..{sys.count}")
     start = sys.count - tail_len
@@ -195,17 +196,16 @@ def roi_norm(sys: SingularSystem, triple_index: int, mu) -> float:
     mask = roi_mask(sys.geom, sys.object_grid, mu)
     if not mask.any():
         raise SpectralError("region of interest contains no object grid points")
-    seg = sys.u[mask, triple_index]
-    return float(np.sqrt(sys.step) * np.linalg.norm(seg))
+    return weighted_norm(sys.u[mask, triple_index], sys.step)
 
 
-def fit_tail_decay(sys: SingularSystem, tail_len: int = DEFAULT_TAIL_LEN) -> TailFit:
-    """Exponential fit of the last tail_len singular values against n."""
+def fit_tail_decay(sys: SingularSystem, tail_len: int | None = None) -> TailFit:
+    """Exponential fit of the last tail_len singular values (default: the tail) against n."""
     pairs = tail_index_map(sys, tail_len)
     return fit_exponential((n, sys.sigmas[k]) for n, k in pairs)
 
 
-def fit_roi_decay(sys: SingularSystem, mu, tail_len: int = DEFAULT_TAIL_LEN) -> TailFit:
+def fit_roi_decay(sys: SingularSystem, mu) -> TailFit:
     """Exponential rate of the ROI-restricted norms over the tail.
 
     The model for these norms is exp(-rate*n)/sqrt(n*pi); the algebraic
@@ -213,27 +213,25 @@ def fit_roi_decay(sys: SingularSystem, mu, tail_len: int = DEFAULT_TAIL_LEN) -> 
     pure exponential decay, directly comparable to the geometric constant
     beta_mu.
     """
-    pairs = tail_index_map(sys, tail_len)
+    pairs = tail_index_map(sys)
     pts = [(n, roi_norm(sys, k, mu) * np.sqrt(n * np.pi)) for n, k in pairs]
     return fit_exponential(pts)
 
 
-def near_one_tail_fit(sys: SingularSystem, head_len: int,
-                      n1_index: int | None = None) -> TailFit:
+def near_one_tail_fit(sys: SingularSystem, head_len: int) -> TailFit:
     """Fit 1 - sigma ~ amplitude * exp(-rate * |n|) on the near-one branch.
 
-    |n| = 1 is anchored at n1_index (descending-order position).  By
-    default that is count - tail_len - 2: the value just above the single
+    |n| = 1 is anchored two places above the start of the tail
+    (descending-order position): the value just above the single
     transition value that separates the branch accumulating at one from
     the exponentially decaying tail.  Systems too small to contain both
     branches anchor at the smallest value instead.
     """
     if head_len < 2:
         raise SpectralError("head_len must be at least 2")
-    if n1_index is None:
-        n1_index = sys.count - DEFAULT_TAIL_LEN - 2
-        if n1_index - head_len + 1 < 0:
-            n1_index = sys.count - 1
+    n1_index = tail_index_map(sys)[0][1] - 2
+    if n1_index - head_len + 1 < 0:
+        n1_index = sys.count - 1
     if not (head_len - 1 <= n1_index < sys.count):
         raise SpectralError(f"head window [{n1_index - head_len + 1}, {n1_index}] "
                             f"outside spectrum of {sys.count} values")
@@ -280,11 +278,9 @@ def sigma_counts(sys: SingularSystem, thresholds=(0.97, 0.01)):
     return tuple(int((sys.sigmas < t).sum()) for t in thresholds)
 
 
-def export_spectrum_csv(sys: SingularSystem, path, mu_list,
-                        tail_len: int = DEFAULT_TAIL_LEN) -> None:
+def export_spectrum_csv(sys: SingularSystem, path, mu_list) -> None:
     """Spectrum report: one row per retained triple, ROI norms per mu."""
-    tail_len = min(tail_len, sys.count)
-    n_of = {k: n for n, k in tail_index_map(sys, tail_len)} if tail_len >= 1 else {}
+    n_of = {k: n for n, k in tail_index_map(sys)} if sys.count else {}
     mus = [float(m) for m in mu_list]
     masks = [roi_mask(sys.geom, sys.object_grid, m) for m in mus]
     with open(path, "w", newline="") as fh:
@@ -294,6 +290,5 @@ def export_spectrum_csv(sys: SingularSystem, path, mu_list,
         for k in range(sys.count):
             row = [str(k + 1), str(n_of.get(k, "")), f"{sys.sigmas[k]:.17e}"]
             for mask in masks:
-                norm = np.sqrt(sys.step) * np.linalg.norm(sys.u[mask, k])
-                row.append(f"{norm:.17e}")
+                row.append(f"{weighted_norm(sys.u[mask, k], sys.step):.17e}")
             w.writerow(row)

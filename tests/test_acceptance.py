@@ -58,7 +58,7 @@ def test_criterion_02_tail_decay_law(paper_sys):
 def test_criterion_03_roi_norm_law(paper_sys):
     with criterion(3, "ROI-norm decay rates within 10% of beta_mu for mu=5,20,100"):
         for mu in (5.0, 20.0, 100.0):
-            fit = fit_roi_decay(paper_sys, mu, 9)
+            fit = fit_roi_decay(paper_sys, mu)
             beta = beta_mu_exact(PAPER_GEOM, mu)
             dev = abs(fit.rate - beta) / beta
             assert dev <= 0.10, f"mu={mu}: rate {fit.rate} vs beta {beta} ({dev:.1%})"

@@ -48,3 +48,21 @@ def test_geometry_sweep_operations_pass(monkeypatch):
         if reasons:
             failures[res["name"]] = reasons
     assert failures == {}
+
+
+def test_noise_sweep_operations_pass(monkeypatch):
+    # the sweep calls calibrate_constants and tsvd_reconstruct positionally
+    # on one paper decomposition; run and check its first operations the
+    # way the benchmark does
+    monkeypatch.syspath_prepend(str(_TRACING.parent))
+    workloads = importlib.import_module("workloads")
+    sweep = workloads.NoiseSweep(seed=1)
+    assert sweep.setup_bad == []
+    failures = {}
+    for i in range(3):
+        res = {}
+        sweep.run(i, res)
+        reasons = sweep.check(i, res)
+        if reasons:
+            failures[res["name"]] = reasons
+    assert failures == {}

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -47,6 +48,20 @@ class TestClosedFormConstants:
 
     def test_w_mu_positive(self):
         assert w_mu(5.0, 0.3, 2.5, 3) > 0
+
+    @pytest.mark.parametrize("a, b", [
+        (a, b) for a in (G.PAPER_ALPHA, 2.0)
+        for b in (5e-21, 1e-16, 1e-12, 1e-6, 0.3, 1.0, a - 1e-2, a - 4e-4)])
+    def test_v_mu_w_mu_against_multiprecision(self, a, b):
+        # e^(2 beta) - 1 and 1 - e^(-2 gap) cancel for small beta (V_mu = inf
+        # once beta < 1e-16) and as beta approaches alpha
+        with mpmath.workdps(50):
+            am, bm = mpmath.mpf(a), mpmath.mpf(b)
+            root = mpmath.sqrt(-mpmath.expm1(-2 * (am - bm)))
+            v_ref = bm / (am - bm) * root / mpmath.sqrt(mpmath.expm1(2 * bm))
+            w_ref = bm / (am - bm) * root * 1.5 / (3 * mpmath.expm1(bm))
+            assert abs(v_mu(a, b) / v_ref - 1) <= 1e-15
+            assert abs(w_mu(a, b, 1.5, 3) / w_ref - 1) <= 1e-15
 
 
 class TestConstantsType:

@@ -127,6 +127,26 @@ class TestCliExitCodes:
         assert "exceeds the prior bound E=0.001" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", [
+        {"E": 1e160}, {"delta_list": [1e300]}, {"delta_list": [1e-4, 1e-300]},
+    ])
+    def test_tikhonov_parameter_refused_before_svd(self, tmp_path, capsys,
+                                                   monkeypatch, doc):
+        # eta = delta^2/E^2 overflows or underflows to 0; refused with exit 2
+        # before decomposing, for every delta of the list
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD set up before the eta check")
+
+        monkeypatch.setattr("truncated_hilbert.cli._spectral_setup", no_svd)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["reconstruct", "--small", "--config", str(cfg),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Tikhonov parameter" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("doc", [
         {"geometry": [0, 0.5, 0.9, 3], "mu_list": [0.1]},   # a2 - step/2 = a1
         {"geometry": [0, 2, 4, 6], "step": 3.0, "mu_list": [0.5]},
     ])
@@ -187,6 +207,16 @@ def _documents(draw):
     return doc
 
 
+_MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+# the small preset's overlap (a2, a3) = (30, 90)
+_HEAVY_FIELDS = {
+    "E": _MAGNITUDE,
+    "delta_list": st.lists(_MAGNITUDE, min_size=1, max_size=3),
+    "mu_list": st.lists(st.floats(0.0, 60.0, exclude_min=True, exclude_max=True),
+                        min_size=1, max_size=2),
+}
+
+
 class TestCliContract:
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(doc=_documents(), cmd=st.sampled_from(["validate", "constants"]))
@@ -196,6 +226,21 @@ class TestCliContract:
         path = work / "cfg.json"
         path.write_text(json.dumps(doc))
         assert main([cmd, "--config", str(path), "--out", str(work / "o")]) in (0, 2, 3)
+
+    @pytest.fixture(scope="class")
+    def heavy_dir(self, tmp_path_factory):
+        # one output directory: the cached factors do not depend on E, delta
+        # or mu, so the small preset is decomposed once for every example
+        return tmp_path_factory.mktemp("heavy")
+
+    @settings(max_examples=120, derandomize=True, deadline=None, database=None)
+    @given(doc=st.fixed_dictionaries({}, optional=_HEAVY_FIELDS),
+           cmd=st.sampled_from(["bounds", "reconstruct"]))
+    def test_extreme_prior_noise_and_roi_exit_0_2_or_3(self, heavy_dir, doc, cmd):
+        path = heavy_dir / "cfg.json"
+        path.write_text(json.dumps(doc))
+        rc = main([cmd, "--small", "--config", str(path), "--out", str(heavy_dir / "o")])
+        assert rc in (0, 2, 3)
 
 
 class TestCommands:
@@ -304,3 +349,15 @@ class TestCommands:
             assert row["valid_l2"] in ("true", "false")
             if row["valid_tv"] == "false":
                 assert row["bound_tv"] == "nan"
+
+    def test_bounds_small_beta_not_applicable(self, tmp_path):
+        # beta_mu = 4.6e-21: e^(2 beta) - 1 rounds to 0 unless formed with
+        # expm1, and an infinite V_mu would mark every delta valid
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mu_list": [1e-40]}))
+        out = tmp_path / "o"
+        assert main(["bounds", "--small", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = list(csv.DictReader(open(out / "bounds.csv")))
+        assert len(rows) == 5
+        assert all(row["valid_l2"] == "false" and row["bound_pair"] == "nan"
+                   for row in rows)

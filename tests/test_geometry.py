@@ -3,10 +3,9 @@ import pytest
 
 import goldens as G
 from conftest import PAPER_GEOM, SMALL_PRESET_GEOM, UNIT_GEOM
-from truncated_hilbert import (Geometry, RoiParam, alpha, beta_mu_approx,
-                               beta_mu_exact, check_roi, holder_exponent,
-                               k_minus, k_plus, near_one_rate, poly_P,
-                               poly_P_prime_a3, w3)
+from truncated_hilbert import (Geometry, alpha, beta_mu_approx, beta_mu_exact,
+                               check_roi, holder_exponent, k_minus, k_plus,
+                               near_one_rate, poly_P, poly_P_prime_a3, w3)
 from truncated_hilbert.errors import GeometryError
 
 
@@ -29,10 +28,10 @@ class TestGeometryType:
 
     def test_roi_param(self):
         with pytest.raises(GeometryError):
-            RoiParam(0.0)
+            check_roi(UNIT_GEOM, 0.0)
         with pytest.raises(GeometryError):
-            RoiParam(-1.0)
-        assert check_roi(UNIT_GEOM, RoiParam(0.1)) == 0.1
+            check_roi(UNIT_GEOM, -1.0)
+        assert check_roi(UNIT_GEOM, 0.1) == 0.1
 
     def test_roi_strict_upper_limit(self):
         with pytest.raises(GeometryError):

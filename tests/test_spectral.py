@@ -188,7 +188,7 @@ class TestNearOneFit:
                                object_grid=SampledGrid(0.25, 1.0, 4),
                                data_grid=SampledGrid(0.0, 1.0, 4),
                                step=1.0, geom=TINY_GEOM)
-        fit = near_one_tail_fit(synth, head_len=5, n1_index=4)
+        fit = near_one_tail_fit(synth, head_len=5)
         # exact up to the bits lost storing sigma = 1 - 4e-9 in doubles
         assert fit.amplitude == pytest.approx(2.0, rel=1e-6)
         assert fit.rate == pytest.approx(4.0, rel=1e-6)
@@ -208,7 +208,7 @@ class TestNearOneFit:
                                data_grid=SampledGrid(0.0, 1.0, 4),
                                step=1.0, geom=TINY_GEOM)
         with pytest.raises(SpectralError):
-            near_one_tail_fit(synth, head_len=3, n1_index=2)
+            near_one_tail_fit(synth, head_len=3)
 
 
 class TestMonotone:
@@ -240,11 +240,11 @@ class TestMonotone:
 
 def test_export_spectrum_csv(tmp_path, tiny_sys):
     path = tmp_path / "spectrum.csv"
-    export_spectrum_csv(tiny_sys, path, mu_list=[1.0, 2.0], tail_len=3)
+    export_spectrum_csv(tiny_sys, path, mu_list=[1.0, 2.0])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "n_discrete,n_asymptotic,sigma,roi_norm_mu1,roi_norm_mu2"
     assert len(lines) == 1 + tiny_sys.count
     last = lines[-1].split(",")
     assert last[0] == str(tiny_sys.count)
-    assert last[1] == "3"
+    assert last[1] == str(min(9, tiny_sys.count))
     assert float(last[2]) == pytest.approx(tiny_sys.sigmas[-1], rel=1e-15)
