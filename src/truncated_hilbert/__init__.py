@@ -25,12 +25,12 @@ from .geometry import (Geometry, alpha, beta_mu_approx, beta_mu_exact,
                        check_roi, holder_exponent, k_minus, k_plus,
                        near_one_rate, poly_P, poly_P_prime_a3, w3)
 from .operator import (DiscreteOperator, SampledGrid, apply_adjoint,
-                       apply_forward, build_operator, export_matrix_csv,
-                       weighted_dot, weighted_norm)
+                       apply_forward, build_operator, weighted_dot,
+                       weighted_norm)
 from .regularization import (CutoffChoice, NoisyData, ReconstructionResult,
                              add_noise, export_reconstruction, make_phantom,
-                             optimal_cutoff_l2, sigma_cutoff_from_ratio,
-                             tikhonov_reconstruct, tsvd_reconstruct)
+                             optimal_cutoff_l2, tikhonov_reconstruct,
+                             tsvd_reconstruct)
 from .spectral import (SingularSystem, TailFit, check_monotone, compute_svd,
                        export_spectrum_csv, fit_exponential, fit_roi_decay,
                        fit_tail_decay, near_one_tail_fit, roi_mask, roi_norm,

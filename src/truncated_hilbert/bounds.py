@@ -15,11 +15,13 @@ The two-solution bound under the norm prior |f| <= E is
       + 2 E B_mu (delta/(A V_mu E))^(beta/alpha)
           * alpha / ((alpha-beta) sqrt(e^(2 beta) - 1)),
 
-valid once log(E A V_mu/delta)/alpha > N_mu; the single-solution,
-truncated-SVD and Tikhonov variants share its structure with coefficients
-1, 1 and (1+sqrt(2)).  Under a variation prior |f|_TV <= kappa (solutions
-vanishing at the support ends) the restricted bound is Hoelder as well,
-while on the full support only a logarithmic modulus survives:
+valid once the quasi-optimal index log(E A V_mu/delta)/alpha of
+regularization.optimal_cutoff_l2 exceeds N_mu; the truncated-SVD and
+Tikhonov estimates share its structure with coefficients 1 and
+(1+sqrt(2)) in place of 2.  Under a variation prior |f|_TV <= kappa
+(solutions vanishing at the support ends) the restricted bound is
+Hoelder as well, while on the full support only a logarithmic modulus
+survives:
 
     kappa C [log(kappa/delta) + D]^(-1/2),
     C = c (1/alpha + 2) sqrt(alpha + 3/2),   D = log(A c / (2 alpha)).
@@ -32,6 +34,7 @@ import numpy as np
 
 from .errors import BoundNotApplicableError, SpectralError
 from .geometry import Geometry, alpha as geom_alpha, beta_mu_exact, check_roi
+from .regularization import optimal_cutoff_l2
 from .spectral import SingularSystem, roi_norm, tail_index_map
 
 _AUTO_AMPLITUDE_MARGIN = 0.98
@@ -146,17 +149,9 @@ def calibrate_constants(sys: SingularSystem, geom: Geometry, mu,
                                w_mu=w_mu(a, beta, c_tv, n_mu), c_tv=c_tv)
 
 
-def _l2_single_term(delta: float, E: float, k: AsymptoticConstants):
-    head = delta * np.exp(k.alpha * k.n_mu) / k.A
-    gap = k.alpha - k.beta_mu
-    tail = (E * k.b_mu * (delta / (k.A * k.v_mu * E)) ** (k.beta_mu / k.alpha)
-            * k.alpha / (gap * np.sqrt(np.expm1(2.0 * k.beta_mu))))
-    return head, tail
-
-
 def l2_validity(delta: float, E: float, k: AsymptoticConstants) -> bool:
-    """Whether the unrounded cutoff log(E A V/delta)/alpha exceeds N_mu."""
-    return bool(np.log(E * k.A * k.v_mu / delta) / k.alpha > k.n_mu)
+    """Whether the unrounded quasi-optimal index exceeds N_mu (optimal_cutoff_l2)."""
+    return optimal_cutoff_l2(delta, E, k).valid
 
 
 def roi_bound_l2(delta: float, E: float, k: AsymptoticConstants,
@@ -164,29 +159,27 @@ def roi_bound_l2(delta: float, E: float, k: AsymptoticConstants,
     """Restricted-interval error bound under the norm prior.
 
     flavor "pair" bounds the distance between any two admissible
-    solutions; "single" the distance of one admissible solution to the
-    truth (exactly half the pair bound); "tsvd" the truncated estimate at
-    the quasi-optimal cutoff (same value as "single"); "tikhonov" the
-    filtered estimate at eta = delta^2/E^2 ((1+sqrt 2) times "single").
+    solutions; "tsvd" the truncated estimate at the quasi-optimal cutoff
+    (exactly half the pair bound); "tikhonov" the filtered estimate at
+    eta = delta^2/E^2 ((1+sqrt 2) times "tsvd").
     """
-    if delta <= 0 or E <= 0:
-        raise ValueError("delta and E must be positive")
-    if not l2_validity(delta, E, k):
-        raise BoundNotApplicableError(
-            f"bound not applicable at delta={delta:g}: quasi-optimal index "
-            f"{np.log(E * k.A * k.v_mu / delta) / k.alpha:.3f} <= N_mu={k.n_mu}")
-    head, tail = _l2_single_term(delta, E, k)
-    single = head + tail
-    scales = {"pair": 2.0, "single": 1.0, "tsvd": 1.0, "tikhonov": 1.0 + np.sqrt(2.0)}
+    scales = {"pair": 2.0, "tsvd": 1.0, "tikhonov": 1.0 + np.sqrt(2.0)}
     if flavor not in scales:
         raise ValueError(f"unknown flavor {flavor!r}")
-    return scales[flavor] * single
+    cut = optimal_cutoff_l2(delta, E, k)
+    if not cut.valid:
+        raise BoundNotApplicableError(
+            f"bound not applicable at delta={delta:g}: quasi-optimal index "
+            f"{cut.n_real:.3f} <= N_mu={k.n_mu}")
+    head = delta * np.exp(k.alpha * k.n_mu) / k.A
+    gap = k.alpha - k.beta_mu
+    tail = (E * k.b_mu * (delta / (k.A * k.v_mu * E)) ** (k.beta_mu / k.alpha)
+            * k.alpha / (gap * np.sqrt(np.expm1(2.0 * k.beta_mu))))
+    return scales[flavor] * (head + tail)
 
 
 def tv_validity(delta: float, kappa: float, k: AsymptoticConstants) -> bool:
     """Strict smallness condition delta/kappa < A W_mu e^(-alpha N_mu)."""
-    if delta == 0:
-        return True
     return bool(delta / kappa < k.A * k.w_mu * np.exp(-k.alpha * k.n_mu))
 
 
@@ -209,8 +202,6 @@ def roi_bound_tv(delta: float, kappa: float, k: AsymptoticConstants) -> float:
 
 def full_interval_validity(delta: float, kappa: float, k: AsymptoticConstants) -> bool:
     """Sufficient condition delta/kappa < (A c/(2 alpha)) e^(-(alpha+3/2) N_0)."""
-    if delta == 0:
-        return True
     thresh = k.A * k.c_tv / (2.0 * k.alpha) * np.exp(-(k.alpha + 1.5) * k.n0)
     return bool(delta / kappa < thresh)
 

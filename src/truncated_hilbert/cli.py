@@ -214,7 +214,7 @@ def _cmd_svd_report(cfg, outdir) -> None:
             "rel_dev": abs(rf.rate - beta) / beta,
         }
     try:
-        nf = near_one_tail_fit(sys_, head_len=5)
+        nf = near_one_tail_fit(sys_)
         summary["near_one_fit"] = {"rate": nf.rate, "amplitude": nf.amplitude}
         summary["near_one_rate_expected"] = geo.near_one_rate(geom)
     except SpectralError as exc:   # small systems may lack the near-one branch
@@ -292,18 +292,6 @@ def _default_phantom(cfg):
     return {"kind": "bump", "center": center, "width": width, "amplitude": 1.0}
 
 
-def _tikhonov_eta(delta: float, E) -> float:
-    """Default Tikhonov parameter delta^2/E^2; ConfigError unless a positive double."""
-    try:
-        eta = delta ** 2 / E ** 2
-    except (OverflowError, ZeroDivisionError):
-        eta = float("nan")
-    if not 0.0 < eta < float("inf"):
-        raise ConfigError(f"delta={delta:g} with E={E:g} gives the Tikhonov "
-                          f"parameter delta^2/E^2 = {eta:g}, not a positive double")
-    return eta
-
-
 def _cmd_reconstruct(cfg, outdir) -> None:
     geom = cfg.geom()
     _, object_grid = sample_grids(geom, cfg.step, cfg.shift)
@@ -316,10 +304,11 @@ def _cmd_reconstruct(cfg, outdir) -> None:
     if norm_true > cfg.E:
         raise ConfigError(f"phantom norm {norm_true:.6g} exceeds the prior bound "
                           f"E={cfg.E}; raise E or shrink the phantom")
-    deltas = [float(d) for d in cfg.delta_list]
-    etas = [_tikhonov_eta(delta, cfg.E) for delta in deltas]
     op, sys_ = _spectral_setup(cfg, outdir)
     g_ex = apply_forward(op, f_true)
+    # a delta at or below the rounding of the exact data leaves the estimate
+    # limited by that rounding, amplified by 1/sigma_n, which no bound sees
+    rounding = sys.float_info.epsilon * weighted_norm(g_ex, op.step)
     mu = float(cfg.mu_list[0])
     consts = calibrate_constants(sys_, geom, mu, c_tv=cfg.c_tv, amplitude=cfg.A)
     mask = roi_mask(geom, object_grid, mu)
@@ -329,9 +318,11 @@ def _cmd_reconstruct(cfg, outdir) -> None:
         w = csv.writer(fh)
         w.writerow(["delta", "method", "cutoff_n", "eta", "roi_error",
                     "bound", "bound_valid"])
-        for delta, eta in zip(deltas, etas):
+        for delta in map(float, cfg.delta_list):
+            eta = delta ** 2 / cfg.E ** 2   # a positive double: config checks it
             noisy = add_noise(g_ex, delta, cfg.seed, step=op.step)
             cut = optimal_cutoff_l2(delta, cfg.E, consts)
+            valid = cut.valid and delta > rounding
             runs = [
                 ("tsvd", tsvd_reconstruct(sys_, noisy.g, cut.n_cut)),
                 ("tikhonov", tikhonov_reconstruct(sys_, noisy.g, eta)),
@@ -339,13 +330,13 @@ def _cmd_reconstruct(cfg, outdir) -> None:
             for method, rec in runs:
                 err = weighted_norm((rec.f - f_true)[mask], op.step)
                 bound = (roi_bound_l2(delta, cfg.E, consts, method)
-                         if cut.valid else float("nan"))
+                         if valid else float("nan"))
                 w.writerow([
                     _fmt(delta), method,
                     str(cut.n_cut) if method == "tsvd" else "",
                     _fmt(eta) if method == "tikhonov" else "",
-                    _fmt(err), _fmt(bound) if cut.valid else "nan",
-                    str(cut.valid).lower(),
+                    _fmt(err), _fmt(bound) if valid else "nan",
+                    str(valid).lower(),
                 ])
                 run_path = os.path.join(
                     outdir, f"recon_{method}_delta{delta:.0e}.csv")
@@ -355,8 +346,8 @@ def _cmd_reconstruct(cfg, outdir) -> None:
                     "cutoff_n": cut.n_cut if method == "tsvd" else None,
                     "eta": eta if method == "tikhonov" else None,
                     "roi_error": err,
-                    "bound": bound if cut.valid else None,
-                    "bound_valid": cut.valid,
+                    "bound": bound if valid else None,
+                    "bound_valid": valid,
                 })
     print(f"wrote {summary_path}")
 

@@ -123,15 +123,16 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         if not roi.any():
             raise ConfigError(f"region of interest (a2, a3 - mu) for mu={mu:g} "
                               f"contains no object grid points at step {cfg.step:g}")
-    for d in cfg.delta_list:
-        if not d > 0:
-            raise ConfigError(f"delta values must be positive, got {d}")
     if not cfg.E > 0:
         raise ConfigError(f"E must be positive, got {cfg.E}")
     if not cfg.kappa > 0:
         raise ConfigError(f"kappa must be positive, got {cfg.kappa}")
     if not cfg.c_tv > 0:
         raise ConfigError(f"c_tv must be positive, got {cfg.c_tv}")
+    for d in cfg.delta_list:
+        if not d > 0:
+            raise ConfigError(f"delta values must be positive, got {d}")
+        _check_noise_level(float(d), cfg.E, cfg.kappa)
     if cfg.A is not None and not (0.0 < cfg.A < 2.0):
         raise ConfigError(f"A must lie in (0, 2), got {cfg.A}")
     if cfg.rank_tol is not None and not cfg.rank_tol > 0:
@@ -141,6 +142,25 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.phantom is not None:
         _validate_phantom(cfg.phantom, geom)
     return cfg
+
+
+def _check_noise_level(delta: float, E, kappa) -> None:
+    """Refuse delta unless delta^2/E^2, delta/kappa and kappa/delta are positive doubles.
+
+    Past that range the bounds come out wrong yet marked valid.  The
+    Tikhonov parameter is formed exactly as the reconstruct command forms it.
+    """
+    try:
+        eta = delta ** 2 / E ** 2
+    except (OverflowError, ZeroDivisionError):   # E^2 may underflow to 0
+        eta = float("nan")
+    if not 0.0 < eta < float("inf"):
+        raise ConfigError(f"delta={delta:g} with E={E:g} gives the Tikhonov "
+                          f"parameter delta^2/E^2 = {eta:g}, not a positive double")
+    for name, ratio in (("delta/kappa", delta / kappa), ("kappa/delta", kappa / delta)):
+        if not 0.0 < ratio < float("inf"):
+            raise ConfigError(f"delta={delta:g} with kappa={kappa:g} gives {name} "
+                              f"= {ratio:g}, not a positive double")
 
 
 def _validate_phantom(phantom, geom: Geometry) -> None:

@@ -126,8 +126,3 @@ def weighted_dot(a: np.ndarray, b: np.ndarray, step: float) -> float:
 
 def weighted_norm(v: np.ndarray, step: float) -> float:
     return float(np.sqrt(step) * np.linalg.norm(v))
-
-
-def export_matrix_csv(op: DiscreteOperator, path) -> None:
-    """Row-major dump at full precision for cross-validation."""
-    np.savetxt(path, op.matrix, delimiter=",", fmt="%.17e")

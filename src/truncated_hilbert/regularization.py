@@ -7,7 +7,8 @@ delta under the norm prior |f| <= E is
 
     N(delta) = round( log(E A V_mu / delta) / alpha ),
 
-with the same choice expressible as a singular-value floor delta/(E V_mu).
+and optimal_cutoff_l2 is the one place that evaluates it: the bound
+validity of bounds.l2_validity reads the same unrounded index.
 The Tikhonov estimate applies the spectral filter sigma/(sigma^2 + eta),
 equivalent to the normal-equations solve on the retained span; the
 default parameter is eta = delta^2 / E^2.
@@ -80,13 +81,6 @@ def optimal_cutoff_l2(delta: float, E: float, consts) -> CutoffChoice:
                         valid=bool(n_real > consts.n_mu))
 
 
-def sigma_cutoff_from_ratio(delta: float, E: float, v_mu: float) -> float:
-    """Singular-value floor delta / (E V_mu) equivalent to the index cutoff."""
-    if delta <= 0 or E <= 0 or v_mu <= 0:
-        raise ValueError("delta, E and v_mu must be positive")
-    return delta / (E * v_mu)
-
-
 def _coefficients(sys: SingularSystem, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape != (sys.v.shape[0],):
@@ -95,26 +89,22 @@ def _coefficients(sys: SingularSystem, g: np.ndarray) -> np.ndarray:
     return sys.step * (sys.v.T @ g)
 
 
-def tsvd_reconstruct(sys: SingularSystem, g: np.ndarray, n_cut: int,
-                     sigma_floor: float = 0.0) -> ReconstructionResult:
+def tsvd_reconstruct(sys: SingularSystem, g: np.ndarray, n_cut: int) -> ReconstructionResult:
     """Truncated expansion sum <g, v_k>/sigma_k u_k.
 
     Includes every retained non-tail component (the discrete stand-in for
     the stably invertible branch) plus tail components with asymptotic
-    index n <= n_cut; sigma_floor additionally discards components with
-    sigma below it, playing the role of a practical lower cutoff against
-    heavily oscillatory near-one components.
+    index n <= n_cut.  Only included coefficients are divided by their
+    sigma, so a discarded tail value near 1e-21 cannot overflow.
     """
     if n_cut < 0:
         raise ValueError(f"n_cut must be >= 0, got {n_cut}")
-    if sigma_floor < 0:
-        raise ValueError(f"sigma_floor must be >= 0, got {sigma_floor}")
     coeffs = _coefficients(sys, g)
     include = np.ones(sys.count, dtype=bool)
     for n, k in tail_index_map(sys):
         include[k] = n <= n_cut
-    include &= sys.sigmas >= sigma_floor
-    weights = np.where(include, coeffs / sys.sigmas, 0.0)
+    weights = np.zeros(sys.count)
+    weights[include] = coeffs[include] / sys.sigmas[include]
     f = sys.u @ weights
     return ReconstructionResult(f=f, method="tsvd", cutoff_n=n_cut)
 

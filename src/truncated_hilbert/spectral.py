@@ -25,6 +25,8 @@ from .geometry import Geometry, check_roi
 from .operator import DiscreteOperator, SampledGrid, weighted_norm
 
 DEFAULT_TAIL_LEN = 9
+# points of the near-one fit, counted down from its anchor
+_NEAR_ONE_LEN = 5
 # rank_tol = None: the default truncation, relative to sigma_max, per method
 _DEFAULT_RANK_TOL = {"cauchy": 1e-21, "lapack": 1e-13}
 # components below this fraction of a vector's peak cannot survive a
@@ -63,7 +65,6 @@ class TailFit:
     amplitude: float
     rate: float
     residual: float
-    index_anchor: int
 
 
 def compute_svd(op: DiscreteOperator, rank_tol: float | None = None,
@@ -80,8 +81,8 @@ def compute_svd(op: DiscreteOperator, rank_tol: float | None = None,
 
 
 def _rank_tol(rank_tol: float | None, method: str) -> float:
-    if rank_tol is not None and rank_tol < 0:
-        raise SpectralError(f"rank_tol must be nonnegative, got {rank_tol}")
+    if rank_tol is not None and not rank_tol > 0:
+        raise SpectralError(f"rank_tol must be positive, got {rank_tol}")
     if method not in _DEFAULT_RANK_TOL:
         raise SpectralError(f"unknown SVD method {method!r}")
     return _DEFAULT_RANK_TOL[method] if rank_tol is None else rank_tol
@@ -98,9 +99,8 @@ def raw_svd(op: DiscreteOperator, rank_tol: float | None = None,
     """
     tol = _rank_tol(rank_tol, method)
     if method == "cauchy":
-        floor_rel = min(1e-28, tol * 1e-7) if tol > 0 else 1e-30
         return accurate_cauchy_svd(op.data_grid.points, op.object_grid.points,
-                                   op.step / np.pi, floor_rel=floor_rel)
+                                   op.step / np.pi, floor_rel=min(1e-28, tol * 1e-7))
     v_all, s_all, ut = np.linalg.svd(op.matrix, full_matrices=False)
     return v_all, s_all, ut.T
 
@@ -110,23 +110,21 @@ def apply_conventions(op: DiscreteOperator, factors, rank_tol: float | None = No
     """Singular system of op from a raw_svd factorization of its matrix.
 
     Raises SpectralError unless the factors reconstruct the matrix to a
-    relative Frobenius error below 1e-10; then truncates at rank_tol,
-    normalizes in the step-weighted norm and fixes the signs.
+    Frobenius error of at most 1e-10 times its norm; then truncates at
+    rank_tol, normalizes in the step-weighted norm and fixes the signs.
+    Exact factors of a zero matrix pass and truncate to an empty system.
     """
     tol = _rank_tol(rank_tol, method)
     v_all, s_all, u_all = factors
-    if not np.any(op.matrix):
-        return SingularSystem(sigmas=np.zeros(0), u=np.zeros((op.shape[1], 0)),
-                              v=np.zeros((op.shape[0], 0)),
-                              object_grid=op.object_grid, data_grid=op.data_grid,
-                              step=op.step, geom=op.geom)
 
-    # reconstruction sanity on the resolvable part of the matrix
-    recon = (v_all * s_all[None, :]) @ u_all.T
-    rel_err = np.linalg.norm(op.matrix - recon) / np.linalg.norm(op.matrix)
-    del recon   # free the m x n product before the truncated copies below
-    if not rel_err < 1e-10:
-        raise SpectralError(f"SVD reconstruction error {rel_err:.2e} too large")
+    # reconstruction sanity on the resolvable part of the matrix, compared
+    # without dividing so that a zero matrix needs no special case; the
+    # m x n product is freed before the truncated copies below
+    err = np.linalg.norm(op.matrix - (v_all * s_all[None, :]) @ u_all.T)
+    norm = np.linalg.norm(op.matrix)
+    if not err <= 1e-10 * norm:
+        raise SpectralError(f"SVD reconstruction error {err:.2e} too large "
+                            f"for a matrix of norm {norm:.2e}")
 
     keep = s_all > tol * s_all[0]
     s = s_all[keep].copy()
@@ -180,8 +178,7 @@ def fit_exponential(points) -> TailFit:
     slope, intercept = np.polyfit(ns, ly, 1)
     resid = ly - (slope * ns + intercept)
     return TailFit(amplitude=float(np.exp(intercept)), rate=float(-slope),
-                   residual=float(np.sqrt(np.mean(resid ** 2))),
-                   index_anchor=int(ns.min()))
+                   residual=float(np.sqrt(np.mean(resid ** 2))))
 
 
 def roi_mask(geom: Geometry, grid: SampledGrid, mu) -> np.ndarray:
@@ -218,25 +215,24 @@ def fit_roi_decay(sys: SingularSystem, mu) -> TailFit:
     return fit_exponential(pts)
 
 
-def near_one_tail_fit(sys: SingularSystem, head_len: int) -> TailFit:
+def near_one_tail_fit(sys: SingularSystem) -> TailFit:
     """Fit 1 - sigma ~ amplitude * exp(-rate * |n|) on the near-one branch.
 
-    |n| = 1 is anchored two places above the start of the tail
-    (descending-order position): the value just above the single
-    transition value that separates the branch accumulating at one from
-    the exponentially decaying tail.  Systems too small to contain both
-    branches anchor at the smallest value instead.
+    The fit runs over |n| = 1..5.  |n| = 1 is anchored two places above
+    the start of the tail (descending-order position): the value just
+    above the single transition value that separates the branch
+    accumulating at one from the exponentially decaying tail.  Systems
+    too small to contain both branches anchor at the smallest value
+    instead.
     """
-    if head_len < 2:
-        raise SpectralError("head_len must be at least 2")
     n1_index = tail_index_map(sys)[0][1] - 2
-    if n1_index - head_len + 1 < 0:
+    if n1_index - _NEAR_ONE_LEN + 1 < 0:
         n1_index = sys.count - 1
-    if not (head_len - 1 <= n1_index < sys.count):
-        raise SpectralError(f"head window [{n1_index - head_len + 1}, {n1_index}] "
+    if not (_NEAR_ONE_LEN - 1 <= n1_index < sys.count):
+        raise SpectralError(f"head window [{n1_index - _NEAR_ONE_LEN + 1}, {n1_index}] "
                             f"outside spectrum of {sys.count} values")
     pts = []
-    for k in range(1, head_len + 1):
+    for k in range(1, _NEAR_ONE_LEN + 1):
         sigma = sys.sigmas[n1_index - (k - 1)]
         if sigma >= 1.0:
             raise SpectralError(f"sigma={sigma} >= 1 in near-one head; "
@@ -245,19 +241,17 @@ def near_one_tail_fit(sys: SingularSystem, head_len: int) -> TailFit:
     return fit_exponential(pts)
 
 
-def check_monotone(sys: SingularSystem, triple_index: int,
-                   noise_floor: float = MONOTONE_NOISE_FLOOR) -> bool:
+def check_monotone(sys: SingularSystem, triple_index: int) -> bool:
     """True iff u is strictly increasing on the object points in (a2, a3).
 
     The vector is sign-normalized so its largest-magnitude sample inside
     the interval is positive (for a genuinely increasing vector this is
     the same as requiring the value just above a2 to be positive, but it
     stays well defined when the left end sits at rounding-noise level).
-    Samples below noise_floor times the vector's peak are excluded: their
-    information content is below what any double-precision orthogonal
-    assembly can represent, so strict comparisons there would measure
-    rounding noise rather than shape.  Pass noise_floor=0 for the literal
-    check over every sample.
+    Samples below MONOTONE_NOISE_FLOOR times the vector's peak are
+    excluded: their information content is below what any
+    double-precision orthogonal assembly can represent, so strict
+    comparisons there would measure rounding noise rather than shape.
     """
     ys = sys.object_grid.points
     inside = (ys > sys.geom.a2) & (ys < sys.geom.a3)
@@ -266,16 +260,15 @@ def check_monotone(sys: SingularSystem, triple_index: int,
         return False
     if seg[np.abs(seg).argmax()] < 0:
         seg = -seg
-    if noise_floor > 0:
-        seg = seg[np.abs(seg) >= noise_floor * np.abs(seg).max()]
-        if seg.size < 2:
-            return False
+    seg = seg[np.abs(seg) >= MONOTONE_NOISE_FLOOR * np.abs(seg).max()]
+    if seg.size < 2:
+        return False
     return bool(np.all(np.diff(seg) > 0))
 
 
-def sigma_counts(sys: SingularSystem, thresholds=(0.97, 0.01)):
-    """Number of retained singular values below each threshold."""
-    return tuple(int((sys.sigmas < t).sum()) for t in thresholds)
+def sigma_counts(sys: SingularSystem):
+    """Numbers of retained singular values below 0.97 and below 0.01."""
+    return tuple(int((sys.sigmas < t).sum()) for t in (0.97, 0.01))
 
 
 def export_spectrum_csv(sys: SingularSystem, path, mu_list) -> None:

@@ -66,7 +66,7 @@ def test_criterion_03_roi_norm_law(paper_sys):
 
 def test_criterion_04_near_one_law(paper_sys):
     with criterion(4, "near-one rate within 15% of 2 pi K-/K+"):
-        fit = near_one_tail_fit(paper_sys, head_len=5)
+        fit = near_one_tail_fit(paper_sys)
         target = near_one_rate(PAPER_GEOM)
         dev = abs(fit.rate - target) / target
         assert dev <= 0.15, f"rate {fit.rate} vs {target} ({dev:.1%})"

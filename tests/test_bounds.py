@@ -130,12 +130,12 @@ class TestL2Bound:
         k = paper_constants()
         delta, E = 1e-6, 1.0
         pair = roi_bound_l2(delta, E, k, "pair")
-        single = roi_bound_l2(delta, E, k, "single")
         tsvd = roi_bound_l2(delta, E, k, "tsvd")
         tikh = roi_bound_l2(delta, E, k, "tikhonov")
-        assert pair == pytest.approx(2.0 * single, rel=1e-14)
-        assert tsvd == single
+        assert pair == pytest.approx(2.0 * tsvd, rel=1e-14)
         assert tikh == pytest.approx((1.0 + np.sqrt(2.0)) * tsvd, rel=1e-14)
+        with pytest.raises(ValueError):
+            roi_bound_l2(delta, E, k, "single")
 
     def test_golden_value(self):
         # frozen composition over the calibrated constants
@@ -144,7 +144,7 @@ class TestL2Bound:
         gap = k.alpha - k.beta_mu
         tail = (1.0 * k.b_mu * (1e-6 / (k.A * k.v_mu)) ** (k.beta_mu / k.alpha)
                 * k.alpha / (gap * np.sqrt(np.expm1(2 * k.beta_mu))))
-        assert roi_bound_l2(1e-6, 1.0, k, "single") == pytest.approx(
+        assert roi_bound_l2(1e-6, 1.0, k, "tsvd") == pytest.approx(
             head + tail, rel=1e-12)
 
     def test_power_law_scaling_of_dominant_term(self):
@@ -153,7 +153,7 @@ class TestL2Bound:
 
         def tail_term(delta):
             head = delta * np.exp(k.alpha * k.n_mu) / k.A
-            return roi_bound_l2(delta, E, k, "single") - head
+            return roi_bound_l2(delta, E, k, "tsvd") - head
 
         ratio = tail_term(1e-7) / tail_term(1e-6)
         assert ratio == pytest.approx(10.0 ** (-k.beta_mu / k.alpha), rel=1e-10)

@@ -1,10 +1,14 @@
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SMALL_PRESET_GEOM
+from truncated_hilbert import calibrate_constants
 from truncated_hilbert.cli import main
 from truncated_hilbert.config import default_config, load_config
 from truncated_hilbert.errors import ConfigError
@@ -147,6 +151,44 @@ class TestCliExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("doc", [
+        {"E": 1e300, "delta_list": [1e-300]},
+        {"kappa": 1e300, "delta_list": [1e-300]},
+        {"kappa": 1e300, "delta_list": [1e-10]},
+        {"kappa": 1e-300, "delta_list": [1e10]},
+    ])
+    def test_noise_level_outside_double_range_exit_2(self, tmp_path, capsys, doc):
+        # delta/(A V_mu E) underflowing to 0, or kappa/delta overflowing to
+        # inf, used to write wrong bounds marked valid (bound_pair 6.8e-296
+        # where the formula gives about 1.9e145, bound_full 0.0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["bounds", "--small", "--config", str(cfg),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "not a positive double" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "bounds.csv").exists()
+
+    def test_reconstruct_below_data_rounding_has_no_bound(self, tmp_path):
+        # eps |g_ex| = 8.4e-16 is far above delta; sigma_9 ~ 1e-20 amplifies
+        # that rounding to a ROI error of 7.8e-3, which the bound (3.9e-5)
+        # does not describe
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta_list": [1e-20]}))
+        out = tmp_path / "o"
+        assert main(["reconstruct", "--small", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        rows = list(csv.DictReader(open(out / "reconstruction_summary.csv")))
+        assert [r["method"] for r in rows] == ["tsvd", "tikhonov"]
+        assert rows[0]["cutoff_n"] == "9"
+        for row in rows:
+            assert row["bound_valid"] == "false"
+            assert row["bound"] == "nan"
+            assert float(row["roi_error"]) > 1e-3
+        for meta in out.glob("recon_*.csv.json"):
+            doc = json.loads(meta.read_text())
+            assert doc["bound_valid"] is False and doc["bound"] is None
+
+    @pytest.mark.parametrize("doc", [
         {"geometry": [0, 0.5, 0.9, 3], "mu_list": [0.1]},   # a2 - step/2 = a1
         {"geometry": [0, 2, 4, 6], "step": 3.0, "mu_list": [0.5]},
     ])
@@ -211,6 +253,7 @@ _MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
 # the small preset's overlap (a2, a3) = (30, 90)
 _HEAVY_FIELDS = {
     "E": _MAGNITUDE,
+    "kappa": _MAGNITUDE,
     "delta_list": st.lists(_MAGNITUDE, min_size=1, max_size=3),
     "mu_list": st.lists(st.floats(0.0, 60.0, exclude_min=True, exclude_max=True),
                         min_size=1, max_size=2),
@@ -236,11 +279,41 @@ class TestCliContract:
     @settings(max_examples=120, derandomize=True, deadline=None, database=None)
     @given(doc=st.fixed_dictionaries({}, optional=_HEAVY_FIELDS),
            cmd=st.sampled_from(["bounds", "reconstruct"]))
-    def test_extreme_prior_noise_and_roi_exit_0_2_or_3(self, heavy_dir, doc, cmd):
+    def test_extreme_prior_noise_and_roi_exit_0_2_or_3(self, heavy_dir, small_preset_sys,
+                                                       doc, cmd):
         path = heavy_dir / "cfg.json"
         path.write_text(json.dumps(doc))
         rc = main([cmd, "--small", "--config", str(path), "--out", str(heavy_dir / "o")])
         assert rc in (0, 2, 3)
+        if cmd == "bounds" and rc == 0:
+            cfg = load_config(str(path), small=True)
+            k = calibrate_constants(small_preset_sys, SMALL_PRESET_GEOM,
+                                    float(cfg.mu_list[0]))
+            _check_valid_bounds(heavy_dir / "o" / "bounds.csv", k, cfg.E, cfg.kappa)
+
+
+def _check_valid_bounds(path, k, E, kappa):
+    """Every bound marked valid matches its closed form, evaluated in logs."""
+    log = math.log
+    gap = k.alpha - k.beta_mu
+    for row in csv.DictReader(open(path)):
+        delta = float(row["delta"])
+        checks = []
+        if row["valid_l2"] == "true":
+            head = log(delta) + k.alpha * k.n_mu - log(k.A)
+            tail = (log(E) + log(k.b_mu)
+                    + k.beta_mu / k.alpha * (log(delta) - log(k.A * k.v_mu) - log(E))
+                    + log(k.alpha / gap) - 0.5 * log(math.expm1(2.0 * k.beta_mu)))
+            checks.append(("bound_pair", log(2.0) + np.logaddexp(head, tail)))
+        if row["valid_full"] == "true":
+            C = k.c_tv * (1.0 / k.alpha + 2.0) * math.sqrt(k.alpha + 1.5)
+            D = log(k.A * k.c_tv / (2.0 * k.alpha))
+            checks.append(("bound_full", log(kappa) + log(C)
+                           - 0.5 * log(log(kappa) - log(delta) + D)))
+        for name, want in checks:
+            got = float(row[name])
+            assert 0.0 < got < math.inf, (name, row)
+            assert abs(log(got) - want) <= 1e-9, (name, row, math.exp(want))
 
 
 class TestCommands:

@@ -3,9 +3,8 @@ import pytest
 
 from conftest import PAPER_GEOM, SMALL_PRESET_GEOM, TINY_GEOM
 from truncated_hilbert import (Geometry, SampledGrid, apply_adjoint,
-                               apply_forward, build_operator,
-                               export_matrix_csv, make_phantom, weighted_dot,
-                               weighted_norm)
+                               apply_forward, build_operator, make_phantom,
+                               weighted_dot, weighted_norm)
 from truncated_hilbert.errors import GridError
 
 
@@ -143,10 +142,3 @@ class TestWeightedNorms:
         s05 = np.linalg.svd(build_operator(g, step=0.5).matrix, compute_uv=False)[0]
         assert s1 <= 1.05
         assert s05 <= s1 + 1e-12
-
-
-def test_matrix_export_roundtrip(tmp_path, tiny_op):
-    path = tmp_path / "matrix.csv"
-    export_matrix_csv(tiny_op, path)
-    back = np.loadtxt(path, delimiter=",")
-    np.testing.assert_allclose(back, tiny_op.matrix, rtol=0, atol=0)

@@ -7,9 +7,9 @@ import goldens as G
 from conftest import TINY_GEOM, SMALL_PRESET_GEOM
 from truncated_hilbert import (AsymptoticConstants, add_noise, apply_forward,
                                export_reconstruction, make_phantom,
-                               optimal_cutoff_l2, sigma_cutoff_from_ratio,
-                               tail_index_map, tikhonov_reconstruct,
-                               tsvd_reconstruct, weighted_norm)
+                               optimal_cutoff_l2, tail_index_map,
+                               tikhonov_reconstruct, tsvd_reconstruct,
+                               weighted_norm)
 from truncated_hilbert.errors import GeometryError
 from truncated_hilbert.quadrature import integrate
 
@@ -71,22 +71,14 @@ class TestCutoffs:
         assert choice.n_cut == round(expected)
         assert choice.valid == (expected > k.n_mu)
 
-    def test_sigma_floor_equivalent(self):
-        k = paper_constants()
-        # delta equal to E * V_mu floors the spectrum at one
-        assert sigma_cutoff_from_ratio(k.v_mu, 1.0, k.v_mu) == pytest.approx(1.0)
-        assert sigma_cutoff_from_ratio(0.5, 1.0, k.v_mu) == pytest.approx(
-            2.0 * sigma_cutoff_from_ratio(0.25, 1.0, k.v_mu), rel=1e-14)
-        with pytest.raises(ValueError):
-            sigma_cutoff_from_ratio(0.0, 1.0, k.v_mu)
-
     def test_cutoff_consistency_with_sigma_floor(self, paper_sys):
-        # counting tail values above the floor reproduces the index cutoff
+        # counting tail values above the singular-value floor
+        # delta/(E V_mu) reproduces the index cutoff
         k = paper_constants()
         E = 1.0
         for delta in (1e-5, 1e-7, 1e-9):
             choice = optimal_cutoff_l2(delta, E, k)
-            floor = sigma_cutoff_from_ratio(delta, E, k.v_mu)
+            floor = delta / (E * k.v_mu)
             pairs = tail_index_map(paper_sys, 9)
             count = sum(1 for _, kk in pairs if paper_sys.sigmas[kk] >= floor)
             assert abs(count - choice.n_cut) <= 1
@@ -129,15 +121,6 @@ class TestTsvd:
                               tiny_sys.step)
                 for n in range(tail_len + 1)]
         assert all(a >= b - 1e-13 for a, b in zip(errs, errs[1:]))
-
-    def test_sigma_floor_drops_components(self, small_preset_sys):
-        sys_ = small_preset_sys
-        pairs = tail_index_map(sys_, min(9, sys_.count))
-        n, k = pairs[-1]
-        s, u, v = sys_.triple(k)
-        g = s * v
-        rec = tsvd_reconstruct(sys_, g, n_cut=n, sigma_floor=10.0 * s)
-        assert weighted_norm(rec.f, sys_.step) < 1e-10
 
     def test_validation(self, tiny_sys):
         with pytest.raises(ValueError):
