@@ -28,6 +28,8 @@ survives:
 """
 
 import csv
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,7 @@ from .regularization import optimal_cutoff_l2
 from .spectral import SingularSystem, roi_norm, tail_index_map
 
 _AUTO_AMPLITUDE_MARGIN = 0.98
+_LOG_MAX = math.log(sys.float_info.max)   # exp of anything below is finite
 
 
 @dataclass(frozen=True)
@@ -178,9 +181,32 @@ def roi_bound_l2(delta: float, E: float, k: AsymptoticConstants,
     return scales[flavor] * (head + tail)
 
 
+def _log_tv_bound(delta: float, kappa: float, k: AsymptoticConstants) -> float:
+    """Natural log of the roi_bound_tv value; -inf at delta = 0.
+
+    Formed in logs because e^(alpha N_mu), kappa^((alpha-beta)/alpha) and
+    1/expm1(beta_mu) can each leave the double range where the bound does
+    not; for tiny beta_mu the tail grows like kappa/beta_mu while the
+    smallness condition of tv_validity still holds.
+    """
+    gap = k.alpha - k.beta_mu
+    log_delta = math.log(delta) if delta > 0 else -math.inf
+    log_head = math.log(2.0 / k.A) + log_delta + k.alpha * k.n_mu
+    log_tail = (math.log(2.0 * k.b_mu / k.n_mu) + math.log(k.c_tv)
+                + gap / k.alpha * math.log(kappa)
+                + k.beta_mu / k.alpha * (log_delta - math.log(k.A) - math.log(k.w_mu))
+                + math.log(k.alpha / gap) - math.log(math.expm1(k.beta_mu)))
+    return float(np.logaddexp(log_head, log_tail))
+
+
 def tv_validity(delta: float, kappa: float, k: AsymptoticConstants) -> bool:
-    """Strict smallness condition delta/kappa < A W_mu e^(-alpha N_mu)."""
-    return bool(delta / kappa < k.A * k.w_mu * np.exp(-k.alpha * k.n_mu))
+    """Strict smallness condition delta/kappa < A W_mu e^(-alpha N_mu).
+
+    Also requires the bound of roi_bound_tv to be a finite double, so that
+    whenever this holds roi_bound_tv returns a number.
+    """
+    return bool(delta / kappa < k.A * k.w_mu * np.exp(-k.alpha * k.n_mu)
+                and _log_tv_bound(delta, kappa, k) < _LOG_MAX)
 
 
 def roi_bound_tv(delta: float, kappa: float, k: AsymptoticConstants) -> float:
@@ -189,15 +215,9 @@ def roi_bound_tv(delta: float, kappa: float, k: AsymptoticConstants) -> float:
         raise ValueError("delta and kappa must be positive")
     if not tv_validity(delta, kappa, k):
         raise BoundNotApplicableError(
-            f"variation bound not applicable: delta/kappa={delta / kappa:g} "
-            f">= {k.A * k.w_mu * np.exp(-k.alpha * k.n_mu):g}")
-    gap = k.alpha - k.beta_mu
-    head = 2.0 * delta / k.A * np.exp(k.alpha * k.n_mu)
-    tail = (2.0 * k.c_tv / k.n_mu * k.b_mu
-            * kappa ** (gap / k.alpha)
-            * (delta / (k.A * k.w_mu)) ** (k.beta_mu / k.alpha)
-            * k.alpha / (gap * np.expm1(k.beta_mu)))
-    return head + tail
+            f"variation bound not applicable at delta/kappa={delta / kappa:g}: needs "
+            f"delta/kappa < {k.A * k.w_mu * np.exp(-k.alpha * k.n_mu):g} and a finite bound")
+    return math.exp(_log_tv_bound(delta, kappa, k))
 
 
 def full_interval_validity(delta: float, kappa: float, k: AsymptoticConstants) -> bool:

@@ -47,7 +47,6 @@ relative accuracy while everything stays in ordinary doubles.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import SpectralError
 
@@ -158,6 +157,7 @@ def svd_from_rrd(L, d, U):
     if r == 0:
         return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
 
+    import scipy.linalg as sla   # here, so commands that do not decompose never load scipy
     Q, R, piv = sla.qr(L * d[None, :], mode="economic", pivoting=True)
     W = R @ U[piv, :]
     # joba='C': W.T is a well-conditioned matrix times a column scaling, the

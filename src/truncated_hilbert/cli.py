@@ -10,6 +10,8 @@ byte-identical files.  Exit codes: 0 success, 2 configuration error,
 svd-report, figure2, reconstruct and bounds share one decomposition per
 output directory: the first of them to run writes the raw factors to
 svd_cache.npy there, the others read them back and repeat every check.
+Only a command that decomposes loads scipy; validate, constants and
+figure1 never do.
 """
 
 import argparse

@@ -25,18 +25,18 @@ In Legendre form, with the cross-ratio parameter and scale
     c = 2 / sqrt((a3 - a1)(a4 - a2)),
 
 K+ = c K(m) and K- = c K(1 - m).  They are evaluated in Carlson's
-symmetric form R_F (scipy.special.elliprf), whose arguments are sums and
-products of positive breakpoint differences.  Neither m nor 1 - m is
+symmetric form R_F (_rf below, by duplication), whose arguments are sums
+and products of positive breakpoint differences.  Neither m nor 1 - m is
 ever formed by subtraction, so the values keep close to full double
 precision however thin the overlap or the outer segments, endpoint
 singularities included.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import elliprf
 
 from .errors import GeometryError
 
@@ -99,8 +99,45 @@ def _overlap_units(geom: Geometry):
     working in overlap units keeps the products of differences below
     inside the floating-point range at any scale of the breakpoints.
     """
-    r = geom.a3 - geom.a2
-    return r, (geom.a2 - geom.a1) / r, (geom.a4 - geom.a3) / r
+    a1, a2, a3, a4 = map(float, geom.points)
+    r = a3 - a2
+    return r, (a2 - a1) / r, (a4 - a3) / r
+
+
+# duplication stops once the arguments agree to (3 eps)^(1/6) of their mean,
+# where the truncated series below is accurate to about eps
+_RF_SPREAD = (3.0 * 2.0 ** -52) ** (1.0 / 6.0)
+
+
+def _rf(x: float, y: float, z: float) -> float:
+    """Carlson's R_F(x, y, z) = (1/2) int_0^inf dt / sqrt((t+x)(t+y)(t+z)).
+
+    For x, y, z >= 0, at most one of them zero.  Duplication theorem until
+    the three arguments nearly agree, then the series of DLMF 19.36.1 to
+    fifth order (Carlson, Numer. Algorithms 10, 1995, Algorithm 1).  The
+    duplication steps only add and multiply nonnegative numbers; the
+    differences from the mean enter only the small series corrections.
+    """
+    a0 = (x + y + z) / 3.0
+    spread = max(abs(a0 - x), abs(a0 - y), abs(a0 - z)) / _RF_SPREAD
+    xm, ym, zm, am = x, y, z, a0
+    scale = 1.0                                # 4^m after m duplications
+    while spread >= am:
+        sx, sy, sz = math.sqrt(xm), math.sqrt(ym), math.sqrt(zm)
+        lam = sx * (sy + sz) + sy * sz
+        xm = (xm + lam) / 4.0
+        ym = (ym + lam) / 4.0
+        zm = (zm + lam) / 4.0
+        am = (am + lam) / 4.0
+        spread /= 4.0
+        scale *= 4.0
+    dx = (a0 - x) / scale / am
+    dy = (a0 - y) / scale / am
+    dz = -(dx + dy)
+    e2 = dx * dy - dz * dz
+    e3 = dx * dy * dz
+    return ((1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0)
+            / math.sqrt(am))
 
 
 @functools.lru_cache(maxsize=256)
@@ -112,8 +149,7 @@ def _k_pair(geom: Geometry):
     """
     r, p, q = _overlap_units(geom)
     d = (1.0 + p) * (1.0 + q)
-    return (float(2.0 / r * elliprf(0.0, 1.0 + p + q, d)),
-            float(2.0 / r * elliprf(0.0, p * q, d)))
+    return 2.0 / r * _rf(0.0, 1.0 + p + q, d), 2.0 / r * _rf(0.0, p * q, d)
 
 
 def k_minus(geom: Geometry) -> float:
@@ -152,9 +188,8 @@ def _phase(geom: Geometry, below: float, above: float) -> float:
     however close x is to either end.
     """
     r, p, q = _overlap_units(geom)
-    b, e = below / r, above / r
-    return float(2.0 / r * np.sqrt(e)
-                 * elliprf((1.0 + p) * (q + e), (p + b) * q, (1.0 + p) * q * b))
+    b, e = float(below) / r, float(above) / r
+    return 2.0 / r * math.sqrt(e) * _rf((1.0 + p) * (q + e), (p + b) * q, (1.0 + p) * q * b)
 
 
 @functools.lru_cache(maxsize=65536)

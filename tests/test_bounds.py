@@ -10,7 +10,7 @@ from truncated_hilbert import (AsymptoticConstants, SampledGrid,
                                roi_bound_l2, roi_bound_tv, tv_validity, v_mu,
                                w_mu, write_bounds_csv)
 from truncated_hilbert.errors import BoundNotApplicableError, SpectralError
-from truncated_hilbert.geometry import alpha
+from truncated_hilbert.geometry import alpha, beta_mu_exact
 from truncated_hilbert.spectral import SingularSystem
 
 
@@ -223,6 +223,35 @@ class TestTvBound:
         k = paper_constants()
         with pytest.raises(BoundNotApplicableError):
             roi_bound_tv(1.0, 1.0, k)
+
+    def test_bound_beyond_double_range_is_not_valid(self):
+        # mu = 6.2e-277 on the small preset: beta_mu is 3.6e-139, so the tail
+        # grows like 0.4 kappa / beta_mu and leaves the double range near
+        # kappa = 1.6e170, long before delta/kappa reaches the smallness
+        # threshold; valid must still mean a finite bound
+        a = alpha(SMALL_PRESET_GEOM)
+        beta = beta_mu_exact(SMALL_PRESET_GEOM, 6.173353054684783e-277)
+        k = AsymptoticConstants(A=0.71, alpha=a, n0=1, n_mu=2, b_mu=1 / np.sqrt(2 * np.pi),
+                                beta_mu=beta, v_mu=v_mu(a, beta),
+                                w_mu=w_mu(a, beta, 1.0, 2), c_tv=1.0)
+        with mpmath.workdps(30):
+            ka, kb, kA, kw, delta, kappa = map(
+                mpmath.mpf, (k.alpha, k.beta_mu, k.A, k.w_mu, 1e-3, 1e100))
+            gap = ka - kb
+            want = (2 * delta / kA * mpmath.exp(ka * k.n_mu)
+                    + 2 * k.c_tv / k.n_mu * mpmath.mpf(k.b_mu) * kappa ** (gap / ka)
+                    * (delta / (kA * kw)) ** (kb / ka) * ka / (gap * mpmath.expm1(kb)))
+        assert tv_validity(1e-3, 1e100, k)
+        assert roi_bound_tv(1e-3, 1e100, k) == pytest.approx(float(want), rel=1e-12)
+        assert not tv_validity(1e-3, 1e171, k)
+        with pytest.raises(BoundNotApplicableError):
+            roi_bound_tv(1e-3, 1e171, k)
+        verdicts = []
+        for kappa in 10.0 ** np.arange(20.0, 300.0, 3.0):
+            verdicts.append(tv_validity(1e-3, kappa, k))
+            if verdicts[-1]:
+                assert np.isfinite(roi_bound_tv(1e-3, kappa, k))
+        assert True in verdicts and False in verdicts
 
 
 class TestFullIntervalBound:

@@ -305,6 +305,12 @@ def _check_valid_bounds(path, k, E, kappa):
                     + k.beta_mu / k.alpha * (log(delta) - log(k.A * k.v_mu) - log(E))
                     + log(k.alpha / gap) - 0.5 * log(math.expm1(2.0 * k.beta_mu)))
             checks.append(("bound_pair", log(2.0) + np.logaddexp(head, tail)))
+        if row["valid_tv"] == "true":
+            head = log(2.0 * delta / k.A) + k.alpha * k.n_mu
+            tail = (log(2.0 * k.c_tv * k.b_mu / k.n_mu) + gap / k.alpha * log(kappa)
+                    + k.beta_mu / k.alpha * (log(delta) - log(k.A * k.w_mu))
+                    + log(k.alpha / gap) - log(math.expm1(k.beta_mu)))
+            checks.append(("bound_tv", np.logaddexp(head, tail)))
         if row["valid_full"] == "true":
             C = k.c_tv * (1.0 / k.alpha + 2.0) * math.sqrt(k.alpha + 1.5)
             D = log(k.A * k.c_tv / (2.0 * k.alpha))
@@ -422,6 +428,18 @@ class TestCommands:
             assert row["valid_l2"] in ("true", "false")
             if row["valid_tv"] == "false":
                 assert row["bound_tv"] == "nan"
+
+    def test_bounds_small_tv_bound_beyond_double_range(self, tmp_path):
+        # the variation bound is about 1e448 here although delta/kappa is far
+        # below its threshold; it used to be written as inf with valid_tv true
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kappa": 1e171, "mu_list": [6.173353054684783e-277]}))
+        out = tmp_path / "o"
+        assert main(["bounds", "--small", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = list(csv.DictReader(open(out / "bounds.csv")))
+        assert len(rows) == 5
+        assert all(row["valid_tv"] == "false" and row["bound_tv"] == "nan"
+                   for row in rows)
 
     def test_bounds_small_beta_not_applicable(self, tmp_path):
         # beta_mu = 4.6e-21: e^(2 beta) - 1 rounds to 0 unless formed with

@@ -1,0 +1,61 @@
+"""Only a command that decomposes loads scipy.
+
+Each case runs CLI commands in one fresh interpreter and, after the last
+main() returns, lists the scipy modules in sys.modules.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_PROBE = """
+import json, sys
+from truncated_hilbert.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+"""
+
+
+def scipy_modules_after(*commands, out):
+    """The scipy modules loaded after running commands (lists of CLI args) in order."""
+    argvs = [cmd + ["--out", str(out)] for cmd in commands]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    assert scipy_modules_after(out=tmp_path) == []
+
+
+def test_commands_without_a_decomposition_load_no_scipy(tmp_path):
+    assert scipy_modules_after(["validate"], ["constants"], ["figure1", "--small"],
+                               out=tmp_path) == []
+
+
+@pytest.fixture(scope="module")
+def cold_svd_report(tmp_path_factory):
+    """An output directory and the scipy modules a cold svd-report loaded there."""
+    out = tmp_path_factory.mktemp("warm")
+    return out, scipy_modules_after(["svd-report", "--small"], out=out)
+
+
+def test_cold_svd_report_loads_only_scipy_linalg(cold_svd_report):
+    _, loaded = cold_svd_report
+    assert "scipy.linalg" in loaded
+    assert not any(m.startswith("scipy.special") for m in loaded)
+
+
+@pytest.mark.parametrize("command", ["figure2", "reconstruct", "bounds"])
+def test_warm_cache_commands_load_no_scipy(cold_svd_report, command):
+    out, _ = cold_svd_report
+    assert (out / "svd_cache.npy").exists()
+    assert scipy_modules_after([command, "--small"], out=out) == []
