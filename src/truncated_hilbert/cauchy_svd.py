@@ -21,17 +21,26 @@ additive cancellation:
    Poole and Neal, ibid. 123, 2000).  That keeps |L| <= 1 and |U| <= 1
    entrywise, hence L and U well conditioned:  H = P_r^T (L D U) P_c^T.
    Elimination stops once a pivot falls below floor_rel times max |H|,
-   the entry of the closest node pair.
+   the entry of the closest node pair.  L and U are views of an m x
+   min(m, n) and a min(m, n) x n buffer; the node arrays are copied, so
+   the caller's are never written.
 
 2. Pivoted QR of the graded factor.  A column-pivoted QR of L*D gives
    L*D*P = Q*R, so L D U = Q W with W = R * (P^T U).  The rows of W are
-   graded by the pivots and W is otherwise well conditioned.
+   graded by the pivots and W is otherwise well conditioned.  L*D is
+   formed in Fortran order and L is released; the QR overwrites L*D,
+   whose buffer becomes Q.  U is released once P^T U is formed, R and
+   P^T U once W is.
 
 3. One-sided Jacobi SVD of W^T, whose columns are therefore scaled but
    otherwise well conditioned.  Jacobi rotations are accurate relative to
    each column's own scale, so W^T = u diag(sigma) v^T carries the tiny
    singular values to high relative accuracy, and the SVD of the
-   original matrix is (Q v, sigma, u).  LAPACK's dgejsv does this step.
+   original matrix is (Q v, sigma, u).  LAPACK's dgejsv does this step,
+   overwriting W (W^T is Fortran-ordered, so no copy is made); W is
+   released before Q v is formed.  While it runs only Q, W, its
+   workspace (2 r^2 doubles for rank r) and its u and v are alive,
+   about 3.5 m x n doubles on the paper grid.
 
 Steps 1-3 are Algorithm 3.1 of Demmel, Gu, Eisenstat, Slapnicar, Veselic
 and Drmac, "Computing the singular value decomposition with high
@@ -57,9 +66,9 @@ class CauchyRRD:
 
     rperm: np.ndarray
     cperm: np.ndarray
-    L: np.ndarray
+    L: np.ndarray | None     # None once svd_from_rrd has consumed it
     d: np.ndarray
-    U: np.ndarray
+    U: np.ndarray | None
 
     @property
     def rank(self) -> int:
@@ -145,28 +154,41 @@ def gecp_cauchy(x_nodes, y_nodes, scale: float, floor_rel: float = 1e-28) -> Cau
     return CauchyRRD(rperm=rperm, cperm=cperm, L=L[:, :rank], d=d[:rank], U=U[:rank, :])
 
 
-def svd_from_rrd(L, d, U):
+def svd_from_rrd(rrd: CauchyRRD):
     """SVD of L @ diag(d) @ U from a rank-revealing decomposition.
 
     Returns (left, sigma, right) with left (m x r) and right (n x r)
-    orthonormal and sigma descending.  Raises SpectralError if the Jacobi
-    SVD reports a failure.
+    orthonormal and sigma descending.  Consumes rrd: its L and U are set
+    to None on entry and each is freed as soon as it has been read, so
+    neither is alive during the Jacobi step.  Raises SpectralError if the
+    Jacobi SVD reports a failure.
     """
+    L, d, U = rrd.L, rrd.d, rrd.U
+    rrd.L = rrd.U = None
     m, r = L.shape
     n = U.shape[1]
     if r == 0:
         return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
 
     import scipy.linalg as sla   # here, so commands that do not decompose never load scipy
-    Q, R, piv = sla.qr(L * d[None, :], mode="economic", pivoting=True)
-    W = R @ U[piv, :]
+    # L * d in Fortran order, so the pivoted QR factors it in place and its
+    # buffer becomes Q
+    Q = np.multiply(L, d, order="F")
+    del L
+    Q, R, piv = sla.qr(Q, mode="economic", pivoting=True, overwrite_a=True)
+    Up = U[piv, :]
+    del U
+    W = R @ Up
+    del R, Up
     # joba='C': W.T is a well-conditioned matrix times a column scaling, the
     # case dgejsv resolves to high relative accuracy (the default 'A' treats
     # values below eps * sigma_max as noise and zeroes the tail); jobr='R'
     # keeps the scaled values in [sqrt(sfmin), sqrt(big)], jobp='N' adds no
-    # perturbation.  sigma is sva times work[1] / work[0].
+    # perturbation.  sigma is sva times work[1] / work[0].  W is C-ordered,
+    # so W.T is Fortran-ordered and dgejsv overwrites it instead of a copy.
     sva, u, v, work, _, info = sla.lapack.dgejsv(
-        W.T, joba=0, jobu=0, jobv=0, jobr=1, jobt=0, jobp=0)
+        W.T, joba=0, jobu=0, jobv=0, jobr=1, jobt=0, jobp=0, overwrite_a=1)
+    del W
     if info != 0:
         raise SpectralError(f"Jacobi SVD (dgejsv) failed with info={info}")
     return Q @ v, sva * (work[1] / work[0]), u
@@ -179,7 +201,7 @@ def accurate_cauchy_svd(x_nodes, y_nodes, scale: float, floor_rel: float = 1e-28
     orthonormal columns in the original (unpermuted) index order.
     """
     rrd = gecp_cauchy(x_nodes, y_nodes, scale, floor_rel=floor_rel)
-    left, s, right = svd_from_rrd(rrd.L, rrd.d, rrd.U)
+    left, s, right = svd_from_rrd(rrd)
     data_vecs = np.zeros_like(left)
     data_vecs[rrd.rperm, :] = left
     obj_vecs = np.zeros_like(right)

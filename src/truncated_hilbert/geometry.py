@@ -29,11 +29,15 @@ symmetric form R_F (_rf below, by duplication), whose arguments are sums
 and products of positive breakpoint differences.  Neither m nor 1 - m is
 ever formed by subtraction, so the values keep close to full double
 precision however thin the overlap or the outer segments, endpoint
-singularities included.
+singularities included.  The R_F arguments are scaled by a power of 4
+(_rf_of_products), which is exact, so segment ratios from 1e-300 to
+1e300 stay in range; a geometry whose ratios or arguments leave the
+normal double range raises GeometryError.
 """
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +105,11 @@ def _overlap_units(geom: Geometry):
     """
     a1, a2, a3, a4 = map(float, geom.points)
     r = a3 - a2
-    return r, (a2 - a1) / r, (a4 - a3) / r
+    p, q = (a2 - a1) / r, (a4 - a3) / r
+    if not (sys.float_info.min <= r < math.inf and 0.0 < p < math.inf and 0.0 < q < math.inf):
+        raise GeometryError(f"overlap {r:g} or segment ratios {p:g}, {q:g} of {geom.points} "
+                            "leave the double range")
+    return r, p, q
 
 
 # duplication stops once the arguments agree to (3 eps)^(1/6) of their mean,
@@ -140,6 +148,43 @@ def _rf(x: float, y: float, z: float) -> float:
             / math.sqrt(am))
 
 
+# products inside this range go to _rf as they are; scaling them would
+# change no bit, and skipping it keeps the frequent w3 calls cheap
+_RF_PLAIN_LO, _RF_PLAIN_HI = 2.0 ** -500, 2.0 ** 500
+
+
+def _rf_of_products(x: tuple, y: tuple, z: tuple) -> float:
+    """_rf of three arguments, each given as a tuple of nonnegative factors.
+
+    Products outside [2^-500, 2^500] are formed on frexp mantissas, so
+    none overflows or underflows on the way, and all three are scaled
+    by the one power of 4 that brings the largest into [1/2, 2).  R_F is
+    homogeneous of degree -1/2, so the scaling is exact in binary:
+    wherever the plain products and their R_F are normal doubles, it
+    returns _rf of them bit for bit.  Raises GeometryError when a
+    nonzero product is not finite or falls below the normal range after
+    scaling, i.e. when the arguments span more than about 2^1021 and
+    would lose precision.
+    """
+    xp, yp, zp = math.prod(x), math.prod(y), math.prod(z)
+    if _RF_PLAIN_LO <= min(xp, yp, zp) and max(xp, yp, zp) <= _RF_PLAIN_HI:
+        return _rf(xp, yp, zp)
+    parts = []
+    for factors in (x, y, z):
+        m, e = 1.0, 0
+        for f in factors:
+            fm, fe = math.frexp(f)
+            m *= fm
+            e += fe
+        fm, fe = math.frexp(m)
+        parts.append((fm, e + fe))
+    k = max(e for m, e in parts if m) // 2
+    vals = [math.ldexp(m, e - 2 * k) for m, e in parts]
+    if any(m and not sys.float_info.min <= v < math.inf for (m, _), v in zip(parts, vals)):
+        raise GeometryError("elliptic-integral arguments span more than the double range")
+    return math.ldexp(_rf(*vals), -k)
+
+
 @functools.lru_cache(maxsize=256)
 def _k_pair(geom: Geometry):
     """(K-, K+) = (2/r) (R_F(0, 1 + p + q, d), R_F(0, p q, d)), d = (1+p)(1+q).
@@ -148,8 +193,12 @@ def _k_pair(geom: Geometry):
     K(m) = R_F(0, 1 - m, 1) and the homogeneity of R_F of degree -1/2.
     """
     r, p, q = _overlap_units(geom)
-    d = (1.0 + p) * (1.0 + q)
-    return 2.0 / r * _rf(0.0, 1.0 + p + q, d), 2.0 / r * _rf(0.0, p * q, d)
+    d = (1.0 + p, 1.0 + q)
+    ks = (2.0 / r * _rf_of_products((0.0,), (1.0 + p + q,), d),
+          2.0 / r * _rf_of_products((0.0,), (p, q), d))
+    if not all(sys.float_info.min <= k < math.inf for k in ks):
+        raise GeometryError(f"K-, K+ = {ks} of {geom.points} leave the normal double range")
+    return ks
 
 
 def k_minus(geom: Geometry) -> float:
@@ -189,7 +238,10 @@ def _phase(geom: Geometry, below: float, above: float) -> float:
     """
     r, p, q = _overlap_units(geom)
     b, e = float(below) / r, float(above) / r
-    return 2.0 / r * math.sqrt(e) * _rf((1.0 + p) * (q + e), (p + b) * q, (1.0 + p) * q * b)
+    w = 2.0 / r * math.sqrt(e) * _rf_of_products((1.0 + p, q + e), (p + b, q), (1.0 + p, q, b))
+    if not w < math.inf:
+        raise GeometryError(f"phase integral of {geom.points} overflows")
+    return w
 
 
 @functools.lru_cache(maxsize=65536)

@@ -119,17 +119,21 @@ def apply_conventions(op: DiscreteOperator, factors, rank_tol: float | None = No
 
     # reconstruction sanity on the resolvable part of the matrix, compared
     # without dividing so that a zero matrix needs no special case; the
-    # m x n product is freed before the truncated copies below
-    err = np.linalg.norm(op.matrix - (v_all * s_all[None, :]) @ u_all.T)
+    # residual overwrites the m x n product, which is freed before the
+    # truncated copies below
+    resid = (v_all * s_all[None, :]) @ u_all.T
+    err = np.linalg.norm(np.subtract(op.matrix, resid, out=resid))
+    del resid
     norm = np.linalg.norm(op.matrix)
     if not err <= 1e-10 * norm:
         raise SpectralError(f"SVD reconstruction error {err:.2e} too large "
                             f"for a matrix of norm {norm:.2e}")
 
+    # compress copies once and, unlike a [:, keep] index, keeps C order
     keep = s_all > tol * s_all[0]
-    s = s_all[keep].copy()
-    u = u_all[:, keep].copy()
-    v = v_all[:, keep].copy()
+    s = s_all[keep]
+    u = u_all.compress(keep, axis=1)
+    v = v_all.compress(keep, axis=1)
 
     # weighted normalization: euclidean-unit columns scaled by 1/sqrt(step)
     scale = 1.0 / np.sqrt(op.step)

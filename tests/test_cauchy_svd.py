@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goldens as G
-from truncated_hilbert.cauchy_svd import (accurate_cauchy_svd, gecp_cauchy,
-                                          svd_from_rrd)
+from truncated_hilbert.cauchy_svd import (CauchyRRD, accurate_cauchy_svd,
+                                          gecp_cauchy, svd_from_rrd)
 from truncated_hilbert.errors import SpectralError
 
 
@@ -211,8 +211,9 @@ class TestRandomGeometriesAgainstMultiprecision:
 
 class TestEdgeCases:
     def test_empty_rrd_svd(self):
-        left, s, right = svd_from_rrd(np.zeros((3, 0)), np.zeros(0),
-                                      np.zeros((0, 4)))
+        rrd = CauchyRRD(rperm=np.arange(3), cperm=np.arange(4), L=np.zeros((3, 0)),
+                        d=np.zeros(0), U=np.zeros((0, 4)))
+        left, s, right = svd_from_rrd(rrd)
         assert s.size == 0
         assert left.shape == (3, 0)
         assert right.shape == (4, 0)

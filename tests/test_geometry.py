@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import goldens as G
 from conftest import PAPER_GEOM, SMALL_PRESET_GEOM, UNIT_GEOM
@@ -310,3 +312,59 @@ class TestCarlsonRF:
         # a power of 4 scales every step exactly
         for x, y, z in base[:20]:
             assert _rf(4.0 ** 40 * x, 4.0 ** 40 * y, 4.0 ** 40 * z) == _rf(x, y, z) / 2.0 ** 40
+
+
+def extreme_reference(geom):
+    """K-, K+, alpha, the near-one rate and beta at mu = r/2 in 40-digit arithmetic.
+
+    K+ = c K(m) = c R_F(0, 1 - m, 1) and K- = c K(1 - m) = c R_F(0, m, 1),
+    with m and 1 - m formed from exact breakpoint differences, so neither
+    is a difference and no ratio leaves mpmath's exponent range.  beta is
+    the Carlson form of _phase, evaluated in the same arithmetic.
+    """
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(40):
+        a1, a2, a3, a4 = (mp.mpf(v) for v in geom.points)
+        r, P, Q = a3 - a2, a2 - a1, a4 - a3
+        den = (r + P) * (r + Q)
+        c = 2 / mp.sqrt(den)
+        km = c * mp.elliprf(0, r * (r + P + Q) / den, 1)
+        kp = c * mp.elliprf(0, P * Q / den, 1)
+        p, q, half = P / r, Q / r, mp.mpf(0.5)
+        w = 2 / r * mp.sqrt(half) * mp.elliprf((1 + p) * (q + half), (p + half) * q,
+                                               (1 + p) * q * half)
+        return {"K-": km, "K+": kp, "alpha": mp.pi * kp / km,
+                "near_one_rate": 2 * mp.pi * km / kp, "beta_mu": mp.pi / km * w}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
+def test_constants_at_extreme_segment_ratios(log_p, log_q):
+    # the smaller ratio sits next to the breakpoint at 0, so it is exact
+    p, q = 10.0 ** log_p, 10.0 ** log_q
+    pts = (-p, 0.0, 1.0, 1.0 + q) if p <= q else (-1.0 - p, -1.0, 0.0, q)
+    assume(pts[0] < pts[1] < pts[2] < pts[3])
+    geom = Geometry(*pts)
+    fns = {"K-": k_minus, "K+": k_plus, "alpha": alpha, "near_one_rate": near_one_rate,
+           "beta_mu": lambda g: beta_mu_exact(g, g.overlap_width / 2)}
+    ref = extreme_reference(geom)
+    for name, fn in fns.items():
+        try:
+            got = fn(geom)
+        except GeometryError:
+            continue
+        assert np.isfinite(got), name
+        assert abs(got / ref[name] - 1) <= 2e-15, name
+
+
+@pytest.mark.parametrize("pts", [
+    (-1e300, 0.0, 1e-300, 1e300),            # p and q overflow
+    (-1.0, 0.0, 5e-324, 1.0),                # subnormal overlap
+    (-1e-300, 0.0, 1.0, 1.0 + 2.0 ** -52),   # 1 - m below the normal range
+    (-5e-324, 0.0, 2.3e-308, 4.6e-308),      # K+ overflows
+])
+def test_unrepresentable_ratios_raise(pts):
+    geom = Geometry(*pts)
+    for fn in (k_minus, k_plus, alpha, near_one_rate):
+        with pytest.raises(GeometryError):
+            fn(geom)

@@ -1,0 +1,102 @@
+"""Working memory of the decomposition, and what its in-place steps may touch.
+
+Peaks are tracemalloc readings, which include numpy and f2py buffers,
+in units of one m x n matrix of doubles (m data samples, n object
+samples).  The solver frees the rank-revealing factors before the
+Jacobi step and lets LAPACK overwrite its own temporaries, so at its
+peak it holds only Q, W, the dgejsv workspace and dgejsv's u and v.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import PAPER_GEOM
+from truncated_hilbert import build_operator
+from truncated_hilbert.cauchy_svd import accurate_cauchy_svd, gecp_cauchy, svd_from_rrd
+from truncated_hilbert.spectral import apply_conventions, raw_svd
+
+RANK_TOL = 1e-21
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, peak bytes allocated by fn above what was allocated before the call)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def step3_op():
+    """The paper geometry at step 3: 451 x 426 samples, 311 retained triples."""
+    # one small solve first, so the scipy.linalg import is not in any window
+    accurate_cauchy_svd(np.arange(4.0), 0.5 + np.arange(3.0), 1.0)
+    return build_operator(PAPER_GEOM, step=3.0, shift=0.5)
+
+
+def matrix_bytes(op):
+    return op.matrix.size * op.matrix.itemsize
+
+
+def test_solver_peak_below_four_matrices(step3_op):
+    # measured 3.70 matrices here (3.53 at step 1); before the factors were
+    # freed and LAPACK allowed to overwrite, 6.85 (6.64 at step 1)
+    op = step3_op
+    _, peak = traced_peak(accurate_cauchy_svd, op.data_grid.points,
+                          op.object_grid.points, op.step / np.pi)
+    assert peak < 4.0 * matrix_bytes(op)
+
+
+def test_conventions_peak_below_two_matrices(step3_op):
+    # measured 1.74 matrices: the m x n product plus the scaled data
+    # vectors; writing the residual into a third m x n array gave 2.15
+    op = step3_op
+    factors = raw_svd(op, RANK_TOL)
+    sys_, peak = traced_peak(apply_conventions, op, factors, RANK_TOL)
+    assert sys_.count == 311
+    assert peak < 2.0 * matrix_bytes(op)
+
+
+def snapshot(*arrays):
+    return [a.copy() for a in arrays]
+
+
+def assert_unchanged(arrays, copies):
+    for a, c in zip(arrays, copies):
+        assert a.shape == c.shape and a.tobytes() == c.tobytes()
+
+
+def test_conventions_leave_factors_and_matrix_untouched(small_preset_op):
+    # _spectral_setup writes the same factors to svd_cache.npy afterwards
+    op = small_preset_op
+    factors = raw_svd(op, RANK_TOL)
+    held = [*factors, op.matrix]
+    copies = snapshot(*held)
+    apply_conventions(op, factors, RANK_TOL)
+    assert_unchanged(held, copies)
+
+
+def test_solver_leaves_its_inputs_untouched(small_preset_op):
+    op = small_preset_op
+    x, y = op.data_grid.points, op.object_grid.points
+    copies = snapshot(x, y)
+    accurate_cauchy_svd(x, y, op.step / np.pi)
+    assert_unchanged([x, y], copies)
+
+
+def test_svd_from_rrd_releases_factors_without_writing_them(small_preset_op):
+    op = small_preset_op
+    rrd = gecp_cauchy(op.data_grid.points, op.object_grid.points, op.step / np.pi)
+    held = [rrd.L, rrd.d, rrd.U, rrd.rperm, rrd.cperm]
+    copies = snapshot(*held)
+    rank = rrd.rank
+    left, s, right = svd_from_rrd(rrd)
+    assert rrd.L is None and rrd.U is None
+    assert rrd.rank == rank == s.size
+    # a caller that kept its own references sees them unchanged
+    assert_unchanged(held, copies)
