@@ -16,6 +16,7 @@ norms approximate L2 norms of the sampled functions.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,19 +43,35 @@ class SampledGrid:
         return self.start + self.step * np.arange(self.count)
 
 
+def kernel_rows(x: np.ndarray, y: np.ndarray, step: float) -> np.ndarray:
+    """Kernel entries (step/pi) / (y_j - x_i) for data samples x, object samples y.
+
+    One (x.size, y.size) array, divided in place.
+    """
+    rows = np.subtract(y[None, :], x[:, None])
+    return np.divide(step / np.pi, rows, out=rows)
+
+
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Dense kernel matrix with its grids; rows = data, cols = object."""
+    """The sampled operator, defined by its grids; rows = data, cols = object.
 
-    matrix: np.ndarray
+    The dense kernel matrix is formed on first access to `matrix` and kept;
+    the structured decomposition and its reconstruction check never need it.
+    """
+
     data_grid: SampledGrid
     object_grid: SampledGrid
     step: float
     geom: Geometry
 
     @property
-    def shape(self):
-        return self.matrix.shape
+    def shape(self) -> tuple[int, int]:
+        return self.data_grid.count, self.object_grid.count
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return kernel_rows(self.data_grid.points, self.object_grid.points, self.step)
 
 
 def sample_grids(geom: Geometry, step: float = 1.0,
@@ -94,19 +111,17 @@ def sample_grids(geom: Geometry, step: float = 1.0,
 
 
 def build_operator(geom: Geometry, step: float = 1.0, shift: float = 0.5) -> DiscreteOperator:
-    """Assemble the sampled operator on the grids of sample_grids."""
+    """The sampled operator on the grids of sample_grids; its matrix is not yet formed."""
     data_grid, object_grid = sample_grids(geom, step, shift)
-    diff = object_grid.points[None, :] - data_grid.points[:, None]
-    matrix = (step / np.pi) / diff
-    return DiscreteOperator(matrix=matrix, data_grid=data_grid,
-                            object_grid=object_grid, step=step, geom=geom)
+    return DiscreteOperator(data_grid=data_grid, object_grid=object_grid,
+                            step=step, geom=geom)
 
 
 def apply_forward(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
     """Forward transform: sampled principal-value integral of f."""
     f = np.asarray(f, dtype=float)
-    if f.shape != (op.matrix.shape[1],):
-        raise ValueError(f"expected object vector of length {op.matrix.shape[1]}, "
+    if f.shape != (op.shape[1],):
+        raise ValueError(f"expected object vector of length {op.shape[1]}, "
                          f"got shape {f.shape}")
     return op.matrix @ f
 
@@ -114,8 +129,8 @@ def apply_forward(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
 def apply_adjoint(op: DiscreteOperator, g: np.ndarray) -> np.ndarray:
     """Adjoint in the step-weighted inner products (plain transpose)."""
     g = np.asarray(g, dtype=float)
-    if g.shape != (op.matrix.shape[0],):
-        raise ValueError(f"expected data vector of length {op.matrix.shape[0]}, "
+    if g.shape != (op.shape[0],):
+        raise ValueError(f"expected data vector of length {op.shape[0]}, "
                          f"got shape {g.shape}")
     return op.matrix.T @ g
 

@@ -22,13 +22,15 @@ import numpy as np
 from .cauchy_svd import accurate_cauchy_svd
 from .errors import SpectralError
 from .geometry import Geometry, check_roi
-from .operator import DiscreteOperator, SampledGrid, weighted_norm
+from .operator import DiscreteOperator, SampledGrid, kernel_rows, weighted_norm
 
 DEFAULT_TAIL_LEN = 9
 # points of the near-one fit, counted down from its anchor
 _NEAR_ONE_LEN = 5
 # rank_tol = None: the default truncation, relative to sigma_max, per method
 _DEFAULT_RANK_TOL = {"cauchy": 1e-21, "lapack": 1e-13}
+# the reconstruction check holds about 2/_CHECK_BLOCKS of an m x n matrix
+_CHECK_BLOCKS = 16
 # components below this fraction of a vector's peak cannot survive a
 # double-precision orthogonal assembly and are excluded from shape checks
 MONOTONE_NOISE_FLOOR = 1e-12
@@ -112,19 +114,23 @@ def apply_conventions(op: DiscreteOperator, factors, rank_tol: float | None = No
     Raises SpectralError unless the factors reconstruct the matrix to a
     Frobenius error of at most 1e-10 times its norm; then truncates at
     rank_tol, normalizes in the step-weighted norm and fixes the signs.
-    Exact factors of a zero matrix pass and truncate to an empty system.
     """
     tol = _rank_tol(rank_tol, method)
     v_all, s_all, u_all = factors
 
-    # reconstruction sanity on the resolvable part of the matrix, compared
-    # without dividing so that a zero matrix needs no special case; the
-    # residual overwrites the m x n product, which is freed before the
-    # truncated copies below
-    resid = (v_all * s_all[None, :]) @ u_all.T
-    err = np.linalg.norm(np.subtract(op.matrix, resid, out=resid))
-    del resid
-    norm = np.linalg.norm(op.matrix)
+    # reconstruction sanity on the resolvable part of the matrix; squared
+    # norms accumulate over row blocks of kernel and product, so neither
+    # the matrix nor an m x n product is ever formed
+    x, y = op.data_grid.points, op.object_grid.points
+    rows = -(-x.size // _CHECK_BLOCKS)
+    err2 = norm2 = 0.0
+    for i in range(0, x.size, rows):
+        kern = kernel_rows(x[i:i + rows], y, op.step).ravel()
+        resid = ((v_all[i:i + rows] * s_all[None, :]) @ u_all.T).ravel()
+        np.subtract(kern, resid, out=resid)
+        err2 += resid @ resid
+        norm2 += kern @ kern
+    err, norm = np.sqrt(err2), np.sqrt(norm2)
     if not err <= 1e-10 * norm:
         raise SpectralError(f"SVD reconstruction error {err:.2e} too large "
                             f"for a matrix of norm {norm:.2e}")

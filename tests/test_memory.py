@@ -40,7 +40,16 @@ def step3_op():
 
 
 def matrix_bytes(op):
-    return op.matrix.size * op.matrix.itemsize
+    m, n = op.shape
+    return m * n * np.dtype(float).itemsize
+
+
+def test_build_operator_allocates_no_matrix():
+    # measured 0.016 matrices (0.005 at step 1): the grids and the
+    # candidate object samples
+    op, peak = traced_peak(build_operator, PAPER_GEOM, step=3.0, shift=0.5)
+    assert "matrix" not in vars(op)
+    assert peak < 0.05 * matrix_bytes(op)
 
 
 def test_solver_peak_below_four_matrices(step3_op):
@@ -53,13 +62,14 @@ def test_solver_peak_below_four_matrices(step3_op):
 
 
 def test_conventions_peak_below_two_matrices(step3_op):
-    # measured 1.74 matrices: the m x n product plus the scaled data
-    # vectors; writing the residual into a third m x n array gave 2.15
+    # measured 1.55 matrices: the truncated singular vectors the system
+    # keeps (1.42) plus one row block of kernel and of product, 1/16 of
+    # the matrix each; with the whole m x n product and matrix it was 1.74
     op = step3_op
     factors = raw_svd(op, RANK_TOL)
     sys_, peak = traced_peak(apply_conventions, op, factors, RANK_TOL)
     assert sys_.count == 311
-    assert peak < 2.0 * matrix_bytes(op)
+    assert peak < 1.6 * matrix_bytes(op)
 
 
 def snapshot(*arrays):

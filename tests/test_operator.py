@@ -3,8 +3,8 @@ import pytest
 
 from conftest import PAPER_GEOM, SMALL_PRESET_GEOM, TINY_GEOM
 from truncated_hilbert import (Geometry, SampledGrid, apply_adjoint,
-                               apply_forward, build_operator, make_phantom,
-                               weighted_dot, weighted_norm)
+                               apply_forward, build_operator, compute_svd,
+                               make_phantom, weighted_dot, weighted_norm)
 from truncated_hilbert.errors import GridError
 
 
@@ -38,6 +38,17 @@ class TestBuildOperator:
         assert tiny_op.matrix[i, j] > 0
         assert tiny_op.matrix[i, j] == pytest.approx(
             tiny_op.step / np.pi / (y[j] - x[i]), rel=1e-15)
+
+    @pytest.mark.parametrize("geom, step", [(SMALL_PRESET_GEOM, 1.0), (TINY_GEOM, 0.5)])
+    def test_matrix_formed_once_on_first_access(self, geom, step):
+        op = build_operator(geom, step=step)
+        compute_svd(op)
+        assert "matrix" not in vars(op)
+        x, y = op.data_grid.points, op.object_grid.points
+        expected = (step / np.pi) / (y[None, :] - x[:, None])
+        assert op.matrix.shape == op.shape
+        assert op.matrix.tobytes() == expected.tobytes()
+        assert op.matrix is op.matrix
 
     def test_collision_raises(self):
         # non-multiple breakpoint puts object samples onto data samples

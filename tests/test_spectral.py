@@ -3,13 +3,13 @@ import pytest
 
 import goldens as G
 from conftest import PAPER_GEOM, TINY_GEOM
-from truncated_hilbert import (DiscreteOperator, SampledGrid, build_operator,
-                               check_monotone, compute_svd, export_spectrum_csv,
+from truncated_hilbert import (SampledGrid, build_operator, check_monotone,
+                               compute_svd, export_spectrum_csv,
                                fit_exponential, fit_roi_decay, fit_tail_decay,
                                near_one_tail_fit, roi_mask, roi_norm,
                                sigma_counts, tail_index_map, weighted_norm)
 from truncated_hilbert.errors import SpectralError
-from truncated_hilbert.spectral import SingularSystem
+from truncated_hilbert.spectral import SingularSystem, apply_conventions, raw_svd
 
 
 class TestComputeSvd:
@@ -32,17 +32,14 @@ class TestComputeSvd:
         diff = np.abs(paper_sys.sigmas[:m] - ref[:m])
         assert np.all(diff <= 1e-7 * ref[:m] + 1e-15 * ref[0])
 
-    def test_zero_matrix_empty_system(self, tiny_op):
-        zero_op = DiscreteOperator(matrix=np.zeros_like(tiny_op.matrix),
-                                   data_grid=tiny_op.data_grid,
-                                   object_grid=tiny_op.object_grid,
-                                   step=tiny_op.step, geom=tiny_op.geom)
-        # the structured solver factors the Cauchy matrix of the nonzero
-        # nodes, which does not reconstruct the zero matrix
+    @pytest.mark.parametrize("row", [0, 45, -1])
+    def test_reconstruction_check_reads_every_data_row(self, small_preset_op, row):
+        # 91 data rows: the check's row blocks end with a single row
+        v, s, u = raw_svd(small_preset_op, 1e-21)
+        v = v.copy()
+        v[row] *= 1 + 1e-6
         with pytest.raises(SpectralError):
-            compute_svd(zero_op)
-        # exact factors of a zero matrix truncate to an empty system
-        assert compute_svd(zero_op, method="lapack").count == 0
+            apply_conventions(small_preset_op, (v, s, u), 1e-21)
 
     @pytest.mark.parametrize("rank_tol", [0.0, -1e-21])
     def test_nonpositive_rank_tol_refused(self, tiny_op, rank_tol):

@@ -36,6 +36,20 @@ def solves(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def built_ops(monkeypatch):
+    """The operators the CLI builds, in order."""
+    ops = []
+    real = cli.build_operator
+
+    def recorded(*args, **kwargs):
+        ops.append(real(*args, **kwargs))
+        return ops[-1]
+
+    monkeypatch.setattr(cli, "build_operator", recorded)
+    return ops
+
+
 def run(cmd, out, *extra):
     assert main([cmd, "--out", str(out), *extra]) == 0
 
@@ -70,6 +84,14 @@ def test_loaded_factors_write_the_same_files(tmp_path, solves, flags):
                              for name in files)
         assert (cold / SVD_CACHE).read_bytes() == (warm / SVD_CACHE).read_bytes()
     assert len(solves) == 1 + len(SPECTRAL)
+
+
+def test_only_reconstruct_forms_the_matrix(tmp_path, built_ops):
+    # a cold decomposition and the warm spectral commands work from the
+    # grids alone; reconstruct applies the operator to its phantom
+    for cmd in ("svd-report", "figure2", "bounds", "reconstruct"):
+        run(cmd, tmp_path, "--small")
+    assert ["matrix" in vars(op) for op in built_ops] == [False, False, False, True]
 
 
 def _truncate(path):
