@@ -4,8 +4,8 @@
        [--config FILE] [--out DIR] [--seed N] [--small]
 
 Every command is deterministic given the config and seed; reruns produce
-byte-identical files.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure.
+byte-identical files.  Exit codes: 0 success, 2 configuration error or
+unwritable output, 3 numerical failure.
 
 svd-report, figure2, reconstruct and bounds share one decomposition per
 output directory: the first of them to run writes the raw factors to
@@ -15,6 +15,7 @@ figure1 never do.
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -71,7 +72,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        outdir = _prepare_outdir(cfg)
+        os.makedirs(cfg.output_dir, exist_ok=True)
         runner = {
             "constants": _cmd_constants,
             "svd-report": _cmd_svd_report,
@@ -81,23 +82,17 @@ def main(argv=None) -> int:
             "bounds": _cmd_bounds,
             "validate": _cmd_validate,
         }[args.command]
-        runner(cfg, outdir)
+        runner(cfg, cfg.output_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:   # an output path that cannot be created or written
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except TruncatedHilbertError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0
-
-
-def _prepare_outdir(cfg):
-    try:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {cfg.output_dir!r}: "
-                          f"{exc}") from exc
-    return cfg.output_dir
 
 
 def _fmt(x) -> str:
@@ -158,10 +153,15 @@ def _load_factors(path, key, shape):
 def _save_factors(path, key, factors) -> None:
     # a reader never sees a partial file: write aside, then rename over
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "wb") as fh:
-        for arr in (np.array(key), *factors):
-            np.save(fh, arr, allow_pickle=False)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for arr in (np.array(key), *factors):
+                np.save(fh, arr, allow_pickle=False)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _spectral_setup(cfg, outdir):
@@ -325,28 +325,23 @@ def _cmd_reconstruct(cfg, outdir) -> None:
             noisy = add_noise(g_ex, delta, cfg.seed, step=op.step)
             cut = optimal_cutoff_l2(delta, cfg.E, consts)
             valid = cut.valid and delta > rounding
-            runs = [
-                ("tsvd", tsvd_reconstruct(sys_, noisy.g, cut.n_cut)),
-                ("tikhonov", tikhonov_reconstruct(sys_, noisy.g, eta)),
-            ]
-            for method, rec in runs:
+            for rec in (tsvd_reconstruct(sys_, noisy.g, cut.n_cut),
+                        tikhonov_reconstruct(sys_, noisy.g, eta)):
                 err = weighted_norm((rec.f - f_true)[mask], op.step)
-                bound = (roi_bound_l2(delta, cfg.E, consts, method)
+                bound = (roi_bound_l2(delta, cfg.E, consts, rec.method)
                          if valid else float("nan"))
                 w.writerow([
-                    _fmt(delta), method,
-                    str(cut.n_cut) if method == "tsvd" else "",
-                    _fmt(eta) if method == "tikhonov" else "",
-                    _fmt(err), _fmt(bound) if valid else "nan",
-                    str(valid).lower(),
+                    _fmt(delta), rec.method,
+                    "" if rec.cutoff_n is None else str(rec.cutoff_n),
+                    "" if rec.eta is None else _fmt(rec.eta),
+                    _fmt(err), _fmt(bound), str(valid).lower(),
                 ])
                 run_path = os.path.join(
-                    outdir, f"recon_{method}_delta{delta:.0e}.csv")
+                    outdir, f"recon_{rec.method}_delta{delta:.0e}.csv")
                 export_reconstruction(run_path, op.object_grid, f_true, rec.f, {
-                    "method": method, "delta": delta, "E": cfg.E,
+                    "method": rec.method, "delta": delta, "E": cfg.E,
                     "mu": mu, "seed": cfg.seed,
-                    "cutoff_n": cut.n_cut if method == "tsvd" else None,
-                    "eta": eta if method == "tikhonov" else None,
+                    "cutoff_n": rec.cutoff_n, "eta": rec.eta,
                     "roi_error": err,
                     "bound": bound if valid else None,
                     "bound_valid": valid,

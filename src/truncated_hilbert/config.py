@@ -5,11 +5,11 @@ import numbers
 import sys
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError, GeometryError, GridError
+from .errors import ConfigError, GeometryError, GridError, SpectralError
 from .geometry import Geometry
 from .operator import sample_grids
-from .regularization import phantom_support
-from .spectral import roi_mask
+from .regularization import make_phantom
+from .spectral import resolve_rank_tol, roi_mask
 
 PAPER_GEOMETRY = (0.0, 450.0, 1350.0, 1725.0)
 SMALL_GEOMETRY = (0.0, 30.0, 90.0, 115.0)   # paper geometry scaled by 1/15
@@ -19,14 +19,6 @@ SMALL_GEOMETRY = (0.0, 30.0, 90.0, 115.0)   # paper geometry scaled by 1/15
 # and its factors, so larger grids would exhaust memory (or fail inside
 # numpy) long after the config was accepted.
 _MAX_MATRIX_ENTRIES = 2e7
-
-# phantom kind -> (required, optional) real-valued parameters
-_PHANTOM_PARAMS = {
-    "bump": (("center", "width"), ("amplitude",)),
-    "indicator": (("c", "d"), ()),
-    "hat": (("center", "half_width"), ("peak",)),
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -105,22 +97,13 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if not entries <= _MAX_MATRIX_ENTRIES:
         raise ConfigError(f"step {cfg.step} gives about {entries:.3g} matrix "
                           f"entries, more than the cap of {_MAX_MATRIX_ENTRIES:g}")
-    if not (0.0 < cfg.shift < 1.0):
-        raise ConfigError(f"shift must lie in (0, 1), got {cfg.shift}")
     # the grids every spectral command samples on, refused here rather
     # than after the decomposition
-    try:
-        _, object_grid = sample_grids(geom, cfg.step, cfg.shift)
-    except GridError as exc:
-        raise ConfigError(str(exc)) from exc
+    _, object_grid = sample_grids(geom, cfg.step, cfg.shift)
     if not cfg.mu_list:
         raise ConfigError("mu_list must not be empty")
     for mu in cfg.mu_list:
-        try:
-            roi = roi_mask(geom, object_grid, float(mu))
-        except GeometryError as exc:
-            raise ConfigError(str(exc)) from exc
-        if not roi.any():
+        if not roi_mask(geom, object_grid, float(mu)).any():
             raise ConfigError(f"region of interest (a2, a3 - mu) for mu={mu:g} "
                               f"contains no object grid points at step {cfg.step:g}")
     if not cfg.E > 0:
@@ -133,14 +116,22 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         if not d > 0:
             raise ConfigError(f"delta values must be positive, got {d}")
         _check_noise_level(float(d), cfg.E, cfg.kappa)
+    # reconstruct names its per-run files by this label
+    labels = [f"{float(d):.0e}" for d in cfg.delta_list]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"delta_list labels {labels} repeat; reconstruct "
+                          f"would overwrite one delta's files with another's")
     if cfg.A is not None and not (0.0 < cfg.A < 2.0):
         raise ConfigError(f"A must lie in (0, 2), got {cfg.A}")
-    if cfg.rank_tol is not None and not cfg.rank_tol > 0:
-        raise ConfigError(f"rank_tol must be positive, got {cfg.rank_tol}")
-    if cfg.svd_method not in ("cauchy", "lapack"):
-        raise ConfigError(f"svd_method must be 'cauchy' or 'lapack', got {cfg.svd_method!r}")
+    resolve_rank_tol(cfg.rank_tol, cfg.svd_method)
     if cfg.phantom is not None:
-        _validate_phantom(cfg.phantom, geom)
+        if (not isinstance(cfg.phantom, dict)
+                or not isinstance(cfg.phantom.get("kind"), str)):
+            raise ConfigError("phantom must be an object with a string 'kind'")
+        params = {k: v for k, v in cfg.phantom.items() if k != "kind"}
+        for key, val in params.items():
+            _check_real(f"phantom {key}", val)
+        make_phantom(cfg.phantom["kind"], geom, object_grid, **params)
     return cfg
 
 
@@ -161,28 +152,6 @@ def _check_noise_level(delta: float, E, kappa) -> None:
         if not 0.0 < ratio < float("inf"):
             raise ConfigError(f"delta={delta:g} with kappa={kappa:g} gives {name} "
                               f"= {ratio:g}, not a positive double")
-
-
-def _validate_phantom(phantom, geom: Geometry) -> None:
-    if not isinstance(phantom, dict) or "kind" not in phantom:
-        raise ConfigError("phantom must be an object with a 'kind' key")
-    kind = phantom["kind"]
-    if not isinstance(kind, str) or kind not in _PHANTOM_PARAMS:
-        raise ConfigError(f"unknown phantom kind {kind!r}")
-    required, optional = _PHANTOM_PARAMS[kind]
-    params = {k: v for k, v in phantom.items() if k != "kind"}
-    missing = [k for k in required if k not in params]
-    if missing:
-        raise ConfigError(f"{kind} phantom needs {missing}")
-    unknown = sorted(set(params) - set(required) - set(optional))
-    if unknown:
-        raise ConfigError(f"{kind} phantom does not use {unknown}")
-    for key, val in params.items():
-        _check_real(f"phantom {key}", val)
-    try:
-        phantom_support(kind, geom, params)
-    except GeometryError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path, small: bool = False, overrides: dict | None = None) -> ExperimentConfig:
@@ -208,4 +177,9 @@ def load_config(path, small: bool = False, overrides: dict | None = None) -> Exp
     for key, val in (overrides or {}).items():
         if val is not None:
             setattr(cfg, key, val)
-    return _validate(cfg)
+    # the library's own checks (grids, region of interest, solver
+    # settings, phantom) refuse what they cannot use
+    try:
+        return _validate(cfg)
+    except (GeometryError, GridError, SpectralError) as exc:
+        raise ConfigError(str(exc)) from exc

@@ -119,53 +119,58 @@ def tikhonov_reconstruct(sys: SingularSystem, g: np.ndarray, eta: float) -> Reco
     return ReconstructionResult(f=f, method="tikhonov", eta=eta)
 
 
-def phantom_support(kind: str, geom: Geometry, params: dict):
-    """Support (lo, hi) of a phantom; GeometryError unless a2 < lo < hi < a4."""
-    if kind == "indicator":
-        lo, hi = float(params["c"]), float(params["d"])
-    elif kind in ("bump", "hat"):
-        c = float(params["center"])
-        w = float(params["width" if kind == "bump" else "half_width"])
-        lo, hi = c - w, c + w
-    else:
-        raise GeometryError(f"unknown phantom kind {kind!r}")
-    if not (geom.a2 < lo < hi < geom.a4):
-        raise GeometryError(f"{kind} support ({lo}, {hi}) is not an interval "
-                            f"inside ({geom.a2}, {geom.a4})")
-    return lo, hi
+# phantom kind -> (required, optional) parameters; the two required ones
+# fix the support: (c, d) itself, or center -+ (half-)width
+_PHANTOM_KINDS = {
+    "bump": (("center", "width"), ("amplitude",)),
+    "indicator": (("c", "d"), ()),
+    "hat": (("center", "half_width"), ("peak",)),
+}
 
 
-def make_phantom(kind: str, geom: Geometry, grid: SampledGrid, **params) -> np.ndarray:
+def make_phantom(kind: str, geom: Geometry, grid: SampledGrid, /,
+                 **params) -> np.ndarray:
     """Sample a test object on the object grid.
 
     kinds:
       bump      smooth compactly supported exp(1 - 1/(1 - t^2)) profile,
-                params center, width (half-width), amplitude;
+                params center, width (half-width), optional amplitude;
       indicator characteristic function of (c, d);
       hat       piecewise-linear peak, zero at center +- half_width, with
-                total variation exactly 2*peak.
-    Support must lie inside the open object interval (a2, a4)
-    (phantom_support); the hat and bump vanish at their support ends, so
-    objects built from them vanish at a2 and a4 as the variation-based
-    estimates require.
+                total variation exactly 2*|peak| (optional peak, default 1).
+    Raises GeometryError for an unknown kind, a missing or unknown
+    parameter, or a support outside the open object interval (a2, a4).
+    The hat and bump vanish at their support ends, so objects built from
+    them vanish at a2 and a4 as the variation-based estimates require.
     """
-    lo, hi = phantom_support(kind, geom, params)
+    if not isinstance(kind, str) or kind not in _PHANTOM_KINDS:
+        raise GeometryError(f"unknown phantom kind {kind!r}")
+    required, optional = _PHANTOM_KINDS[kind]
+    missing = [k for k in required if k not in params]
+    if missing:
+        raise GeometryError(f"{kind} phantom needs {missing}")
+    unknown = sorted(set(params) - set(required) - set(optional))
+    if unknown:
+        raise GeometryError(f"{kind} phantom does not use {unknown}")
+    a, b = (float(params[k]) for k in required)
+    lo, hi = (a, b) if kind == "indicator" else (a - b, a + b)
+    if not (geom.a2 < lo < hi < geom.a4):
+        raise GeometryError(f"{kind} support ({lo}, {hi}) is not an interval "
+                            f"inside ({geom.a2}, {geom.a4})")
     ys = grid.points
-    if kind == "bump":
-        c = float(params["center"])
-        w = float(params["width"])
-        amp = float(params.get("amplitude", 1.0))
-        t = (ys - c) / w
-        out = np.zeros_like(ys)
-        core = np.abs(t) < 1.0
-        out[core] = amp * np.exp(1.0 - 1.0 / (1.0 - t[core] ** 2))
-        return out
     if kind == "indicator":
         return ((ys > lo) & (ys < hi)).astype(float)
-    c = float(params["center"])
-    hw = float(params["half_width"])
-    peak = float(params.get("peak", 1.0))
-    return np.maximum(0.0, peak * (1.0 - np.abs(ys - c) / hw))
+    # distance in half-widths; it overflows to inf only far outside a very
+    # narrow support, where both profiles are 0
+    with np.errstate(over="ignore"):
+        t = np.abs(ys - a) / b
+    if kind == "hat":
+        return float(params.get("peak", 1.0)) * np.maximum(0.0, 1.0 - t)
+    amp = float(params.get("amplitude", 1.0))
+    out = np.zeros_like(ys)
+    core = t < 1.0
+    out[core] = amp * np.exp(1.0 - 1.0 / (1.0 - t[core] ** 2))
+    return out
 
 
 def export_reconstruction(path_csv, grid: SampledGrid, f_true: np.ndarray,

@@ -82,10 +82,15 @@ def compute_svd(op: DiscreteOperator, rank_tol: float | None = None,
     return apply_conventions(op, raw_svd(op, rank_tol, method), rank_tol, method)
 
 
-def _rank_tol(rank_tol: float | None, method: str) -> float:
+def resolve_rank_tol(rank_tol: float | None, method: str) -> float:
+    """The truncation threshold relative to sigma_max that method applies.
+
+    Raises SpectralError unless rank_tol is None or positive and method
+    is "cauchy" or "lapack".
+    """
     if rank_tol is not None and not rank_tol > 0:
         raise SpectralError(f"rank_tol must be positive, got {rank_tol}")
-    if method not in _DEFAULT_RANK_TOL:
+    if not isinstance(method, str) or method not in _DEFAULT_RANK_TOL:
         raise SpectralError(f"unknown SVD method {method!r}")
     return _DEFAULT_RANK_TOL[method] if rank_tol is None else rank_tol
 
@@ -99,7 +104,7 @@ def raw_svd(op: DiscreteOperator, rank_tol: float | None = None,
     its elimination at a pivot floor set by rank_tol, so the factors
     depend on it as well as on the operator and the method.
     """
-    tol = _rank_tol(rank_tol, method)
+    tol = resolve_rank_tol(rank_tol, method)
     if method == "cauchy":
         return accurate_cauchy_svd(op.data_grid.points, op.object_grid.points,
                                    op.step / np.pi, floor_rel=min(1e-28, tol * 1e-7))
@@ -115,7 +120,7 @@ def apply_conventions(op: DiscreteOperator, factors, rank_tol: float | None = No
     Frobenius error of at most 1e-10 times its norm; then truncates at
     rank_tol, normalizes in the step-weighted norm and fixes the signs.
     """
-    tol = _rank_tol(rank_tol, method)
+    tol = resolve_rank_tol(rank_tol, method)
     v_all, s_all, u_all = factors
 
     # reconstruction sanity on the resolvable part of the matrix; squared

@@ -5,6 +5,8 @@ below eps * sigma_max, so it is checked against multiprecision references
 (frozen 50-digit values for the preset geometry, live 40-digit runs on
 smaller instances, two of them slowly decaying, and on randomly drawn
 integer geometries) rather than against a double-precision SVD only.
+On one live instance the singular vectors and their ROI norms are
+checked as well.
 """
 
 import numpy as np
@@ -13,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goldens as G
+from truncated_hilbert import (Geometry, build_operator, compute_svd, roi_mask,
+                               roi_norm, tail_index_map)
 from truncated_hilbert.cauchy_svd import (CauchyRRD, accurate_cauchy_svd,
                                           gecp_cauchy, svd_from_rrd)
 from truncated_hilbert.errors import SpectralError
@@ -29,21 +33,46 @@ def step1_nodes(a1, a2, a3, a4):
     return x, y
 
 
+def _mpmath_cauchy(mp_mod, x, y):
+    """C[i, j] = 1 / (pi (y_j - x_i)) at the working precision."""
+    mp = mp_mod.mp
+    A = mp_mod.matrix(len(x), len(y))
+    for i in range(len(x)):
+        for j in range(len(y)):
+            A[i, j] = 1 / (mp.pi * (mp.mpf(y[j]) - mp.mpf(x[i])))
+    return A
+
+
 def mpmath_sigmas(x, y, dps=40):
     """Singular values of C[i, j] = 1 / (pi (y_j - x_i)) by mpmath svd_r."""
     mp_mod = pytest.importorskip("mpmath")
-    mp = mp_mod.mp
-    old_dps = mp.dps
-    try:
-        mp.dps = dps
-        A = mp_mod.matrix(len(x), len(y))
-        for i in range(len(x)):
-            for j in range(len(y)):
-                A[i, j] = 1 / (mp.pi * (mp.mpf(y[j]) - mp.mpf(x[i])))
-        S = mp.svd_r(A, compute_uv=False)
+    with mp_mod.workdps(dps):
+        S = mp_mod.mp.svd_r(_mpmath_cauchy(mp_mod, x, y), compute_uv=False)
         return np.sort([float(S[i]) for i in range(min(len(x), len(y)))])[::-1]
-    finally:
-        mp.dps = old_dps
+
+
+@pytest.fixture(scope="module")
+def live_oracle():
+    """Operator of (0, 12, 36, 46) at step 1 (37 x 35) and its 40-digit SVD.
+
+    Returns the operator, the reference sigmas (descending), the object-
+    and data-side reference vectors as columns, and each value's gap to
+    its nearest neighbour relative to itself, formed at 40 digits: the
+    sixteen leading values all round to 1.0 in double.
+    """
+    mp_mod = pytest.importorskip("mpmath")
+    op = build_operator(Geometry(0.0, 12.0, 36.0, 46.0), step=1.0, shift=0.5)
+    x, y = op.data_grid.points, op.object_grid.points
+    with mp_mod.workdps(40):
+        U, S, V = mp_mod.mp.svd_r(_mpmath_cauchy(mp_mod, x, y))
+        r = len(S)
+        gaps = [min(abs(S[k] - S[j]) for j in range(r) if j != k) / S[k]
+                for k in range(r)]
+        # A = U diag(S) V: data vectors are the columns of U, object vectors the rows of V
+        v_ref = np.array([[float(U[i, k]) for k in range(r)] for i in range(len(x))])
+        u_ref = np.array([[float(V[k, j]) for k in range(r)] for j in range(len(y))])
+        return (op, np.array([float(s) for s in S]), u_ref, v_ref,
+                np.array([float(g) for g in gaps]))
 
 
 class TestGecp:
@@ -155,9 +184,9 @@ class TestDeepTailAgainstMultiprecision:
             rel2 = np.abs(s[:m][deeper] - ref[:m][deeper]) / ref[:m][deeper]
             assert rel2.max() < 1e-4
 
-    def test_live_mpmath_oracle(self):
+    def test_live_mpmath_oracle(self, live_oracle):
         x, y = step1_nodes(0, 12, 36, 46)   # paper geometry / 37.5
-        ref = mpmath_sigmas(x, y)
+        ref = live_oracle[1]
         _, s, _ = accurate_cauchy_svd(x, y, 1.0 / np.pi)
         valid = ref > 1e-24 * ref[0]
         m = valid.sum()
@@ -181,6 +210,41 @@ class TestDeepTailAgainstMultiprecision:
 
         assert worst(1e-20) < 1e-9
         assert worst(1e-21) < 2e-8
+
+
+class TestSingularVectorsAgainstMultiprecision:
+    """compute_svd's vectors against the live 40-digit oracle (unit step, so
+    the step-weighted and Euclidean norms coincide)."""
+
+    @pytest.fixture(scope="class")
+    def aligned(self, live_oracle):
+        op, _, u_ref, v_ref, gaps = live_oracle
+        sys_ = compute_svd(op)
+        k = sys_.count
+        # the reference pair (u, v) flips together, as the convention does
+        sign = np.sign(np.sum(sys_.u * u_ref[:, :k], axis=0))
+        return op, sys_, u_ref[:, :k] * sign, v_ref[:, :k] * sign, gaps[:k]
+
+    def test_vector_error_times_relative_gap(self, aligned):
+        # perturbation theory bounds the error of a high relative accuracy
+        # SVD by about eps / relgap: 1e-12 at relgap 7.6e-4, 1e-15 in the
+        # tail.  Worst product measured 2.3e-15 (sigma = 0.56); bound 1e-14.
+        _, sys_, u_ref, v_ref, gaps = aligned
+        err = np.maximum(np.linalg.norm(sys_.u - u_ref, axis=0),
+                         np.linalg.norm(sys_.v - v_ref, axis=0))
+        assert (err * gaps).max() < 1e-14
+
+    @pytest.mark.parametrize("mu", [0.5, 2.0, 8.0])
+    def test_tail_roi_norms(self, aligned, mu):
+        # the accuracy is normwise and the ROI part of the deepest vectors
+        # is small, so the relative error grows with depth and with mu.
+        # Worst measured 3.6e-9 (n = 9, sigma = 1.6e-19, mu = 8, ROI norm
+        # 1.5e-9); bound 1e-8.
+        op, sys_, u_ref, _, _ = aligned
+        mask = roi_mask(op.geom, op.object_grid, mu)
+        rel = [abs(roi_norm(sys_, k, mu) - np.linalg.norm(u_ref[mask, k]))
+               / np.linalg.norm(u_ref[mask, k]) for _, k in tail_index_map(sys_)]
+        assert max(rel) < 1e-8
 
 
 @st.composite

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +59,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_readme_keys_and_defaults_block(self, tmp_path):
+        # the block under "Keys and defaults" is the default config, verbatim
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"Keys and defaults:\n\n```json\n(.*?)```", readme, re.S)
+        path = tmp_path / "cfg.json"
+        path.write_text(block.group(1))
+        assert load_config(path) == default_config()
+
     @pytest.mark.parametrize("phantom", [
         {"kind": "bump", "center": 60.0, "width": 10.0},
         {"kind": "bump", "center": 60.0, "width": 10.0, "amplitude": 0.5},
@@ -92,6 +102,8 @@ class TestCliExitCodes:
         {"geometry": ["0", 450, 1350, 1725]},
         {"E": float("inf")}, {"delta_list": [float("inf")]}, {"geometry": 5},
         {"output_dir": 5}, {"seed": -1},
+        {"svd_method": ["x"]}, {"svd_method": {"cauchy": 1}}, {"svd_method": 1},
+        {"phantom": "bump"}, {"phantom": {"kind": 3}}, {"phantom": {"center": 60.0}},
     ])
     def test_wrongly_typed_value_exit_2(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
@@ -107,16 +119,52 @@ class TestCliExitCodes:
         {"phantom": {"kind": "hat", "center": 60.0, "half_width": "5"}},
         {"phantom": {"kind": "bump", "center": 10.0, "width": 50.0}},
         {"phantom": {"kind": "indicator", "c": 80.0, "d": 40.0}},
+        {"phantom": {"kind": "cube", "center": 60.0}},
+        {"phantom": {"kind": "bump", "center": 60.0, "width": 10.0, "geom": 1.0}},
+        {"phantom": {"kind": "hat", "center": 60.0, "half_width": 1e-300}},
+        {"shift": 0.0}, {"shift": 1.0}, {"svd_method": "qr"},
+        {"rank_tol": 0.0}, {"rank_tol": -1e-21},
+        {"delta_list": [1e-4, 1e-4]},
     ])
     def test_refused_config_exit_2(self, tmp_path, capsys, doc):
         # oversized grids, phantoms without their parameters and phantoms
-        # whose support leaves (a2, a4) are refused before any matrix is built
+        # whose support leaves (a2, a4) are refused before any matrix is built,
+        # as are the shifts, solver settings and delta lists the library
+        # or the per-run file names cannot take
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         rc = main(["reconstruct", "--small", "--config", str(bad),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_repeated_delta_label_refused(self, tmp_path, capsys):
+        # 1.2e-3 and 1.4e-3 both name their per-run files delta1e-03, so the
+        # second would overwrite the first while the summary keeps both rows
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta_list": [1.2e-3, 1.4e-3]}))
+        out = tmp_path / "o"
+        assert main(["reconstruct", "--small", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert "['1e-03', '1e-03'] repeat" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd, blocker", [
+        ("constants", "constants.csv"),   # a directory where the CSV goes
+        ("bounds", "svd_cache.npy"),      # a directory where the cache goes
+    ])
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, cmd, blocker):
+        out = tmp_path / "o"
+        (out / blocker).mkdir(parents=True)
+        assert main([cmd, "--small", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "output error" in err and "Traceback" not in err
+        assert not list(out.glob("*.tmp"))
+
+    def test_output_dir_is_a_file_exit_2(self, tmp_path, capsys):
+        (tmp_path / "o").write_text("")
+        assert main(["constants", "--small", "--out", str(tmp_path / "o")]) == 2
+        assert "output error" in capsys.readouterr().err
 
     def test_phantom_norm_refused_before_svd(self, tmp_path, capsys, monkeypatch):
         def no_svd(*args, **kwargs):

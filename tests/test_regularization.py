@@ -5,12 +5,13 @@ import pytest
 
 import goldens as G
 from conftest import TINY_GEOM, SMALL_PRESET_GEOM
-from truncated_hilbert import (AsymptoticConstants, add_noise, apply_forward,
-                               export_reconstruction, make_phantom,
+from truncated_hilbert import (AsymptoticConstants, Geometry, add_noise,
+                               apply_forward, export_reconstruction, make_phantom,
                                optimal_cutoff_l2, tail_index_map,
                                tikhonov_reconstruct, tsvd_reconstruct,
                                weighted_norm)
 from truncated_hilbert.errors import GeometryError
+from truncated_hilbert.operator import sample_grids
 from truncated_hilbert.quadrature import integrate
 
 
@@ -204,6 +205,32 @@ class TestPhantoms:
                          center=7.5, half_width=1.0)
         with pytest.raises(GeometryError):
             make_phantom("spike", TINY_GEOM, tiny_op.object_grid)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("bump", {"center": 4.0}),                               # missing width
+        ("hat", {"half_width": 1.0}),                            # missing center
+        ("bump", {"center": 4.0, "width": 1.0, "widht": 3.0}),   # misspelt
+        ("indicator", {"c": 3.0, "d": 5.0, "peak": 1.0}),
+        ("hat", {"center": 4.0, "half_width": 1.0, "grid": 1.0}),
+        (["bump"], {"center": 4.0, "width": 1.0}),
+    ])
+    def test_schema_refused(self, tiny_op, kind, params):
+        with pytest.raises(GeometryError):
+            make_phantom(kind, TINY_GEOM, tiny_op.object_grid, **params)
+
+    @pytest.mark.parametrize("kind, scale", [("bump", "amplitude"), ("hat", "peak")])
+    def test_narrow_support_and_negative_scale(self, kind, scale):
+        # a support much narrower than the grid spacing puts the grid at
+        # ~1e308 half-widths and beyond: no overflow warning, all zeros;
+        # a negative scale flips the profile and leaves it 0 outside
+        geom = Geometry(-3.0, -1.0, 1.0, 3.0)
+        _, grid = sample_grids(geom)
+        width = "width" if kind == "bump" else "half_width"
+        f = make_phantom(kind, geom, grid, center=0.0, **{width: 5e-324, scale: 2.0})
+        assert not f.any()
+        f = make_phantom(kind, geom, grid, center=0.5, **{width: 1.0, scale: -2.0})
+        assert np.all(f <= 0.0) and f.min() < 0.0
+        assert not f[np.abs(grid.points - 0.5) >= 1.0].any()
 
     def test_determinism_bitwise(self, tiny_op, tiny_sys):
         f_true = make_phantom("hat", TINY_GEOM, tiny_op.object_grid,

@@ -54,6 +54,12 @@ class TestComputeSvd:
         with pytest.raises(SpectralError):
             compute_svd(tiny_op, method="qr")
 
+    @pytest.mark.parametrize("method", [["x"], {"cauchy": 1}])
+    def test_non_string_method(self, tiny_op, method):
+        # refused like an unknown name, not by a TypeError from the lookup
+        with pytest.raises(SpectralError):
+            compute_svd(tiny_op, method=method)
+
     def test_weighted_orthonormality(self, tiny_op):
         op = build_operator(TINY_GEOM, step=0.5, shift=0.5)
         sys_ = compute_svd(op)
