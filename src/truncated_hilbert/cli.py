@@ -30,9 +30,9 @@ from .bounds import calibrate_constants, roi_bound_l2, write_bounds_csv
 from .config import load_config
 from .errors import ConfigError, SpectralError, TruncatedHilbertError
 from .operator import apply_forward, build_operator, sample_grids, weighted_norm
-from .regularization import (add_noise, export_reconstruction, make_phantom,
-                             optimal_cutoff_l2, tikhonov_reconstruct,
-                             tsvd_reconstruct)
+from .regularization import (add_noise, default_phantom, export_reconstruction,
+                             make_phantom, optimal_cutoff_l2,
+                             tikhonov_reconstruct, tsvd_reconstruct)
 from .spectral import (apply_conventions, check_monotone, export_spectrum_csv,
                        fit_roi_decay, fit_tail_decay, near_one_tail_fit,
                        raw_svd, roi_mask, roi_norm, sigma_counts, tail_index_map)
@@ -72,7 +72,8 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        os.makedirs(cfg.output_dir, exist_ok=True)
+        if args.command != "validate":   # the one command that writes nothing
+            os.makedirs(cfg.output_dir, exist_ok=True)
         runner = {
             "constants": _cmd_constants,
             "svd-report": _cmd_svd_report,
@@ -287,17 +288,10 @@ def _cmd_figure2(cfg, outdir) -> None:
     print(f"wrote {sig_path} and {roi_path}")
 
 
-def _default_phantom(cfg):
-    geom = cfg.geom()
-    width = 0.2 * (geom.a4 - geom.a2)
-    center = 0.5 * (geom.a2 + geom.a3)
-    return {"kind": "bump", "center": center, "width": width, "amplitude": 1.0}
-
-
 def _cmd_reconstruct(cfg, outdir) -> None:
     geom = cfg.geom()
     _, object_grid = sample_grids(geom, cfg.step, cfg.shift)
-    phantom_spec = cfg.phantom or _default_phantom(cfg)
+    phantom_spec = cfg.phantom or default_phantom(geom)
     kind = phantom_spec["kind"]
     params = {k: v for k, v in phantom_spec.items() if k != "kind"}
     f_true = make_phantom(kind, geom, object_grid, **params)

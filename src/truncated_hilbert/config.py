@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, fields
 from .errors import ConfigError, GeometryError, GridError, SpectralError
 from .geometry import Geometry
 from .operator import sample_grids
-from .regularization import make_phantom
+from .regularization import default_phantom, make_phantom
 from .spectral import resolve_rank_tol, roi_mask
 
 PAPER_GEOMETRY = (0.0, 450.0, 1350.0, 1725.0)
@@ -128,10 +128,13 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         if (not isinstance(cfg.phantom, dict)
                 or not isinstance(cfg.phantom.get("kind"), str)):
             raise ConfigError("phantom must be an object with a string 'kind'")
-        params = {k: v for k, v in cfg.phantom.items() if k != "kind"}
-        for key, val in params.items():
-            _check_real(f"phantom {key}", val)
-        make_phantom(cfg.phantom["kind"], geom, object_grid, **params)
+        for key, val in cfg.phantom.items():
+            if key != "kind":
+                _check_real(f"phantom {key}", val)
+    # the default phantom too may leave (a2, a4) on a short overlap
+    spec = cfg.phantom or default_phantom(geom)
+    make_phantom(spec["kind"], geom, object_grid,
+                 **{k: v for k, v in spec.items() if k != "kind"})
     return cfg
 
 

@@ -1,9 +1,12 @@
 """Regularized inversion: truncated-SVD and Tikhonov estimates, noise, phantoms.
 
-Both estimators expand the data in the computed singular basis.  The
-truncated estimate inverts every retained non-tail component plus tail
-components up to a cutoff index; the quasi-optimal cutoff for noise level
-delta under the norm prior |f| <= E is
+Both estimators read the expansion of the data in the computed singular
+basis from SingularSystem.coefficients, which remembers the last data
+vector's, so any number of estimates of one data vector (each cutoff,
+each eta) project it onto the singular vectors once.  The truncated
+estimate inverts every retained non-tail component plus tail components
+up to a cutoff index; the quasi-optimal cutoff for noise level delta
+under the norm prior |f| <= E is
 
     N(delta) = round( log(E A V_mu / delta) / alpha ),
 
@@ -81,14 +84,6 @@ def optimal_cutoff_l2(delta: float, E: float, consts) -> CutoffChoice:
                         valid=bool(n_real > consts.n_mu))
 
 
-def _coefficients(sys: SingularSystem, g: np.ndarray) -> np.ndarray:
-    g = np.asarray(g, dtype=float)
-    if g.shape != (sys.v.shape[0],):
-        raise ValueError(f"expected data vector of length {sys.v.shape[0]}, "
-                         f"got shape {g.shape}")
-    return sys.step * (sys.v.T @ g)
-
-
 def tsvd_reconstruct(sys: SingularSystem, g: np.ndarray, n_cut: int) -> ReconstructionResult:
     """Truncated expansion sum <g, v_k>/sigma_k u_k.
 
@@ -99,7 +94,7 @@ def tsvd_reconstruct(sys: SingularSystem, g: np.ndarray, n_cut: int) -> Reconstr
     """
     if n_cut < 0:
         raise ValueError(f"n_cut must be >= 0, got {n_cut}")
-    coeffs = _coefficients(sys, g)
+    coeffs = sys.coefficients(g)
     include = np.ones(sys.count, dtype=bool)
     for n, k in tail_index_map(sys):
         include[k] = n <= n_cut
@@ -113,7 +108,7 @@ def tikhonov_reconstruct(sys: SingularSystem, g: np.ndarray, eta: float) -> Reco
     """Spectral-filter minimizer of |Hf - g|^2 + eta |f|^2 on the retained span."""
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    coeffs = _coefficients(sys, g)
+    coeffs = sys.coefficients(g)
     weights = coeffs * sys.sigmas / (sys.sigmas ** 2 + eta)
     f = sys.u @ weights
     return ReconstructionResult(f=f, method="tikhonov", eta=eta)
@@ -126,6 +121,16 @@ _PHANTOM_KINDS = {
     "indicator": (("c", "d"), ()),
     "hat": (("center", "half_width"), ("peak",)),
 }
+
+
+def default_phantom(geom: Geometry) -> dict:
+    """Phantom spec of a config that names none.
+
+    A unit bump at (a2 + a3)/2 of half-width 0.2 (a4 - a2); on a short
+    overlap its support can leave (a2, a4), which make_phantom refuses.
+    """
+    return {"kind": "bump", "center": 0.5 * (geom.a2 + geom.a3),
+            "width": 0.2 * (geom.a4 - geom.a2), "amplitude": 1.0}
 
 
 def make_phantom(kind: str, geom: Geometry, grid: SampledGrid, /,

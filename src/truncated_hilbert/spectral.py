@@ -15,7 +15,7 @@ Conventions fixed here:
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,7 +41,9 @@ class SingularSystem:
     """Retained singular triples (sigma_k, u_k, v_k), sigma descending.
 
     u columns live on the object grid, v columns on the data grid; both
-    are orthonormal under the step-weighted inner product.
+    are orthonormal under the step-weighted inner product.  A system
+    built by apply_conventions owns its sigmas, u and v and marks them
+    read-only, so the projection `coefficients` remembers cannot go stale.
     """
 
     sigmas: np.ndarray
@@ -51,10 +53,35 @@ class SingularSystem:
     data_grid: SampledGrid
     step: float
     geom: Geometry
+    # (bytes of the last data vector, its coefficients) in one slot, so a
+    # reader never pairs one vector's key with another's coefficients
+    _projection: tuple | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @property
     def count(self) -> int:
         return int(self.sigmas.size)
+
+    def coefficients(self, g) -> np.ndarray:
+        """Read-only expansion coefficients step * (v.T @ g) of a data vector.
+
+        The last vector's coefficients are remembered, keyed by its bytes,
+        so estimators applied to one data vector project it once; a vector
+        changed in place is projected again.  Raises ValueError unless g
+        holds one value per data sample.
+        """
+        g = np.asarray(g, dtype=float)
+        if g.shape != (self.v.shape[0],):
+            raise ValueError(f"expected data vector of length {self.v.shape[0]}, "
+                             f"got shape {g.shape}")
+        key = g.tobytes()
+        last = self._projection
+        if last is not None and last[0] == key:
+            return last[1]
+        coeffs = self.step * (self.v.T @ g)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "_projection", (key, coeffs))
+        return coeffs
 
     def triple(self, k: int):
         return float(self.sigmas[k]), self.u[:, k], self.v[:, k]
@@ -161,6 +188,8 @@ def apply_conventions(op: DiscreteOperator, factors, rank_tol: float | None = No
         u *= signs[None, :]
         v *= signs[None, :]
 
+    for arr in (s, u, v):
+        arr.flags.writeable = False
     return SingularSystem(sigmas=s, u=u, v=v, object_grid=op.object_grid,
                           data_grid=op.data_grid, step=op.step, geom=op.geom)
 

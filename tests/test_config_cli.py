@@ -166,6 +166,25 @@ class TestCliExitCodes:
         assert main(["constants", "--small", "--out", str(tmp_path / "o")]) == 2
         assert "output error" in capsys.readouterr().err
 
+    def test_validate_touches_no_output_path(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["validate", "--small", "--out", str(out)]) == 0
+        assert not out.exists()
+        out.write_text("kept")   # a file where a directory would go
+        assert main(["validate", "--small", "--out", str(out)]) == 0
+        assert out.read_text() == "kept"
+
+    @pytest.mark.parametrize("cmd", ["validate", "reconstruct"])
+    def test_default_phantom_checked(self, tmp_path, capsys, cmd):
+        # the default bump, centred on the overlap (0, 11), leaves (10, 100)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"geometry": [0, 10, 11, 100], "mu_list": [0.1]}))
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert ("config error: bump support (-7.5, 28.5) is not an interval "
+                "inside (10.0, 100.0)") in capsys.readouterr().err
+        assert load_config(None).phantom is None
+        assert load_config(None, small=True).phantom is None
+
     def test_phantom_norm_refused_before_svd(self, tmp_path, capsys, monkeypatch):
         def no_svd(*args, **kwargs):
             raise AssertionError("SVD set up before the prior check")

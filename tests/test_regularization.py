@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,6 +170,46 @@ class TestTikhonov:
     def test_eta_validation(self, tiny_sys):
         with pytest.raises(ValueError):
             tikhonov_reconstruct(tiny_sys, np.zeros(7), 0.0)
+
+
+class _CountingArray(np.ndarray):
+    """An array that records each matrix product it enters, views included."""
+
+    def __array_finalize__(self, obj):
+        self.products = getattr(obj, "products", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.products.append(ufunc)
+        inputs = [np.asarray(x) for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class TestSharedProjection:
+    def test_one_read_of_v_per_data_vector(self, small_preset_sys):
+        v = small_preset_sys.v.view(_CountingArray)
+        v.products = []
+        sys_ = replace(small_preset_sys, v=v)
+        rng = np.random.default_rng(12)
+        g = rng.standard_normal(v.shape[0])
+        tsvd_reconstruct(sys_, g, 3)
+        tikhonov_reconstruct(sys_, g, 1e-6)
+        tsvd_reconstruct(sys_, g.copy(), 5)
+        assert len(v.products) == 1
+        tikhonov_reconstruct(sys_, rng.standard_normal(v.shape[0]), 1e-6)
+        assert len(v.products) == 2
+
+    def test_cold_and_warm_bitwise_equal(self, small_preset_op, small_preset_sys):
+        f_true = make_phantom("bump", SMALL_PRESET_GEOM, small_preset_op.object_grid,
+                              center=60.0, width=17.0)
+        g = add_noise(apply_forward(small_preset_op, f_true), 1e-4, seed=3,
+                      step=small_preset_op.step).g
+        warm = replace(small_preset_sys)
+        warm.coefficients(g)
+        for estimate in (lambda s: tsvd_reconstruct(s, g, 4),
+                         lambda s: tikhonov_reconstruct(s, g, 4e-12)):
+            cold = estimate(replace(small_preset_sys)).f
+            assert estimate(warm).f.tobytes() == cold.tobytes()
 
 
 class TestPhantoms:

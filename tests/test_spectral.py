@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -82,6 +85,34 @@ class TestComputeSvd:
 
     def test_descending_order(self, paper_sys):
         assert np.all(np.diff(paper_sys.sigmas) <= 0)
+
+
+class TestCoefficients:
+    def test_bitwise_equal_to_direct_projection(self, tiny_sys):
+        sys_ = replace(tiny_sys)   # a system of its own: empty projection slot
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal(7)
+        direct = sys_.step * (sys_.v.T @ g)
+        assert sys_.coefficients(g).tobytes() == direct.tobytes()
+        g[3] += 1.0   # changed in place: projected again
+        changed = sys_.coefficients(g)
+        assert changed.tobytes() == (sys_.step * (sys_.v.T @ g)).tobytes()
+        assert changed.tobytes() != direct.tobytes()
+        h = rng.standard_normal(7)
+        assert sys_.coefficients(h).tobytes() == (sys_.step * (sys_.v.T @ h)).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            sys_.coefficients(h)[0] = 0.0
+
+    @pytest.mark.parametrize("shape", [(6,), (7, 1), ()])
+    def test_wrong_shape(self, tiny_sys, shape):
+        msg = f"expected data vector of length 7, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            tiny_sys.coefficients(np.zeros(shape))
+
+    @pytest.mark.parametrize("name", ["sigmas", "u", "v"])
+    def test_owned_arrays_read_only(self, tiny_sys, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(tiny_sys, name)[0] = 0.0
 
 
 class TestPaperSpectrum:
