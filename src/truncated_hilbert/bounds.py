@@ -27,7 +27,6 @@ survives:
     C = c (1/alpha + 2) sqrt(alpha + 3/2),   D = log(A c / (2 alpha)).
 """
 
-import csv
 import math
 import sys
 from dataclasses import dataclass
@@ -37,6 +36,7 @@ import numpy as np
 from .errors import BoundNotApplicableError, SpectralError
 from .geometry import Geometry, alpha as geom_alpha, beta_mu_exact, check_roi
 from .regularization import optimal_cutoff_l2
+from .report import write_csv
 from .spectral import SingularSystem, roi_norm, tail_index_map
 
 _AUTO_AMPLITUDE_MARGIN = 0.98
@@ -250,19 +250,16 @@ def full_interval_bound(delta: float, kappa: float, k: AsymptoticConstants) -> f
 def write_bounds_csv(path, deltas, k: AsymptoticConstants, E: float,
                      kappa: float) -> None:
     """Sweep report over delta; inapplicable bounds become nan + false flag."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["delta", "bound_pair", "bound_tsvd", "bound_tikhonov",
-                    "bound_tv", "bound_full", "valid_l2", "valid_tv", "valid_full"])
-        for delta in deltas:
-            ok_l2 = l2_validity(delta, E, k)
-            ok_tv = tv_validity(delta, kappa, k)
-            ok_full = full_interval_validity(delta, kappa, k)
-            pair = roi_bound_l2(delta, E, k, "pair") if ok_l2 else np.nan
-            tsvd = roi_bound_l2(delta, E, k, "tsvd") if ok_l2 else np.nan
-            tikh = roi_bound_l2(delta, E, k, "tikhonov") if ok_l2 else np.nan
-            tv = roi_bound_tv(delta, kappa, k) if ok_tv else np.nan
-            full = full_interval_bound(delta, kappa, k) if ok_full else np.nan
-            w.writerow([f"{delta:.17e}"]
-                       + [f"{val:.17e}" for val in (pair, tsvd, tikh, tv, full)]
-                       + [str(ok_l2).lower(), str(ok_tv).lower(), str(ok_full).lower()])
+    rows = []
+    for delta in deltas:
+        ok_l2 = l2_validity(delta, E, k)
+        ok_tv = tv_validity(delta, kappa, k)
+        ok_full = full_interval_validity(delta, kappa, k)
+        l2 = [roi_bound_l2(delta, E, k, flavor) if ok_l2 else np.nan
+              for flavor in ("pair", "tsvd", "tikhonov")]
+        tv = roi_bound_tv(delta, kappa, k) if ok_tv else np.nan
+        full = full_interval_bound(delta, kappa, k) if ok_full else np.nan
+        rows.append([delta, *l2, tv, full, ok_l2, ok_tv, ok_full])
+    write_csv(path, ["delta", "bound_pair", "bound_tsvd", "bound_tikhonov",
+                     "bound_tv", "bound_full", "valid_l2", "valid_tv", "valid_full"],
+              rows)

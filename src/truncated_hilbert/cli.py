@@ -16,7 +16,6 @@ figure1 never do.
 
 import argparse
 import contextlib
-import csv
 import hashlib
 import json
 import os
@@ -33,6 +32,7 @@ from .operator import apply_forward, build_operator, sample_grids, weighted_norm
 from .regularization import (add_noise, default_phantom, export_reconstruction,
                              make_phantom, optimal_cutoff_l2,
                              tikhonov_reconstruct, tsvd_reconstruct)
+from .report import write_csv, write_json
 from .spectral import (apply_conventions, check_monotone, export_spectrum_csv,
                        fit_roi_decay, fit_tail_decay, near_one_tail_fit,
                        raw_svd, roi_mask, roi_norm, sigma_counts, tail_index_map)
@@ -96,10 +96,6 @@ def main(argv=None) -> int:
     return 0
 
 
-def _fmt(x) -> str:
-    return f"{x:.17e}"
-
-
 def _cmd_validate(cfg, outdir) -> None:
     print(f"config OK: geometry={cfg.geometry} step={cfg.step} shift={cfg.shift} "
           f"mu_list={cfg.mu_list} output_dir={cfg.output_dir}")
@@ -111,15 +107,12 @@ def _cmd_constants(cfg, outdir) -> None:
     kp = geo.k_plus(geom)
     a = geo.alpha(geom)
     path = os.path.join(outdir, "constants.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["mu", "k_minus", "k_plus", "alpha", "beta_mu_exact",
-                    "beta_mu_approx", "holder_exponent"])
-        betas = [geo.beta_mu_exact(geom, mu) for mu in cfg.mu_list]
-        for mu, be in zip(cfg.mu_list, betas):
-            ba = geo.beta_mu_approx(geom, mu)
-            w.writerow([_fmt(mu), _fmt(km), _fmt(kp), _fmt(a), _fmt(be),
-                        _fmt(ba), _fmt(be / a)])
+    betas = [geo.beta_mu_exact(geom, mu) for mu in cfg.mu_list]
+    # a config mu may be a JSON integer; the column holds floats
+    write_csv(path, ["mu", "k_minus", "k_plus", "alpha", "beta_mu_exact",
+                     "beta_mu_approx", "holder_exponent"],
+              [[float(mu), km, kp, a, be, geo.beta_mu_approx(geom, mu), be / a]
+               for mu, be in zip(cfg.mu_list, betas)])
     print(f"K- = {km:.12e}   K+ = {kp:.12e}   alpha = {a:.12e}")
     for mu, be in zip(cfg.mu_list, betas):
         print(f"mu = {mu:g}: beta = {be:.12e}   beta/alpha = {be / a:.6f}")
@@ -231,9 +224,7 @@ def _cmd_svd_report(cfg, outdir) -> None:
     spec_path = os.path.join(outdir, "spectrum.csv")
     export_spectrum_csv(sys_, spec_path, cfg.mu_list)
     sum_path = os.path.join(outdir, "svd_summary.json")
-    with open(sum_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+    write_json(sum_path, summary)
     print(f"sigma_max = {sys_.sigmas[0]:.12f}; retained = {sys_.count}")
     print(f"count < 0.97: {below_097}; count < 0.01: {below_001}")
     print(f"tail rate {tail_fit.rate:.4f} vs alpha {a:.4f} "
@@ -244,15 +235,13 @@ def _cmd_svd_report(cfg, outdir) -> None:
 def _cmd_figure1(cfg, outdir) -> None:
     fractions = (0.25, 0.10, 0.01)
     path = os.path.join(outdir, "figure1.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["a3", "mu_fraction", "mu", "holder_exponent", "status"])
-        for a3 in np.round(np.linspace(0.05, 0.95, 19), 10):
-            geom = geo.Geometry(-1.0, 0.0, float(a3), 1.0)
-            for frac in fractions:
-                mu = frac * a3
-                h = geo.holder_exponent(geom, mu)
-                w.writerow([_fmt(a3), f"{frac:g}", _fmt(mu), _fmt(h), "ok"])
+    rows = []
+    for a3 in np.round(np.linspace(0.05, 0.95, 19), 10):
+        geom = geo.Geometry(-1.0, 0.0, float(a3), 1.0)
+        for frac in fractions:
+            mu = frac * a3
+            rows.append([a3, f"{frac:g}", mu, geo.holder_exponent(geom, mu), "ok"])
+    write_csv(path, ["a3", "mu_fraction", "mu", "holder_exponent", "status"], rows)
     print(f"wrote {path}")
 
 
@@ -263,28 +252,22 @@ def _cmd_figure2(cfg, outdir) -> None:
     a = geo.alpha(geom)
 
     sig_path = os.path.join(outdir, "figure2_sigma.csv")
-    with open(sig_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "log_sigma", "log_model"])
-        for n, k in pairs:
-            w.writerow([n, _fmt(np.log(sys_.sigmas[k])),
-                        _fmt(np.log(2.0) - a * n)])
+    write_csv(sig_path, ["n", "log_sigma", "log_model"],
+              [[n, np.log(sys_.sigmas[k]), np.log(2.0) - a * n] for n, k in pairs])
 
     roi_path = os.path.join(outdir, "figure2_roi.csv")
     betas = {mu: geo.beta_mu_exact(geom, mu) for mu in cfg.mu_list}
-    with open(roi_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["n"]
+    header = ["n"]
+    for mu in cfg.mu_list:
+        header += [f"log_roi_mu{mu:g}", f"log_model_mu{mu:g}"]
+    rows = []
+    for n, k in pairs:
+        row = [n]
         for mu in cfg.mu_list:
-            header += [f"log_roi_mu{mu:g}", f"log_model_mu{mu:g}"]
-        w.writerow(header)
-        for n, k in pairs:
-            row = [n]
-            for mu in cfg.mu_list:
-                rn = roi_norm(sys_, k, mu)
-                model = -betas[mu] * n - 0.5 * np.log(n * np.pi)
-                row += [_fmt(np.log(rn)), _fmt(model)]
-            w.writerow(row)
+            row += [np.log(roi_norm(sys_, k, mu)),
+                    -betas[mu] * n - 0.5 * np.log(n * np.pi)]
+        rows.append(row)
+    write_csv(roi_path, header, rows)
     print(f"wrote {sig_path} and {roi_path}")
 
 
@@ -309,37 +292,31 @@ def _cmd_reconstruct(cfg, outdir) -> None:
     consts = calibrate_constants(sys_, geom, mu, c_tv=cfg.c_tv, amplitude=cfg.A)
     mask = roi_mask(geom, object_grid, mu)
 
+    rows = []
+    for delta in map(float, cfg.delta_list):
+        eta = delta ** 2 / cfg.E ** 2   # a positive double: config checks it
+        noisy = add_noise(g_ex, delta, cfg.seed, step=op.step)
+        cut = optimal_cutoff_l2(delta, cfg.E, consts)
+        valid = cut.valid and delta > rounding
+        for rec in (tsvd_reconstruct(sys_, noisy.g, cut.n_cut),
+                    tikhonov_reconstruct(sys_, noisy.g, eta)):
+            err = weighted_norm((rec.f - f_true)[mask], op.step)
+            bound = (roi_bound_l2(delta, cfg.E, consts, rec.method)
+                     if valid else float("nan"))
+            rows.append([delta, rec.method, rec.cutoff_n, rec.eta, err, bound, valid])
+            run_path = os.path.join(
+                outdir, f"recon_{rec.method}_delta{delta:.0e}.csv")
+            export_reconstruction(run_path, op.object_grid, f_true, rec.f, {
+                "method": rec.method, "delta": delta, "E": cfg.E,
+                "mu": mu, "seed": cfg.seed,
+                "cutoff_n": rec.cutoff_n, "eta": rec.eta,
+                "roi_error": err,
+                "bound": bound if valid else None,
+                "bound_valid": valid,
+            })
     summary_path = os.path.join(outdir, "reconstruction_summary.csv")
-    with open(summary_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["delta", "method", "cutoff_n", "eta", "roi_error",
-                    "bound", "bound_valid"])
-        for delta in map(float, cfg.delta_list):
-            eta = delta ** 2 / cfg.E ** 2   # a positive double: config checks it
-            noisy = add_noise(g_ex, delta, cfg.seed, step=op.step)
-            cut = optimal_cutoff_l2(delta, cfg.E, consts)
-            valid = cut.valid and delta > rounding
-            for rec in (tsvd_reconstruct(sys_, noisy.g, cut.n_cut),
-                        tikhonov_reconstruct(sys_, noisy.g, eta)):
-                err = weighted_norm((rec.f - f_true)[mask], op.step)
-                bound = (roi_bound_l2(delta, cfg.E, consts, rec.method)
-                         if valid else float("nan"))
-                w.writerow([
-                    _fmt(delta), rec.method,
-                    "" if rec.cutoff_n is None else str(rec.cutoff_n),
-                    "" if rec.eta is None else _fmt(rec.eta),
-                    _fmt(err), _fmt(bound), str(valid).lower(),
-                ])
-                run_path = os.path.join(
-                    outdir, f"recon_{rec.method}_delta{delta:.0e}.csv")
-                export_reconstruction(run_path, op.object_grid, f_true, rec.f, {
-                    "method": rec.method, "delta": delta, "E": cfg.E,
-                    "mu": mu, "seed": cfg.seed,
-                    "cutoff_n": rec.cutoff_n, "eta": rec.eta,
-                    "roi_error": err,
-                    "bound": bound if valid else None,
-                    "bound_valid": valid,
-                })
+    write_csv(summary_path, ["delta", "method", "cutoff_n", "eta", "roi_error",
+                             "bound", "bound_valid"], rows)
     print(f"wrote {summary_path}")
 
 

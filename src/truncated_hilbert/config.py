@@ -116,11 +116,13 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         if not d > 0:
             raise ConfigError(f"delta values must be positive, got {d}")
         _check_noise_level(float(d), cfg.E, cfg.kappa)
-    # reconstruct names its per-run files by this label
-    labels = [f"{float(d):.0e}" for d in cfg.delta_list]
-    if len(set(labels)) < len(labels):
-        raise ConfigError(f"delta_list labels {labels} repeat; reconstruct "
-                          f"would overwrite one delta's files with another's")
+    # svd-report and figure2 name their columns and keys by the mu label,
+    # reconstruct its per-run files by the delta label
+    for name, spec in (("mu_list", "g"), ("delta_list", ".0e")):
+        labels = [format(float(v), spec) for v in getattr(cfg, name)]
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"{name} labels {labels} repeat; one entry's "
+                              f"outputs would overwrite another's")
     if cfg.A is not None and not (0.0 < cfg.A < 2.0):
         raise ConfigError(f"A must lie in (0, 2), got {cfg.A}")
     resolve_rank_tol(cfg.rank_tol, cfg.svd_method)

@@ -17,8 +17,6 @@ equivalent to the normal-equations solve on the retained span; the
 default parameter is eta = delta^2 / E^2.
 """
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +24,7 @@ import numpy as np
 from .errors import GeometryError
 from .geometry import Geometry
 from .operator import SampledGrid, weighted_norm
+from .report import write_csv, write_json
 from .spectral import SingularSystem, tail_index_map
 
 
@@ -181,13 +180,5 @@ def make_phantom(kind: str, geom: Geometry, grid: SampledGrid, /,
 def export_reconstruction(path_csv, grid: SampledGrid, f_true: np.ndarray,
                           f_rec: np.ndarray, meta: dict) -> None:
     """Per-run CSV y,f_true,f_recon plus a JSON sidecar with the metadata."""
-    ys = grid.points
-    with open(path_csv, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["y", "f_true", "f_recon"])
-        for yv, tv, rv in zip(ys, f_true, f_rec):
-            w.writerow([f"{yv:.17e}", f"{tv:.17e}", f"{rv:.17e}"])
-    sidecar = str(path_csv) + ".json"
-    with open(sidecar, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_csv(path_csv, ["y", "f_true", "f_recon"], zip(grid.points, f_true, f_rec))
+    write_json(str(path_csv) + ".json", meta)

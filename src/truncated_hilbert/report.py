@@ -1,0 +1,36 @@
+"""The one writer of every CSV and JSON file the package produces.
+
+CSV cells: a float (numpy floats included) is written as %.17e, which
+round-trips every double; True/False become true/false; None becomes an
+empty cell ("not applicable"); anything else, ints and pre-formatted
+strings, goes through str.  JSON documents are indented by 2, keys
+sorted, numpy scalars encoded as floats, and end with a newline.
+"""
+
+import csv
+import json
+
+import numpy as np
+
+
+def _cell(x) -> str:
+    if isinstance(x, (float, np.floating)):
+        return f"{x:.17e}"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return "" if x is None else str(x)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write header and rows to path under the cell rules above."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([_cell(x) for x in row] for row in rows)
+
+
+def write_json(path, doc) -> None:
+    """Write doc to path as sorted, 2-space indented JSON plus a newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, default=float)
+        fh.write("\n")

@@ -14,7 +14,6 @@ Conventions fixed here:
   the transition value that separates the two branches.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,7 @@ from .cauchy_svd import accurate_cauchy_svd
 from .errors import SpectralError
 from .geometry import Geometry, check_roi
 from .operator import DiscreteOperator, SampledGrid, kernel_rows, weighted_norm
+from .report import write_csv
 
 DEFAULT_TAIL_LEN = 9
 # points of the near-one fit, counted down from its anchor
@@ -320,12 +320,8 @@ def export_spectrum_csv(sys: SingularSystem, path, mu_list) -> None:
     n_of = {k: n for n, k in tail_index_map(sys)} if sys.count else {}
     mus = [float(m) for m in mu_list]
     masks = [roi_mask(sys.geom, sys.object_grid, m) for m in mus]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n_discrete", "n_asymptotic", "sigma"]
-                   + [f"roi_norm_mu{m:g}" for m in mus])
-        for k in range(sys.count):
-            row = [str(k + 1), str(n_of.get(k, "")), f"{sys.sigmas[k]:.17e}"]
-            for mask in masks:
-                row.append(f"{weighted_norm(sys.u[mask, k], sys.step):.17e}")
-            w.writerow(row)
+    write_csv(path, ["n_discrete", "n_asymptotic", "sigma"]
+              + [f"roi_norm_mu{m:g}" for m in mus],
+              [[k + 1, n_of.get(k), sys.sigmas[k]]
+               + [weighted_norm(sys.u[mask, k], sys.step) for mask in masks]
+               for k in range(sys.count)])

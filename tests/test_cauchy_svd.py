@@ -4,14 +4,15 @@ The solver's whole purpose is relative accuracy for singular values far
 below eps * sigma_max, so it is checked against multiprecision references
 (frozen 50-digit values for the preset geometry, live 40-digit runs on
 smaller instances, two of them slowly decaying, and on randomly drawn
-integer geometries) rather than against a double-precision SVD only.
+geometries, integer ones at step 1 and non-integer ones on the grids of
+sample_grids) rather than against a double-precision SVD only.
 On one live instance the singular vectors and their ROI norms are
 checked as well.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import goldens as G
@@ -19,7 +20,8 @@ from truncated_hilbert import (Geometry, build_operator, compute_svd, roi_mask,
                                roi_norm, tail_index_map)
 from truncated_hilbert.cauchy_svd import (CauchyRRD, accurate_cauchy_svd,
                                           gecp_cauchy, svd_from_rrd)
-from truncated_hilbert.errors import SpectralError
+from truncated_hilbert.errors import GridError, SpectralError
+from truncated_hilbert.operator import sample_grids
 
 
 def cauchy_matrix(x, y, scale):
@@ -256,11 +258,35 @@ def integer_geometries(draw):
     return 0, a2, a3, a4
 
 
+@st.composite
+def sampled_nodes(draw):
+    """Nodes of sample_grids on non-integer breakpoints, at most 25 per side.
+
+    Steps lie in [0.3, 2.7], shifts in (0.05, 0.95) or 1e-6 or 1e-3 away
+    from 0 or 1.  In some draws a2 lies a whole number of steps past a1,
+    so that such a shift puts object nodes that close to data nodes.
+    """
+    step = draw(st.floats(0.3, 2.7))
+    shift = draw(st.floats(0.05, 0.95)
+                 | st.sampled_from([1e-6, 1e-3, 1.0 - 1e-3, 1.0 - 1e-6]))
+    a1 = draw(st.floats(-10.0, 10.0))
+    head = draw(st.integers(1, 20)) + draw(st.just(0.0) | st.floats(0.05, 0.95))
+    overlap = draw(st.floats(0.5, min(22.0, 23.0 - head)))
+    a2 = a1 + step * head
+    a3 = a2 + step * overlap
+    a4 = a3 + step * draw(st.floats(0.5, 23.0 - overlap))
+    try:
+        data, obj = sample_grids(Geometry(a1, a2, a3, a4), step, shift)
+    except GridError:   # a fractional part of head equal to shift
+        reject()
+    return data.points, obj.points
+
+
 class TestRandomGeometriesAgainstMultiprecision:
-    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
-    @given(integer_geometries())
-    def test_matches_mpmath(self, geometry):
-        x, y = step1_nodes(*geometry)
+    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @given(integer_geometries().map(lambda g: step1_nodes(*g)) | sampled_nodes())
+    def test_matches_mpmath(self, nodes):
+        x, y = nodes
         ref = mpmath_sigmas(x, y)
         _, s, _ = accurate_cauchy_svd(x, y, 1.0 / np.pi)
         assert (s > 1e-21 * s[0]).sum() == (ref > 1e-21 * ref[0]).sum()

@@ -149,6 +149,14 @@ class TestCliExitCodes:
         assert "['1e-03', '1e-03'] repeat" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_mu_label_refused(self, tmp_path, capsys):
+        # 8.0 and 8.000001 both label their spectrum.csv and figure2_roi.csv
+        # columns and their svd_summary.json roi_fits entry "8"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mu_list": [8.0, 8.000001, 20]}))
+        assert main(["validate", "--small", "--config", str(cfg)]) == 2
+        assert "['8', '8', '20'] repeat" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cmd, blocker", [
         ("constants", "constants.csv"),   # a directory where the CSV goes
         ("bounds", "svd_cache.npy"),      # a directory where the cache goes
