@@ -97,7 +97,7 @@ def main(argv=None) -> int:
 
 
 def _cmd_validate(cfg, outdir) -> None:
-    print(f"config OK: geometry={cfg.geometry} step={cfg.step} shift={cfg.shift} "
+    print(f"config OK: geometry={cfg.geometry} step={cfg.step} "
           f"mu_list={cfg.mu_list} output_dir={cfg.output_dir}")
 
 
@@ -121,9 +121,7 @@ def _cmd_constants(cfg, outdir) -> None:
 
 def _svd_cache_key(cfg) -> str:
     """Digest of everything the raw factors depend on."""
-    doc = [[float(v) for v in cfg.geometry], float(cfg.step), float(cfg.shift),
-           None if cfg.rank_tol is None else float(cfg.rank_tol),
-           cfg.svd_method, __version__]
+    doc = [[float(v) for v in cfg.geometry], float(cfg.step), __version__]
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
@@ -165,17 +163,17 @@ def _spectral_setup(cfg, outdir):
     and conventions as fresh ones; a cache that is unreadable, keyed to
     another configuration or fails the check is replaced by a fresh solve.
     """
-    op = build_operator(cfg.geom(), step=cfg.step, shift=cfg.shift)
+    op = build_operator(cfg.geom(), step=cfg.step)
     path = os.path.join(outdir, SVD_CACHE)
     key = _svd_cache_key(cfg)
     factors = _load_factors(path, key, op.shape)
     if factors is not None:
         try:
-            return op, apply_conventions(op, factors, cfg.rank_tol, cfg.svd_method)
+            return op, apply_conventions(op, factors)
         except SpectralError:
             pass
-    factors = raw_svd(op, rank_tol=cfg.rank_tol, method=cfg.svd_method)
-    sys_ = apply_conventions(op, factors, cfg.rank_tol, cfg.svd_method)
+    factors = raw_svd(op)
+    sys_ = apply_conventions(op, factors)
     _save_factors(path, key, factors)
     return op, sys_
 
@@ -240,8 +238,8 @@ def _cmd_figure1(cfg, outdir) -> None:
         geom = geo.Geometry(-1.0, 0.0, float(a3), 1.0)
         for frac in fractions:
             mu = frac * a3
-            rows.append([a3, f"{frac:g}", mu, geo.holder_exponent(geom, mu), "ok"])
-    write_csv(path, ["a3", "mu_fraction", "mu", "holder_exponent", "status"], rows)
+            rows.append([a3, f"{frac:g}", mu, geo.holder_exponent(geom, mu)])
+    write_csv(path, ["a3", "mu_fraction", "mu", "holder_exponent"], rows)
     print(f"wrote {path}")
 
 
@@ -273,7 +271,7 @@ def _cmd_figure2(cfg, outdir) -> None:
 
 def _cmd_reconstruct(cfg, outdir) -> None:
     geom = cfg.geom()
-    _, object_grid = sample_grids(geom, cfg.step, cfg.shift)
+    _, object_grid = sample_grids(geom, cfg.step)
     phantom_spec = cfg.phantom or default_phantom(geom)
     kind = phantom_spec["kind"]
     params = {k: v for k, v in phantom_spec.items() if k != "kind"}

@@ -4,12 +4,13 @@ import json
 import numbers
 import sys
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
-from .errors import ConfigError, GeometryError, GridError, SpectralError
+from .errors import ConfigError, GeometryError, GridError
 from .geometry import Geometry
 from .operator import sample_grids
 from .regularization import default_phantom, make_phantom
-from .spectral import resolve_rank_tol, roi_mask
+from .spectral import roi_mask
 
 PAPER_GEOMETRY = (0.0, 450.0, 1350.0, 1725.0)
 SMALL_GEOMETRY = (0.0, 30.0, 90.0, 115.0)   # paper geometry scaled by 1/15
@@ -24,7 +25,6 @@ _MAX_MATRIX_ENTRIES = 2e7
 class ExperimentConfig:
     geometry: tuple = PAPER_GEOMETRY
     step: float = 1.0
-    shift: float = 0.5
     mu_list: list = field(default_factory=lambda: [5.0, 20.0, 100.0])
     delta_list: list = field(default_factory=lambda: [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
     E: float = 500.0
@@ -33,9 +33,13 @@ class ExperimentConfig:
     A: float | None = None          # None -> calibrated automatically
     seed: int = 20240
     output_dir: str = "ht_out"
-    rank_tol: float | None = None   # None -> solver default
-    svd_method: str = "cauchy"
     phantom: dict | None = None
+    # not keys: every command uses these library defaults.  Object nodes
+    # midway between data nodes keep the spectrum accumulating at 1, and
+    # the structured solver at its default truncation resolves its tail.
+    shift: ClassVar[float] = 0.5
+    rank_tol: ClassVar[float | None] = None
+    svd_method: ClassVar[str] = "cauchy"
 
     def geom(self) -> Geometry:
         try:
@@ -70,11 +74,10 @@ def _check_real(name, val):
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    for name in ("step", "shift", "E", "kappa", "c_tv"):
+    for name in ("step", "E", "kappa", "c_tv"):
         _check_real(name, getattr(cfg, name))
-    for name in ("A", "rank_tol"):
-        if getattr(cfg, name) is not None:
-            _check_real(name, getattr(cfg, name))
+    if cfg.A is not None:
+        _check_real("A", cfg.A)
     for name in ("mu_list", "delta_list"):
         values = getattr(cfg, name)
         if not isinstance(values, (list, tuple)):
@@ -99,7 +102,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
                           f"entries, more than the cap of {_MAX_MATRIX_ENTRIES:g}")
     # the grids every spectral command samples on, refused here rather
     # than after the decomposition
-    _, object_grid = sample_grids(geom, cfg.step, cfg.shift)
+    _, object_grid = sample_grids(geom, cfg.step)
     if not cfg.mu_list:
         raise ConfigError("mu_list must not be empty")
     for mu in cfg.mu_list:
@@ -125,7 +128,6 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
                               f"outputs would overwrite another's")
     if cfg.A is not None and not (0.0 < cfg.A < 2.0):
         raise ConfigError(f"A must lie in (0, 2), got {cfg.A}")
-    resolve_rank_tol(cfg.rank_tol, cfg.svd_method)
     if cfg.phantom is not None:
         if (not isinstance(cfg.phantom, dict)
                 or not isinstance(cfg.phantom.get("kind"), str)):
@@ -182,9 +184,9 @@ def load_config(path, small: bool = False, overrides: dict | None = None) -> Exp
     for key, val in (overrides or {}).items():
         if val is not None:
             setattr(cfg, key, val)
-    # the library's own checks (grids, region of interest, solver
-    # settings, phantom) refuse what they cannot use
+    # the library's own checks (grids, region of interest, phantom)
+    # refuse what they cannot use
     try:
         return _validate(cfg)
-    except (GeometryError, GridError, SpectralError) as exc:
+    except (GeometryError, GridError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -1,7 +1,9 @@
 import csv
+import inspect
 import json
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,16 @@ from hypothesis import strategies as st
 from conftest import SMALL_PRESET_GEOM
 from truncated_hilbert import calibrate_constants
 from truncated_hilbert.cli import main
-from truncated_hilbert.config import default_config, load_config
+from truncated_hilbert.config import ExperimentConfig, default_config, load_config
 from truncated_hilbert.errors import ConfigError
+from truncated_hilbert.operator import build_operator, sample_grids
+from truncated_hilbert.spectral import apply_conventions, raw_svd
+
+
+def _read_rows(path):
+    """The rows of a CSV output file, as dicts keyed by its header."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestConfig:
@@ -22,6 +32,21 @@ class TestConfig:
         assert cfg.geometry == (0.0, 450.0, 1350.0, 1725.0)
         small = load_config(None, small=True)
         assert small.geometry == (0.0, 30.0, 90.0, 115.0)
+
+    def test_fixed_discretization_and_solver(self):
+        # not keys, yet readable: the values every command decomposes with,
+        # which are the library defaults
+        assert [f.name for f in fields(ExperimentConfig)] == [
+            "geometry", "step", "mu_list", "delta_list", "E", "kappa", "c_tv",
+            "A", "seed", "output_dir", "phantom"]
+        cfg = load_config(None)
+        assert cfg.shift == 0.5 and cfg.rank_tol is None and cfg.svd_method == "cauchy"
+        for func in (sample_grids, build_operator):
+            assert inspect.signature(func).parameters["shift"].default == cfg.shift
+        for func in (raw_svd, apply_conventions):
+            params = inspect.signature(func).parameters
+            assert params["rank_tol"].default is cfg.rank_tol
+            assert params["method"].default == cfg.svd_method
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -102,7 +127,7 @@ class TestCliExitCodes:
         {"geometry": ["0", 450, 1350, 1725]},
         {"E": float("inf")}, {"delta_list": [float("inf")]}, {"geometry": 5},
         {"output_dir": 5}, {"seed": -1},
-        {"svd_method": ["x"]}, {"svd_method": {"cauchy": 1}}, {"svd_method": 1},
+        {"A": "0.5"}, {"kappa": [1.0]}, {"c_tv": None},
         {"phantom": "bump"}, {"phantom": {"kind": 3}}, {"phantom": {"center": 60.0}},
     ])
     def test_wrongly_typed_value_exit_2(self, tmp_path, capsys, doc):
@@ -122,21 +147,36 @@ class TestCliExitCodes:
         {"phantom": {"kind": "cube", "center": 60.0}},
         {"phantom": {"kind": "bump", "center": 60.0, "width": 10.0, "geom": 1.0}},
         {"phantom": {"kind": "hat", "center": 60.0, "half_width": 1e-300}},
-        {"shift": 0.0}, {"shift": 1.0}, {"svd_method": "qr"},
-        {"rank_tol": 0.0}, {"rank_tol": -1e-21},
+        {"A": 0.0}, {"A": 2.0}, {"kappa": 0.0}, {"c_tv": -1.0}, {"mu_list": []},
         {"delta_list": [1e-4, 1e-4]},
     ])
     def test_refused_config_exit_2(self, tmp_path, capsys, doc):
         # oversized grids, phantoms without their parameters and phantoms
         # whose support leaves (a2, a4) are refused before any matrix is built,
-        # as are the shifts, solver settings and delta lists the library
-        # or the per-run file names cannot take
+        # as are the constants and lists the bounds or the per-run file
+        # names cannot take
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         rc = main(["reconstruct", "--small", "--config", str(bad),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["validate", "svd-report"])
+    @pytest.mark.parametrize("doc", [
+        {"shift": 0.3}, {"svd_method": "lapack"}, {"rank_tol": 1e-15},
+    ], ids=["shift", "svd_method", "rank_tol"])
+    def test_removed_keys_exit_2(self, tmp_path, capsys, cmd, doc):
+        # fixed, not keys: a shift other than 1/2 moves the accumulation
+        # point of the spectrum off 1, and the LAPACK spectrum loses its tail
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main([cmd, "--small", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown config keys: {sorted(doc)}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_repeated_delta_label_refused(self, tmp_path, capsys):
         # 1.2e-3 and 1.4e-3 both name their per-run files delta1e-03, so the
@@ -252,7 +292,7 @@ class TestCliExitCodes:
         out = tmp_path / "o"
         assert main(["reconstruct", "--small", "--config", str(cfg),
                      "--out", str(out)]) == 0
-        rows = list(csv.DictReader(open(out / "reconstruction_summary.csv")))
+        rows = _read_rows(out / "reconstruction_summary.csv")
         assert [r["method"] for r in rows] == ["tsvd", "tikhonov"]
         assert rows[0]["cutoff_n"] == "9"
         for row in rows:
@@ -279,12 +319,14 @@ class TestCliExitCodes:
         assert "collide" in err or "no object grid points" in err
         assert "Traceback" not in err
 
-    def test_numerical_failure_exit_3(self, tmp_path):
+    def test_numerical_failure_exit_3(self, tmp_path, capsys):
+        # a valid amplitude that no computed tail value reaches
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"rank_tol": 1.5}))
-        rc = main(["svd-report", "--config", str(cfg), "--small",
+        cfg.write_text(json.dumps({"A": 1.99}))
+        rc = main(["bounds", "--config", str(cfg), "--small",
                    "--out", str(tmp_path / "o")])
         assert rc == 3
+        assert "no tail index satisfies" in capsys.readouterr().err
 
 
 _ANY_JSON = st.recursive(
@@ -299,13 +341,10 @@ _FIELDS = {
     "geometry": st.tuples(_NUM, *[st.floats(0.5, 600.0)] * 3).map(
         lambda t: [t[0], t[0] + t[1], t[0] + t[1] + t[2], t[0] + sum(t[1:])]),
     "step": st.floats(0.2, 50.0) | st.sampled_from([1, 0.5, 3.0]),
-    "shift": st.floats(0.0, 1.0),
     "mu_list": st.lists(st.floats(0.0, 600.0), max_size=3),
     "delta_list": st.lists(st.floats(-1e-3, 1e-2), max_size=3),
     "E": _NUM, "kappa": _NUM, "c_tv": _NUM, "A": st.none() | st.floats(-1.0, 3.0),
     "seed": st.integers(-3, 2**70),
-    "rank_tol": st.none() | st.floats(-1.0, 2.0),
-    "svd_method": st.sampled_from(["cauchy", "lapack", "qr"]),
     "phantom": st.none() | st.fixed_dictionaries(
         {"kind": st.sampled_from(["bump", "indicator", "hat", "cube"])},
         optional={k: _NUM for k in ("center", "width", "amplitude", "c", "d",
@@ -371,7 +410,7 @@ def _check_valid_bounds(path, k, E, kappa):
     """Every bound marked valid matches its closed form, evaluated in logs."""
     log = math.log
     gap = k.alpha - k.beta_mu
-    for row in csv.DictReader(open(path)):
+    for row in _read_rows(path):
         delta = float(row["delta"])
         checks = []
         if row["valid_l2"] == "true":
@@ -402,7 +441,7 @@ class TestCommands:
         out = tmp_path / "o"
         rc = main(["constants", "--out", str(out)])
         assert rc == 0
-        rows = list(csv.DictReader(open(out / "constants.csv")))
+        rows = _read_rows(out / "constants.csv")
         assert len(rows) == 3
         assert float(rows[0]["alpha"]) == pytest.approx(5.043883356944654, rel=1e-9)
         assert float(rows[2]["beta_mu_exact"]) == pytest.approx(
@@ -422,11 +461,11 @@ class TestCommands:
         out = tmp_path / "o"
         rc = main(["figure1", "--out", str(out)])
         assert rc == 0
-        rows = list(csv.DictReader(open(out / "figure1.csv")))
+        rows = _read_rows(out / "figure1.csv")
         assert len(rows) == 19 * 3
+        assert list(rows[0]) == ["a3", "mu_fraction", "mu", "holder_exponent"]
         by_a3 = {}
         for row in rows:
-            assert row["status"] == "ok"
             h = float(row["holder_exponent"])
             assert 0.0 < h < 1.0
             by_a3.setdefault(row["a3"], {})[row["mu_fraction"]] = h
@@ -464,10 +503,10 @@ class TestCommands:
         out = tmp_path / "o"
         rc = main(["figure2", "--small", "--out", str(out)])
         assert rc == 0
-        sig_rows = list(csv.DictReader(open(out / "figure2_sigma.csv")))
+        sig_rows = _read_rows(out / "figure2_sigma.csv")
         assert len(sig_rows) == 9
         assert [r["n"] for r in sig_rows] == [str(n) for n in range(1, 10)]
-        roi_rows = list(csv.DictReader(open(out / "figure2_roi.csv")))
+        roi_rows = _read_rows(out / "figure2_roi.csv")
         assert len(roi_rows) == 9
         for row in roi_rows:
             for key, val in row.items():
@@ -481,7 +520,7 @@ class TestCommands:
         rc = main(["reconstruct", "--small", "--config", str(cfg),
                    "--out", str(out), "--seed", "7"])
         assert rc == 0
-        rows = list(csv.DictReader(open(out / "reconstruction_summary.csv")))
+        rows = _read_rows(out / "reconstruction_summary.csv")
         assert len(rows) == 4    # two deltas x two methods
         for row in rows:
             err = float(row["roi_error"])
@@ -497,7 +536,7 @@ class TestCommands:
         out = tmp_path / "o"
         rc = main(["bounds", "--small", "--out", str(out)])
         assert rc == 0
-        rows = list(csv.DictReader(open(out / "bounds.csv")))
+        rows = _read_rows(out / "bounds.csv")
         assert len(rows) == 5
         for row in rows:
             assert row["valid_l2"] in ("true", "false")
@@ -511,7 +550,7 @@ class TestCommands:
         cfg.write_text(json.dumps({"kappa": 1e171, "mu_list": [6.173353054684783e-277]}))
         out = tmp_path / "o"
         assert main(["bounds", "--small", "--config", str(cfg), "--out", str(out)]) == 0
-        rows = list(csv.DictReader(open(out / "bounds.csv")))
+        rows = _read_rows(out / "bounds.csv")
         assert len(rows) == 5
         assert all(row["valid_tv"] == "false" and row["bound_tv"] == "nan"
                    for row in rows)
@@ -523,7 +562,7 @@ class TestCommands:
         cfg.write_text(json.dumps({"mu_list": [1e-40]}))
         out = tmp_path / "o"
         assert main(["bounds", "--small", "--config", str(cfg), "--out", str(out)]) == 0
-        rows = list(csv.DictReader(open(out / "bounds.csv")))
+        rows = _read_rows(out / "bounds.csv")
         assert len(rows) == 5
         assert all(row["valid_l2"] == "false" and row["bound_pair"] == "nan"
                    for row in rows)

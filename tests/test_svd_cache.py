@@ -118,10 +118,11 @@ def test_bad_cache_is_solved_again(tmp_path, solves, spoil):
     assert (out / SVD_CACHE).read_bytes() == (fresh / SVD_CACHE).read_bytes()
 
 
-@pytest.mark.parametrize("other", [{"shift": 0.25}, {"svd_method": "lapack"}])
-def test_cache_of_another_config_is_solved_again(tmp_path, solves, other):
-    # both give a 91 x 86 matrix, and the LAPACK factors of the same matrix
-    # pass the reconstruction check: only the key tells the caches apart
+@pytest.mark.parametrize("other", [{"geometry": [0, 30.2, 90, 115]},
+                                   {"geometry": [0, 29.8, 90, 115]}])
+def test_cache_of_another_config_is_solved_again(tmp_path, monkeypatch, solves, other):
+    # the preset's 91 x 86 shape, another matrix (entries differ by up to
+    # 0.42): the key refuses the cache before its factors are checked
     fresh = tmp_path / "fresh"
     run("bounds", fresh, "--small")
     out = tmp_path / "o"
@@ -129,9 +130,17 @@ def test_cache_of_another_config_is_solved_again(tmp_path, solves, other):
     cfg.write_text(json.dumps(other))
     run("svd-report", out, "--small", "--config", str(cfg))
     assert (out / SVD_CACHE).read_bytes() != (fresh / SVD_CACHE).read_bytes()
+    checks = []
+    real = cli.apply_conventions
+
+    def counted(*args, **kwargs):
+        checks.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "apply_conventions", counted)
     del solves[:]
     run("bounds", out, "--small")
-    assert len(solves) == 1
+    assert len(solves) == 1 and len(checks) == 1
     assert (out / "bounds.csv").read_bytes() == (fresh / "bounds.csv").read_bytes()
     assert (out / SVD_CACHE).read_bytes() == (fresh / SVD_CACHE).read_bytes()
 
