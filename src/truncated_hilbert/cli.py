@@ -8,8 +8,9 @@ byte-identical files.  Exit codes: 0 success, 2 configuration error or
 unwritable output, 3 numerical failure.
 
 svd-report, figure2, reconstruct and bounds share one decomposition per
-output directory: the first of them to run writes the raw factors to
-svd_cache.npy there, the others read them back and repeat every check.
+output directory: the first of them to run decomposes through compute_svd
+and writes the singular system to svd_cache.npy there; the others read
+it back and repeat the reconstruction check on it.
 Only a command that decomposes loads scipy; validate, constants and
 figure1 never do.
 """
@@ -33,12 +34,13 @@ from .regularization import (add_noise, default_phantom, export_reconstruction,
                              make_phantom, optimal_cutoff_l2,
                              tikhonov_reconstruct, tsvd_reconstruct)
 from .report import write_csv, write_json
-from .spectral import (apply_conventions, check_monotone, export_spectrum_csv,
-                       fit_roi_decay, fit_tail_decay, near_one_tail_fit,
-                       raw_svd, roi_mask, roi_norm, sigma_counts, tail_index_map)
+from .spectral import (SingularSystem, check_monotone, check_reconstruction,
+                       compute_svd, export_spectrum_csv, fit_roi_decay,
+                       fit_tail_decay, near_one_tail_fit, roi_mask, roi_norm,
+                       sigma_counts, tail_index_map)
 
-# raw SVD factors of the configured operator: four consecutive .npy
-# records (key, data vectors, sigmas, object vectors)
+# singular system of the configured operator as compute_svd returns it: four
+# consecutive .npy records (key, data vectors v, sigmas, object vectors u)
 SVD_CACHE = "svd_cache.npy"
 
 
@@ -120,34 +122,53 @@ def _cmd_constants(cfg, outdir) -> None:
 
 
 def _svd_cache_key(cfg) -> str:
-    """Digest of everything the raw factors depend on."""
-    doc = [[float(v) for v in cfg.geometry], float(cfg.step), __version__]
+    """Digest of everything the cached system depends on, and of its layout."""
+    doc = [[float(v) for v in cfg.geometry], float(cfg.step), __version__, "system"]
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
-def _load_factors(path, key, shape):
-    """Cached factors of an m x n matrix under key; None if missing, unreadable or stale."""
+def _read_record(fh, dtype, max_shape):
+    """Next .npy record of fh; ValueError unless its header has dtype and fits max_shape.
+
+    The header is checked before any data is read, so a forged shape
+    allocates nothing.
+    """
+    start = fh.tell()
+    if np.lib.format.read_magic(fh) != (1, 0):   # the version np.save writes
+        raise ValueError("unexpected .npy format version")
+    shape, _, got = np.lib.format.read_array_header_1_0(fh)
+    if (got != dtype or len(shape) != len(max_shape)
+            or not all(0 <= d <= bound for d, bound in zip(shape, max_shape))):
+        raise ValueError(f"record {got} {shape} does not fit {dtype} {max_shape}")
+    fh.seek(start)
+    return np.lib.format.read_array(fh, allow_pickle=False)
+
+
+def _load_system(path, key, op):
+    """Cached system of op under key; None if missing, unreadable, stale or inaccurate."""
+    m, n = op.shape
+    rank = min(m, n)
     try:
         with open(path, "rb") as fh:
-            if np.lib.format.read_array(fh, allow_pickle=False).tolist() != key:
+            if _read_record(fh, np.array(key).dtype, ()).item() != key:
                 return None
-            v, s, u = (np.lib.format.read_array(fh, allow_pickle=False)
-                       for _ in range(3))
-    except (OSError, ValueError, EOFError):
+            v, s, u = (_read_record(fh, np.dtype(float), bound)
+                       for bound in ((m, rank), (rank,), (n, rank)))
+        if v.shape != (m, s.size) or u.shape != (n, s.size):
+            return None
+        # the weighted vectors reconstruct the matrix divided by step
+        check_reconstruction(op, v, s * op.step, u)
+    except (OSError, ValueError, EOFError, SpectralError):
         return None
-    m, n = shape
-    if (any(a.dtype != np.float64 for a in (v, s, u)) or s.ndim != 1
-            or v.shape != (m, s.size) or u.shape != (n, s.size)):
-        return None
-    return v, s, u
+    return SingularSystem.of(op, s, u, v)
 
 
-def _save_factors(path, key, factors) -> None:
+def _save_system(path, key, sys_) -> None:
     # a reader never sees a partial file: write aside, then rename over
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            for arr in (np.array(key), *factors):
+            for arr in (np.array(key), sys_.v, sys_.sigmas, sys_.u):
                 np.save(fh, arr, allow_pickle=False)
         os.replace(tmp, path)
     except BaseException:
@@ -159,22 +180,16 @@ def _save_factors(path, key, factors) -> None:
 def _spectral_setup(cfg, outdir):
     """Operator and singular system, decomposed at most once per output directory.
 
-    Cached factors go through the same reconstruction check, truncation
-    and conventions as fresh ones; a cache that is unreadable, keyed to
-    another configuration or fails the check is replaced by a fresh solve.
+    A cached system passes the reconstruction check of a fresh one; a
+    cache that is unreadable, stale or fails it is replaced by a fresh solve.
     """
     op = build_operator(cfg.geom(), step=cfg.step)
     path = os.path.join(outdir, SVD_CACHE)
     key = _svd_cache_key(cfg)
-    factors = _load_factors(path, key, op.shape)
-    if factors is not None:
-        try:
-            return op, apply_conventions(op, factors)
-        except SpectralError:
-            pass
-    factors = raw_svd(op)
-    sys_ = apply_conventions(op, factors)
-    _save_factors(path, key, factors)
+    sys_ = _load_system(path, key, op)
+    if sys_ is None:
+        sys_ = compute_svd(op)
+        _save_system(path, key, sys_)
     return op, sys_
 
 

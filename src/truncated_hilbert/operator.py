@@ -135,9 +135,5 @@ def apply_adjoint(op: DiscreteOperator, g: np.ndarray) -> np.ndarray:
     return op.matrix.T @ g
 
 
-def weighted_dot(a: np.ndarray, b: np.ndarray, step: float) -> float:
-    return step * float(np.dot(a, b))
-
-
 def weighted_norm(v: np.ndarray, step: float) -> float:
     return float(np.sqrt(step) * np.linalg.norm(v))

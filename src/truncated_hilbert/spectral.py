@@ -1,6 +1,6 @@
 """Singular system of the discrete operator: conventions, fits, ROI norms.
 
-Conventions fixed here:
+compute_svd is the one decomposition path; the conventions it fixes:
 
 * singular values are ordered descending and truncated at rank_tol times
   the largest one;
@@ -42,8 +42,8 @@ class SingularSystem:
 
     u columns live on the object grid, v columns on the data grid; both
     are orthonormal under the step-weighted inner product.  A system
-    built by apply_conventions owns its sigmas, u and v and marks them
-    read-only, so the projection `coefficients` remembers cannot go stale.
+    built by `of` owns its sigmas, u and v and marks them read-only, so
+    the projection `coefficients` remembers cannot go stale.
     """
 
     sigmas: np.ndarray
@@ -57,6 +57,14 @@ class SingularSystem:
     # reader never pairs one vector's key with another's coefficients
     _projection: tuple | None = field(default=None, init=False, repr=False,
                                       compare=False)
+
+    @classmethod
+    def of(cls, op: DiscreteOperator, sigmas, u, v) -> "SingularSystem":
+        """The system of op that takes over sigmas, u and v, made read-only."""
+        for arr in (sigmas, u, v):
+            arr.flags.writeable = False
+        return cls(sigmas=sigmas, u=u, v=v, object_grid=op.object_grid,
+                   data_grid=op.data_grid, step=op.step, geom=op.geom)
 
     @property
     def count(self) -> int:
@@ -103,69 +111,26 @@ def compute_svd(op: DiscreteOperator, rank_tol: float | None = None,
     rank_tol is relative to the largest singular value.  method "cauchy"
     uses the structured high relative-accuracy solver (default; resolves
     the exponential tail far below the conventional double-precision
-    floor), "lapack" the standard dense SVD for cross-validation.  This is
-    raw_svd followed by apply_conventions.
-    """
-    return apply_conventions(op, raw_svd(op, rank_tol, method), rank_tol, method)
-
-
-def _resolve_rank_tol(rank_tol: float | None, method: str) -> float:
-    """The truncation threshold relative to sigma_max that method applies.
-
-    Raises SpectralError unless rank_tol is None or positive and method
-    is "cauchy" or "lapack".
+    floor), "lapack" the standard dense SVD for cross-validation.  The
+    untruncated factors pass check_reconstruction; then they are
+    truncated at rank_tol, normalized in the step-weighted norm and
+    sign-fixed.  Raises SpectralError unless rank_tol is None or
+    positive and method is "cauchy" or "lapack".
     """
     if rank_tol is not None and not rank_tol > 0:
         raise SpectralError(f"rank_tol must be positive, got {rank_tol}")
     if not isinstance(method, str) or method not in _DEFAULT_RANK_TOL:
         raise SpectralError(f"unknown SVD method {method!r}")
-    return _DEFAULT_RANK_TOL[method] if rank_tol is None else rank_tol
-
-
-def raw_svd(op: DiscreteOperator, rank_tol: float | None = None,
-            method: str = "cauchy"):
-    """Untruncated factorization (data_vectors, sigmas, object_vectors).
-
-    The columns are Euclidean-orthonormal and sigmas descend; nothing of
-    the package conventions is applied yet.  The structured solver stops
-    its elimination at a pivot floor set by rank_tol, so the factors
-    depend on it as well as on the operator and the method.
-    """
-    tol = _resolve_rank_tol(rank_tol, method)
+    tol = _DEFAULT_RANK_TOL[method] if rank_tol is None else rank_tol
     if method == "cauchy":
-        return accurate_cauchy_svd(op.data_grid.points, op.object_grid.points,
-                                   op.step / np.pi, floor_rel=min(1e-28, tol * 1e-7))
-    v_all, s_all, ut = np.linalg.svd(op.matrix, full_matrices=False)
-    return v_all, s_all, ut.T
-
-
-def apply_conventions(op: DiscreteOperator, factors, rank_tol: float | None = None,
-                      method: str = "cauchy") -> SingularSystem:
-    """Singular system of op from a raw_svd factorization of its matrix.
-
-    Raises SpectralError unless the factors reconstruct the matrix to a
-    Frobenius error of at most 1e-10 times its norm; then truncates at
-    rank_tol, normalizes in the step-weighted norm and fixes the signs.
-    """
-    tol = _resolve_rank_tol(rank_tol, method)
-    v_all, s_all, u_all = factors
-
-    # reconstruction sanity on the resolvable part of the matrix; squared
-    # norms accumulate over row blocks of kernel and product, so neither
-    # the matrix nor an m x n product is ever formed
-    x, y = op.data_grid.points, op.object_grid.points
-    rows = -(-x.size // _CHECK_BLOCKS)
-    err2 = norm2 = 0.0
-    for i in range(0, x.size, rows):
-        kern = kernel_rows(x[i:i + rows], y, op.step).ravel()
-        resid = ((v_all[i:i + rows] * s_all[None, :]) @ u_all.T).ravel()
-        np.subtract(kern, resid, out=resid)
-        err2 += resid @ resid
-        norm2 += kern @ kern
-    err, norm = np.sqrt(err2), np.sqrt(norm2)
-    if not err <= 1e-10 * norm:
-        raise SpectralError(f"SVD reconstruction error {err:.2e} too large "
-                            f"for a matrix of norm {norm:.2e}")
+        # the elimination stops at a pivot floor set by the truncation
+        v_all, s_all, u_all = accurate_cauchy_svd(
+            op.data_grid.points, op.object_grid.points, op.step / np.pi,
+            floor_rel=min(1e-28, tol * 1e-7))
+    else:
+        v_all, s_all, ut = np.linalg.svd(op.matrix, full_matrices=False)
+        u_all = ut.T
+    check_reconstruction(op, v_all, s_all, u_all)
 
     # compress copies once and, unlike a [:, keep] index, keeps C order
     keep = s_all > tol * s_all[0]
@@ -187,11 +152,31 @@ def apply_conventions(op: DiscreteOperator, factors, rank_tol: float | None = No
         signs[signs == 0.0] = 1.0
         u *= signs[None, :]
         v *= signs[None, :]
+    return SingularSystem.of(op, s, u, v)
 
-    for arr in (s, u, v):
-        arr.flags.writeable = False
-    return SingularSystem(sigmas=s, u=u, v=v, object_grid=op.object_grid,
-                          data_grid=op.data_grid, step=op.step, geom=op.geom)
+
+def check_reconstruction(op: DiscreteOperator, v, s, u) -> None:
+    """Raise SpectralError unless v diag(s) u^T reconstructs op's matrix.
+
+    The Frobenius error must be at most 1e-10 times the matrix norm.
+    Squared norms accumulate over row blocks of kernel and product, so
+    neither the matrix nor an m x n product is ever formed.  A system of
+    op is checked as (v, sigmas * step, u): its weighted vectors
+    reconstruct the matrix divided by step.
+    """
+    x, y = op.data_grid.points, op.object_grid.points
+    rows = -(-x.size // _CHECK_BLOCKS)
+    err2 = norm2 = 0.0
+    for i in range(0, x.size, rows):
+        kern = kernel_rows(x[i:i + rows], y, op.step).ravel()
+        resid = ((v[i:i + rows] * s[None, :]) @ u.T).ravel()
+        np.subtract(kern, resid, out=resid)
+        err2 += resid @ resid
+        norm2 += kern @ kern
+    err, norm = np.sqrt(err2), np.sqrt(norm2)
+    if not err <= 1e-10 * norm:
+        raise SpectralError(f"SVD reconstruction error {err:.2e} too large "
+                            f"for a matrix of norm {norm:.2e}")
 
 
 def tail_index_map(sys: SingularSystem, tail_len: int | None = None):

@@ -14,6 +14,13 @@ from truncated_hilbert import geometry
 _TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", _TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def _resolves(module, attr):
     obj = importlib.import_module(f"truncated_hilbert.{module}")
     for part in attr.split("."):
@@ -22,12 +29,36 @@ def _resolves(module, attr):
 
 
 def test_traced_names_resolve():
-    spec = importlib.util.spec_from_file_location("bench_tracing", _TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_tracing()
     missing = [f"{m}.{a}" for m, attrs in tracing.TARGETS.items() for a in attrs
                if not _resolves(m, a)]
     assert missing == []
+
+
+def test_cli_decomposes_through_compute_svd(tmp_path, monkeypatch):
+    # the benchmark's spectral.compute_svd metrics count the commands that
+    # decompose: one span for a cold svd-report, none for a warm one
+    tracing = _load_tracing()
+    # monkeypatch puts back every binding install replaces
+    mods = [importlib.import_module(f"truncated_hilbert.{name}") for name in tracing.TARGETS]
+    for mod in [importlib.import_module("truncated_hilbert"), *mods]:
+        for key, val in list(vars(mod).items()):
+            if callable(val):
+                monkeypatch.setattr(mod, key, val)
+    for mod, attrs in zip(mods, tracing.TARGETS.values()):
+        for cls_name, meth in (a.split(".") for a in attrs if "." in a):
+            cls = getattr(mod, cls_name)
+            monkeypatch.setattr(cls, meth, vars(cls)[meth])
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    cli = importlib.import_module("truncated_hilbert.cli")
+    counts = []
+    for _ in range(2):
+        before = len(tracer.spans)
+        assert cli.main(["svd-report", "--small", "--out", str(tmp_path)]) == 0
+        counts.append(sum(span[3] == "spectral.compute_svd"
+                          for span in tracer.spans[before:]))
+    assert counts == [1, 0]
 
 
 def test_w3_keeps_its_cache():

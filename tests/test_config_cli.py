@@ -17,7 +17,7 @@ from truncated_hilbert.cli import main
 from truncated_hilbert.config import ExperimentConfig, default_config, load_config
 from truncated_hilbert.errors import ConfigError
 from truncated_hilbert.operator import build_operator, sample_grids
-from truncated_hilbert.spectral import apply_conventions, raw_svd
+from truncated_hilbert.spectral import compute_svd
 
 
 def _read_rows(path):
@@ -43,10 +43,9 @@ class TestConfig:
         assert cfg.shift == 0.5 and cfg.rank_tol is None and cfg.svd_method == "cauchy"
         for func in (sample_grids, build_operator):
             assert inspect.signature(func).parameters["shift"].default == cfg.shift
-        for func in (raw_svd, apply_conventions):
-            params = inspect.signature(func).parameters
-            assert params["rank_tol"].default is cfg.rank_tol
-            assert params["method"].default == cfg.svd_method
+        params = inspect.signature(compute_svd).parameters
+        assert params["rank_tol"].default is cfg.rank_tol
+        assert params["method"].default == cfg.svd_method
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"

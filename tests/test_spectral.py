@@ -12,7 +12,7 @@ from truncated_hilbert import (SampledGrid, build_operator, check_monotone,
                                near_one_tail_fit, roi_mask, roi_norm,
                                sigma_counts, tail_index_map, weighted_norm)
 from truncated_hilbert.errors import SpectralError
-from truncated_hilbert.spectral import SingularSystem, apply_conventions, raw_svd
+from truncated_hilbert.spectral import SingularSystem, check_reconstruction
 
 
 class TestComputeSvd:
@@ -36,13 +36,17 @@ class TestComputeSvd:
         assert np.all(diff <= 1e-7 * ref[:m] + 1e-15 * ref[0])
 
     @pytest.mark.parametrize("row", [0, 45, -1])
-    def test_reconstruction_check_reads_every_data_row(self, small_preset_op, row):
-        # 91 data rows: the check's row blocks end with a single row
-        v, s, u = raw_svd(small_preset_op, 1e-21)
-        v = v.copy()
+    def test_reconstruction_check_reads_every_data_row(self, small_preset_op,
+                                                       small_preset_sys, row):
+        # 91 data rows: the check's row blocks end with a single row; a
+        # system is checked the way the CLI checks a cached one
+        op, sys_ = small_preset_op, small_preset_sys
+        s = sys_.sigmas * op.step
+        check_reconstruction(op, sys_.v, s, sys_.u)
+        v = sys_.v.copy()
         v[row] *= 1 + 1e-6
         with pytest.raises(SpectralError):
-            apply_conventions(small_preset_op, (v, s, u), 1e-21)
+            check_reconstruction(op, v, s, sys_.u)
 
     @pytest.mark.parametrize("rank_tol", [0.0, -1e-21])
     def test_nonpositive_rank_tol_refused(self, tiny_op, rank_tol):

@@ -1,10 +1,10 @@
 """The SVD cache shared by the spectral commands of one output directory.
 
 svd-report, figure2, reconstruct and bounds decompose the configured
-operator at most once per output directory and read the raw factors back
-from svd_cache.npy after that.  The outputs must not depend on whether
-the factors were solved or loaded, and a bad cache must cost a fresh
-solve, never a wrong answer.
+operator at most once per output directory and read the singular system
+back from svd_cache.npy after that.  The outputs must not depend on
+whether the system was solved or loaded, and a bad cache must cost a
+fresh solve, never a wrong answer.
 """
 
 import hashlib
@@ -13,8 +13,10 @@ import json
 import numpy as np
 import pytest
 
-from truncated_hilbert import cli
+from truncated_hilbert import __version__, cli, spectral
+from truncated_hilbert.cauchy_svd import accurate_cauchy_svd
 from truncated_hilbert.cli import SVD_CACHE, main
+from truncated_hilbert.config import load_config
 from truncated_hilbert.spectral import compute_svd
 
 SPECTRAL = ("figure2", "reconstruct", "bounds")
@@ -26,13 +28,13 @@ SESSION = ("validate", "constants", "figure1", "svd-report", "figure2",
 def solves(monkeypatch):
     """Counts the decompositions the CLI performs."""
     calls = []
-    real = cli.raw_svd
+    real = cli.compute_svd
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "raw_svd", counted)
+    monkeypatch.setattr(cli, "compute_svd", counted)
     return calls
 
 
@@ -104,7 +106,19 @@ def _scale_sigmas(path):
     write_records(path, [key, v, s * 1.001, u])
 
 
-@pytest.mark.parametrize("spoil", [_truncate, _scale_sigmas])
+def _forge_header(path):
+    # the data-vector record claims a 10**6 x 10**6 matrix (8 TB)
+    key, v, s, u = read_records(path)
+    with open(path, "wb") as fh:
+        np.save(fh, key, allow_pickle=False)
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": (10**6, 10**6)})
+        fh.write(v.tobytes())
+        for arr in (s, u):
+            np.save(fh, arr, allow_pickle=False)
+
+
+@pytest.mark.parametrize("spoil", [_truncate, _scale_sigmas, _forge_header])
 def test_bad_cache_is_solved_again(tmp_path, solves, spoil):
     fresh = tmp_path / "fresh"
     run("figure2", fresh, "--small")
@@ -122,7 +136,7 @@ def test_bad_cache_is_solved_again(tmp_path, solves, spoil):
                                    {"geometry": [0, 29.8, 90, 115]}])
 def test_cache_of_another_config_is_solved_again(tmp_path, monkeypatch, solves, other):
     # the preset's 91 x 86 shape, another matrix (entries differ by up to
-    # 0.42): the key refuses the cache before its factors are checked
+    # 0.42): the key refuses the cache before its system is checked
     fresh = tmp_path / "fresh"
     run("bounds", fresh, "--small")
     out = tmp_path / "o"
@@ -131,28 +145,50 @@ def test_cache_of_another_config_is_solved_again(tmp_path, monkeypatch, solves, 
     run("svd-report", out, "--small", "--config", str(cfg))
     assert (out / SVD_CACHE).read_bytes() != (fresh / SVD_CACHE).read_bytes()
     checks = []
-    real = cli.apply_conventions
+    real = cli.check_reconstruction
 
     def counted(*args, **kwargs):
         checks.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "apply_conventions", counted)
+    monkeypatch.setattr(cli, "check_reconstruction", counted)
     del solves[:]
     run("bounds", out, "--small")
-    assert len(solves) == 1 and len(checks) == 1
+    assert len(solves) == 1 and len(checks) == 0
     assert (out / "bounds.csv").read_bytes() == (fresh / "bounds.csv").read_bytes()
     assert (out / SVD_CACHE).read_bytes() == (fresh / SVD_CACHE).read_bytes()
 
 
+def test_raw_factor_cache_is_solved_again(tmp_path, solves, small_preset_op):
+    # the earlier layout: the solver's untruncated factors, keyed without
+    # the layout tag.  At step 1 they fit the shape bounds and reconstruct
+    # the matrix, so only the key tells them from a system
+    fresh = tmp_path / "fresh"
+    run("svd-report", fresh, "--small")
+    cfg = load_config(None, small=True)
+    doc = [[float(v) for v in cfg.geometry], float(cfg.step), __version__]
+    raw_key = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    op = small_preset_op
+    factors = accurate_cauchy_svd(op.data_grid.points, op.object_grid.points,
+                                  op.step / np.pi, floor_rel=1e-28)
+    out = tmp_path / "o"
+    out.mkdir()
+    write_records(out / SVD_CACHE, [np.array(raw_key), *factors])
+    del solves[:]
+    run("svd-report", out, "--small")
+    assert len(solves) == 1
+    assert outputs(out) == outputs(fresh)
+    assert (out / SVD_CACHE).read_bytes() == (fresh / SVD_CACHE).read_bytes()
+
+
 def test_failed_fresh_solve_exits_3_and_caches_nothing(tmp_path, monkeypatch):
-    real = cli.raw_svd
+    real = spectral.accurate_cauchy_svd
 
     def inaccurate(*args, **kwargs):
         v, s, u = real(*args, **kwargs)
         return v, s * 1.001, u
 
-    monkeypatch.setattr(cli, "raw_svd", inaccurate)
+    monkeypatch.setattr(spectral, "accurate_cauchy_svd", inaccurate)
     out = tmp_path / "o"
     assert main(["bounds", "--small", "--out", str(out)]) == 3
     assert not (out / SVD_CACHE).exists()
