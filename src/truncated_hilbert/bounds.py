@@ -7,7 +7,8 @@ singular system:
 * B_mu, beta_mu upper envelope |chi_mu u_n| <= B_mu exp(-beta_mu n) for
                 n >= N_mu, with B_mu = 1/sqrt(N_mu pi);
 * V_mu, W_mu    closed-form combinations entering the quasi-optimal
-                cutoff under the norm prior and the variation prior.
+                cutoff under the norm prior and the variation prior;
+* c_tv          tail bound |<f, u_n>| <= c_tv |f|_TV / n, measured from u_n.
 
 The two-solution bound under the norm prior |f| <= E is
 
@@ -39,7 +40,7 @@ from .regularization import optimal_cutoff_l2
 from .report import write_csv
 from .spectral import SingularSystem, roi_norm, tail_index_map
 
-_AUTO_AMPLITUDE_MARGIN = 0.98
+_CALIBRATION_MARGIN = 0.98   # A sits this factor below its measurement, c_tv above
 _LOG_MAX = math.log(sys.float_info.max)   # exp of anything below is finite
 
 
@@ -91,7 +92,7 @@ def w_mu(alpha: float, beta_mu: float, c_tv: float, n_mu: int) -> float:
 
 
 def calibrate_constants(sys: SingularSystem, geom: Geometry, mu,
-                        c_tv: float = 1.0,
+                        c_tv: float | None = None,
                         amplitude: float | None = None) -> AsymptoticConstants:
     """Fit the envelope constants against the computed tail.
 
@@ -102,10 +103,13 @@ def calibrate_constants(sys: SingularSystem, geom: Geometry, mu,
     N_mu is the smallest index above N_0 from which the ROI envelope with
     B_mu = 1/sqrt(N_mu pi) holds on all computed indices (a self-
     consistent scan, since B_mu depends on the candidate).
+    c_tv None is measured likewise, a margin above the largest
+    c_n = n (max U_n - min U_n)/2 over the tail, U_n = step cumsum(u_n)
+    taken with its value 0 before the first sample.  For f vanishing at
+    both ends, summation by parts gives <f, u_n> = -sum (jumps of f) U_n;
+    the jumps sum to 0, so n |<f, u_n>| <= c_n |f|_TV, sharply.
     """
     m = check_roi(geom, mu)
-    if c_tv <= 0:
-        raise SpectralError(f"c_tv must be positive, got {c_tv}")
     a = geom_alpha(geom)
     beta = beta_mu_exact(geom, m)
     pairs = tail_index_map(sys)
@@ -113,8 +117,14 @@ def calibrate_constants(sys: SingularSystem, geom: Geometry, mu,
     sig = np.array([sys.sigmas[k] for _, k in pairs])
     prefactors = sig * np.exp(a * ns)
 
+    if c_tv is None:
+        U = sys.step * np.cumsum(sys.u[:, [k for _, k in pairs]], axis=0)
+        spread = np.maximum(U.max(axis=0), 0.0) - np.minimum(U.min(axis=0), 0.0)
+        c_tv = float((ns * spread).max() / 2.0 / _CALIBRATION_MARGIN)
+    if c_tv <= 0:
+        raise SpectralError(f"c_tv must be positive, got {c_tv}")
     if amplitude is None:
-        A = float(min(_AUTO_AMPLITUDE_MARGIN * prefactors.min(), 1.99))
+        A = float(min(_CALIBRATION_MARGIN * prefactors.min(), 1.99))
         if A <= 0:
             raise SpectralError("auto amplitude calibration failed: "
                                 "vanishing tail prefactors")

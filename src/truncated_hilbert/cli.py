@@ -302,7 +302,7 @@ def _cmd_reconstruct(cfg, outdir) -> None:
     # limited by that rounding, amplified by 1/sigma_n, which no bound sees
     rounding = sys.float_info.epsilon * weighted_norm(g_ex, op.step)
     mu = float(cfg.mu_list[0])
-    consts = calibrate_constants(sys_, geom, mu, c_tv=cfg.c_tv, amplitude=cfg.A)
+    consts = calibrate_constants(sys_, geom, mu)
     mask = roi_mask(geom, object_grid, mu)
 
     rows = []
@@ -337,12 +337,12 @@ def _cmd_bounds(cfg, outdir) -> None:
     geom = cfg.geom()
     op, sys_ = _spectral_setup(cfg, outdir)
     mu = float(cfg.mu_list[0])
-    consts = calibrate_constants(sys_, geom, mu, c_tv=cfg.c_tv, amplitude=cfg.A)
+    consts = calibrate_constants(sys_, geom, mu)
     path = os.path.join(outdir, "bounds.csv")
     write_bounds_csv(path, [float(d) for d in cfg.delta_list], consts,
                      E=cfg.E, kappa=cfg.kappa)
     print(f"calibrated: A={consts.A:.6f} N0={consts.n0} N_mu={consts.n_mu} "
-          f"beta_mu={consts.beta_mu:.6f} V_mu={consts.v_mu:.6f}")
+          f"beta_mu={consts.beta_mu:.6f} V_mu={consts.v_mu:.6f} c_tv={consts.c_tv:.6f}")
     print(f"wrote {path}")
 
 

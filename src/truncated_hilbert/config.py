@@ -29,8 +29,6 @@ class ExperimentConfig:
     delta_list: list = field(default_factory=lambda: [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
     E: float = 500.0
     kappa: float = 1.0
-    c_tv: float = 1.0
-    A: float | None = None          # None -> calibrated automatically
     seed: int = 20240
     output_dir: str = "ht_out"
     phantom: dict | None = None
@@ -40,6 +38,9 @@ class ExperimentConfig:
     shift: ClassVar[float] = 0.5
     rank_tol: ClassVar[float | None] = None
     svd_method: ClassVar[str] = "cauchy"
+    # not keys either: calibrate_constants measures both from the tail
+    c_tv: ClassVar[float | None] = None
+    A: ClassVar[float | None] = None
 
     def geom(self) -> Geometry:
         try:
@@ -74,10 +75,8 @@ def _check_real(name, val):
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    for name in ("step", "E", "kappa", "c_tv"):
+    for name in ("step", "E", "kappa"):
         _check_real(name, getattr(cfg, name))
-    if cfg.A is not None:
-        _check_real("A", cfg.A)
     for name in ("mu_list", "delta_list"):
         values = getattr(cfg, name)
         if not isinstance(values, (list, tuple)):
@@ -113,8 +112,6 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"E must be positive, got {cfg.E}")
     if not cfg.kappa > 0:
         raise ConfigError(f"kappa must be positive, got {cfg.kappa}")
-    if not cfg.c_tv > 0:
-        raise ConfigError(f"c_tv must be positive, got {cfg.c_tv}")
     for d in cfg.delta_list:
         if not d > 0:
             raise ConfigError(f"delta values must be positive, got {d}")
@@ -126,8 +123,6 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         if len(set(labels)) < len(labels):
             raise ConfigError(f"{name} labels {labels} repeat; one entry's "
                               f"outputs would overwrite another's")
-    if cfg.A is not None and not (0.0 < cfg.A < 2.0):
-        raise ConfigError(f"A must lie in (0, 2), got {cfg.A}")
     if cfg.phantom is not None:
         if (not isinstance(cfg.phantom, dict)
                 or not isinstance(cfg.phantom.get("kind"), str)):

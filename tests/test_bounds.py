@@ -6,12 +6,13 @@ import goldens as G
 from conftest import PAPER_GEOM, SMALL_PRESET_GEOM, UNIT_GEOM
 from truncated_hilbert import (AsymptoticConstants, SampledGrid,
                                calibrate_constants, full_interval_bound,
-                               full_interval_validity, l2_validity,
+                               full_interval_validity, l2_validity, make_phantom,
                                roi_bound_l2, roi_bound_tv, tv_validity, v_mu,
                                w_mu, write_bounds_csv)
 from truncated_hilbert.errors import BoundNotApplicableError, SpectralError
 from truncated_hilbert.geometry import alpha, beta_mu_exact
-from truncated_hilbert.spectral import SingularSystem
+from truncated_hilbert.regularization import default_phantom
+from truncated_hilbert.spectral import SingularSystem, tail_index_map
 
 
 def paper_constants(c_tv=1.0):
@@ -81,13 +82,39 @@ class TestConstantsType:
 
 class TestCalibration:
     def test_paper_geometry_golden(self, paper_sys):
-        k = calibrate_constants(paper_sys, PAPER_GEOM, 100.0)
+        # the W_mu golden was computed at c_tv = 1
+        k = calibrate_constants(paper_sys, PAPER_GEOM, 100.0, c_tv=1.0)
         assert k.A == pytest.approx(G.PAPER_CALIBRATED_A, rel=1e-6)
         assert k.n0 == G.PAPER_N0
         assert k.n_mu == G.PAPER_N_MU_100
         assert k.b_mu == pytest.approx(G.PAPER_B_MU_100, rel=1e-12)
         assert k.v_mu == pytest.approx(G.PAPER_V_MU_100, rel=1e-6)
         assert k.w_mu == pytest.approx(G.PAPER_W_MU_100, rel=1e-6)
+
+    @pytest.mark.parametrize("fixture, geom, c_tv, tol", [
+        ("paper_sys", PAPER_GEOM, 11.2, 0.1),
+        ("small_preset_sys", SMALL_PRESET_GEOM, 2.92, 0.05),
+    ], ids=["paper", "small"])
+    def test_measured_c_tv_bounds_phantom_coefficients(self, request, fixture, geom,
+                                                        c_tv, tol):
+        # n |<f, u_n>| <= c_tv |f|_TV on every tail index for objects vanishing
+        # at a2 and a4; a hat near a4 reaches 6.95 |f|_TV on the paper grid
+        # and 1.97 on the small preset, so c_tv = 1 fails on both
+        sys_ = request.getfixturevalue(fixture)
+        k = calibrate_constants(sys_, geom, 20.0)
+        assert k.c_tv == pytest.approx(c_tv, abs=tol)
+        w = geom.a4 - geom.a2
+        grid = sys_.object_grid
+        bump = default_phantom(geom)
+        phantoms = [
+            make_phantom("hat", geom, grid, center=geom.a4 - 0.06 * w, half_width=0.05 * w),
+            make_phantom("indicator", geom, grid, c=geom.a2 + 0.1 * w, d=geom.a4 - 0.1 * w),
+            make_phantom(bump.pop("kind"), geom, grid, **bump),
+        ]
+        ns, ks = np.array(tail_index_map(sys_)).T
+        for f in phantoms:
+            tv = np.abs(np.diff(np.concatenate([[0.0], f, [0.0]]))).sum()
+            assert np.all(ns * np.abs(sys_.step * f @ sys_.u[:, ks]) <= k.c_tv * tv)
 
     def test_synthetic_exact_model_with_explicit_amplitude(self):
         # spectrum exactly 2 e^(-alpha n) and ROI-free columns: N_0 = 1

@@ -35,12 +35,13 @@ class TestConfig:
 
     def test_fixed_discretization_and_solver(self):
         # not keys, yet readable: the values every command decomposes with,
-        # which are the library defaults
+        # which are the library defaults, and the constants it calibrates
         assert [f.name for f in fields(ExperimentConfig)] == [
-            "geometry", "step", "mu_list", "delta_list", "E", "kappa", "c_tv",
-            "A", "seed", "output_dir", "phantom"]
+            "geometry", "step", "mu_list", "delta_list", "E", "kappa",
+            "seed", "output_dir", "phantom"]
         cfg = load_config(None)
         assert cfg.shift == 0.5 and cfg.rank_tol is None and cfg.svd_method == "cauchy"
+        assert cfg.c_tv is None and cfg.A is None
         for func in (sample_grids, build_operator):
             assert inspect.signature(func).parameters["shift"].default == cfg.shift
         params = inspect.signature(compute_svd).parameters
@@ -126,7 +127,7 @@ class TestCliExitCodes:
         {"geometry": ["0", 450, 1350, 1725]},
         {"E": float("inf")}, {"delta_list": [float("inf")]}, {"geometry": 5},
         {"output_dir": 5}, {"seed": -1},
-        {"A": "0.5"}, {"kappa": [1.0]}, {"c_tv": None},
+        {"E": "0.5"}, {"kappa": [1.0]}, {"kappa": None},
         {"phantom": "bump"}, {"phantom": {"kind": 3}}, {"phantom": {"center": 60.0}},
     ])
     def test_wrongly_typed_value_exit_2(self, tmp_path, capsys, doc):
@@ -146,8 +147,8 @@ class TestCliExitCodes:
         {"phantom": {"kind": "cube", "center": 60.0}},
         {"phantom": {"kind": "bump", "center": 60.0, "width": 10.0, "geom": 1.0}},
         {"phantom": {"kind": "hat", "center": 60.0, "half_width": 1e-300}},
-        {"A": 0.0}, {"A": 2.0}, {"kappa": 0.0}, {"c_tv": -1.0}, {"mu_list": []},
-        {"delta_list": [1e-4, 1e-4]},
+        {"E": 0.0}, {"delta_list": [0.0]}, {"kappa": 0.0}, {"delta_list": [-1e-4]},
+        {"mu_list": []}, {"delta_list": [1e-4, 1e-4]},
     ])
     def test_refused_config_exit_2(self, tmp_path, capsys, doc):
         # oversized grids, phantoms without their parameters and phantoms
@@ -164,10 +165,12 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("cmd", ["validate", "svd-report"])
     @pytest.mark.parametrize("doc", [
         {"shift": 0.3}, {"svd_method": "lapack"}, {"rank_tol": 1e-15},
-    ], ids=["shift", "svd_method", "rank_tol"])
+        {"c_tv": 1.0}, {"A": None},
+    ], ids=["shift", "svd_method", "rank_tol", "c_tv", "A"])
     def test_removed_keys_exit_2(self, tmp_path, capsys, cmd, doc):
         # fixed, not keys: a shift other than 1/2 moves the accumulation
-        # point of the spectrum off 1, and the LAPACK spectrum loses its tail
+        # point of the spectrum off 1, and the LAPACK spectrum loses its tail;
+        # c_tv and A are measured from the computed tail
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "o"
@@ -319,13 +322,14 @@ class TestCliExitCodes:
         assert "Traceback" not in err
 
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
-        # a valid amplitude that no computed tail value reaches
+        # a valid region of interest whose envelope no computed tail index
+        # satisfies
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"A": 1.99}))
+        cfg.write_text(json.dumps({"mu_list": [55.0]}))
         rc = main(["bounds", "--config", str(cfg), "--small",
                    "--out", str(tmp_path / "o")])
         assert rc == 3
-        assert "no tail index satisfies" in capsys.readouterr().err
+        assert "no self-consistent N_mu" in capsys.readouterr().err
 
 
 _ANY_JSON = st.recursive(
@@ -342,7 +346,7 @@ _FIELDS = {
     "step": st.floats(0.2, 50.0) | st.sampled_from([1, 0.5, 3.0]),
     "mu_list": st.lists(st.floats(0.0, 600.0), max_size=3),
     "delta_list": st.lists(st.floats(-1e-3, 1e-2), max_size=3),
-    "E": _NUM, "kappa": _NUM, "c_tv": _NUM, "A": st.none() | st.floats(-1.0, 3.0),
+    "E": _NUM, "kappa": _NUM,
     "seed": st.integers(-3, 2**70),
     "phantom": st.none() | st.fixed_dictionaries(
         {"kind": st.sampled_from(["bump", "indicator", "hat", "cube"])},
