@@ -3,12 +3,16 @@
 All bounds share the constants bundle calibrated against a computed
 singular system:
 
-* A, alpha      lower envelope sigma_n >= A exp(-alpha n) for n >= N_0;
+* A, alpha      lower envelope sigma_n >= A exp(-alpha n) on every tail
+                index, so N_0 = 1;
 * B_mu, beta_mu upper envelope |chi_mu u_n| <= B_mu exp(-beta_mu n) for
                 n >= N_mu, with B_mu = 1/sqrt(N_mu pi);
 * V_mu, W_mu    closed-form combinations entering the quasi-optimal
                 cutoff under the norm prior and the variation prior;
-* c_tv          tail bound |<f, u_n>| <= c_tv |f|_TV / n, measured from u_n.
+* c_tv          tail bound |<f, u_n>| <= c_tv |f|_TV / n.
+
+calibrate_constants measures A and c_tv from the tail and accepts no
+other value for either.
 
 The two-solution bound under the norm prior |f| <= E is
 
@@ -92,60 +96,37 @@ def w_mu(alpha: float, beta_mu: float, c_tv: float, n_mu: int) -> float:
 
 
 def calibrate_constants(sys: SingularSystem, geom: Geometry, mu,
-                        c_tv: float | None = None,
-                        amplitude: float | None = None) -> AsymptoticConstants:
-    """Fit the envelope constants against the computed tail.
+                        c_tv: None = None,
+                        amplitude: None = None) -> AsymptoticConstants:
+    """Measure the envelope constants on the computed tail.
 
-    amplitude None picks A automatically a margin below the smallest
-    empirical prefactor sigma_n e^(alpha n) over the tail, so the envelope
-    provably holds on every computed index; an explicit amplitude is
-    honored and calibration fails loudly when no index satisfies it.
-    N_mu is the smallest index above N_0 from which the ROI envelope with
-    B_mu = 1/sqrt(N_mu pi) holds on all computed indices (a self-
-    consistent scan, since B_mu depends on the candidate).
-    c_tv None is measured likewise, a margin above the largest
+    A sits a margin below the smallest empirical prefactor
+    sigma_n e^(alpha n) over the tail, so the envelope holds on every
+    computed index and N_0 = 1.  N_mu is the smallest index above N_0
+    from which the ROI envelope with B_mu = 1/sqrt(N_mu pi) holds on all
+    computed indices (a self-consistent scan, since B_mu depends on the
+    candidate).  c_tv sits the margin above the largest
     c_n = n (max U_n - min U_n)/2 over the tail, U_n = step cumsum(u_n)
     taken with its value 0 before the first sample.  For f vanishing at
     both ends, summation by parts gives <f, u_n> = -sum (jumps of f) U_n;
     the jumps sum to 0, so n |<f, u_n>| <= c_n |f|_TV, sharply.
+    c_tv and amplitude accept None only, the value ExperimentConfig's
+    ClassVars of those names hold; anything else raises ValueError.
     """
+    if c_tv is not None or amplitude is not None:
+        raise ValueError("c_tv and A are measured from the tail, not passed")
     m = check_roi(geom, mu)
     a = geom_alpha(geom)
     beta = beta_mu_exact(geom, m)
-    pairs = tail_index_map(sys)
-    ns = np.array([n for n, _ in pairs])
-    sig = np.array([sys.sigmas[k] for _, k in pairs])
-    prefactors = sig * np.exp(a * ns)
+    ns, ks = np.array(tail_index_map(sys)).T
+    A = float(min(_CALIBRATION_MARGIN * (sys.sigmas[ks] * np.exp(a * ns)).min(), 1.99))
+    U = sys.step * np.cumsum(sys.u[:, ks], axis=0)
+    spread = np.maximum(U.max(axis=0), 0.0) - np.minimum(U.min(axis=0), 0.0)
+    c_tv = float((ns * spread).max() / 2.0 / _CALIBRATION_MARGIN)
 
-    if c_tv is None:
-        U = sys.step * np.cumsum(sys.u[:, [k for _, k in pairs]], axis=0)
-        spread = np.maximum(U.max(axis=0), 0.0) - np.minimum(U.min(axis=0), 0.0)
-        c_tv = float((ns * spread).max() / 2.0 / _CALIBRATION_MARGIN)
-    if c_tv <= 0:
-        raise SpectralError(f"c_tv must be positive, got {c_tv}")
-    if amplitude is None:
-        A = float(min(_CALIBRATION_MARGIN * prefactors.min(), 1.99))
-        if A <= 0:
-            raise SpectralError("auto amplitude calibration failed: "
-                                "vanishing tail prefactors")
-    else:
-        A = float(amplitude)
-
-    n0 = None
-    for cand in ns:
-        if np.all(prefactors[ns >= cand] >= A):
-            n0 = int(cand)
-            break
-    if n0 is None:
-        raise SpectralError(
-            f"no tail index satisfies sigma_n >= {A} e^(-alpha n); "
-            "lower the amplitude or enlarge the computed tail")
-
-    rn = np.array([roi_norm(sys, k, m) for _, k in pairs])
+    rn = np.array([roi_norm(sys, k, m) for k in ks])
     n_mu = None
-    for cand in ns:
-        if cand <= n0:
-            continue
+    for cand in ns[1:]:
         b_cand = 1.0 / np.sqrt(cand * np.pi)
         mask = ns >= cand
         if np.all(rn[mask] <= b_cand * np.exp(-beta * ns[mask])):
@@ -157,7 +138,7 @@ def calibrate_constants(sys: SingularSystem, geom: Geometry, mu,
             "use a larger matrix or a larger mu")
 
     b = 1.0 / np.sqrt(n_mu * np.pi)
-    return AsymptoticConstants(A=A, alpha=a, n0=n0, n_mu=n_mu, b_mu=b,
+    return AsymptoticConstants(A=A, alpha=a, n0=1, n_mu=n_mu, b_mu=b,
                                beta_mu=beta, v_mu=v_mu(a, beta),
                                w_mu=w_mu(a, beta, c_tv, n_mu), c_tv=c_tv)
 

@@ -94,11 +94,11 @@ def tsvd_reconstruct(sys: SingularSystem, g: np.ndarray, n_cut: int) -> Reconstr
     if n_cut < 0:
         raise ValueError(f"n_cut must be >= 0, got {n_cut}")
     coeffs = sys.coefficients(g)
-    include = np.ones(sys.count, dtype=bool)
-    for n, k in tail_index_map(sys):
-        include[k] = n <= n_cut
+    # the tail is a suffix, its index n rising with the position
+    pairs = tail_index_map(sys)
+    keep = pairs[0][1] + min(n_cut, len(pairs))
     weights = np.zeros(sys.count)
-    weights[include] = coeffs[include] / sys.sigmas[include]
+    weights[:keep] = coeffs[:keep] / sys.sigmas[:keep]
     f = sys.u @ weights
     return ReconstructionResult(f=f, method="tsvd", cutoff_n=n_cut)
 
@@ -140,8 +140,10 @@ def make_phantom(kind: str, geom: Geometry, grid: SampledGrid, /,
       bump      smooth compactly supported exp(1 - 1/(1 - t^2)) profile,
                 params center, width (half-width), optional amplitude;
       indicator characteristic function of (c, d);
-      hat       piecewise-linear peak, zero at center +- half_width, with
-                total variation exactly 2*|peak| (optional peak, default 1).
+      hat       piecewise-linear peak, zero at center +- half_width
+                (optional peak, default 1); sampled, its total variation
+                is 2 max |f| <= 2 |peak|, equal only with the centre on a
+                sample.
     Raises GeometryError for an unknown kind, a missing or unknown
     parameter, or a support outside the open object interval (a2, a4).
     The hat and bump vanish at their support ends, so objects built from

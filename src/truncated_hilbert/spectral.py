@@ -91,9 +91,6 @@ class SingularSystem:
         object.__setattr__(self, "_projection", (key, coeffs))
         return coeffs
 
-    def triple(self, k: int):
-        return float(self.sigmas[k]), self.u[:, k], self.v[:, k]
-
 
 @dataclass(frozen=True)
 class TailFit:
@@ -250,16 +247,15 @@ def near_one_tail_fit(sys: SingularSystem) -> TailFit:
     The fit runs over |n| = 1..5.  |n| = 1 is anchored two places above
     the start of the tail (descending-order position): the value just
     above the single transition value that separates the branch
-    accumulating at one from the exponentially decaying tail.  Systems
-    too small to contain both branches anchor at the smallest value
-    instead.
+    accumulating at one from the exponentially decaying tail.  A system
+    of fewer than 15 retained values (5 + the transition value + the
+    9-value tail) holds no such window and raises SpectralError.
     """
     n1_index = tail_index_map(sys)[0][1] - 2
-    if n1_index - _NEAR_ONE_LEN + 1 < 0:
-        n1_index = sys.count - 1
-    if not (_NEAR_ONE_LEN - 1 <= n1_index < sys.count):
-        raise SpectralError(f"head window [{n1_index - _NEAR_ONE_LEN + 1}, {n1_index}] "
-                            f"outside spectrum of {sys.count} values")
+    if n1_index < _NEAR_ONE_LEN - 1:
+        raise SpectralError(f"near-one fit needs at least "
+                            f"{_NEAR_ONE_LEN + 1 + DEFAULT_TAIL_LEN} retained values, "
+                            f"got {sys.count}")
     pts = []
     for k in range(1, _NEAR_ONE_LEN + 1):
         sigma = sys.sigmas[n1_index - (k - 1)]

@@ -82,9 +82,9 @@ def test_geometry_sweep_operations_pass(monkeypatch):
 
 
 def test_noise_sweep_operations_pass(monkeypatch):
-    # the sweep calls calibrate_constants and tsvd_reconstruct positionally
-    # on one paper decomposition; run and check its first operations the
-    # way the benchmark does
+    # the sweep passes calibrate_constants c_tv and amplitude as keywords
+    # (both None) and calls tsvd_reconstruct on one paper decomposition;
+    # run and check its first operations the way the benchmark does
     monkeypatch.syspath_prepend(str(_TRACING.parent))
     workloads = importlib.import_module("workloads")
     sweep = workloads.NoiseSweep(seed=1)

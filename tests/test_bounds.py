@@ -9,10 +9,11 @@ from truncated_hilbert import (AsymptoticConstants, SampledGrid,
                                full_interval_validity, l2_validity, make_phantom,
                                roi_bound_l2, roi_bound_tv, tv_validity, v_mu,
                                w_mu, write_bounds_csv)
+from truncated_hilbert.config import load_config
 from truncated_hilbert.errors import BoundNotApplicableError, SpectralError
 from truncated_hilbert.geometry import alpha, beta_mu_exact
 from truncated_hilbert.regularization import default_phantom
-from truncated_hilbert.spectral import SingularSystem, tail_index_map
+from truncated_hilbert.spectral import SingularSystem, roi_norm, tail_index_map
 
 
 def paper_constants(c_tv=1.0):
@@ -82,14 +83,30 @@ class TestConstantsType:
 
 class TestCalibration:
     def test_paper_geometry_golden(self, paper_sys):
-        # the W_mu golden was computed at c_tv = 1
-        k = calibrate_constants(paper_sys, PAPER_GEOM, 100.0, c_tv=1.0)
+        k = calibrate_constants(paper_sys, PAPER_GEOM, 100.0)
         assert k.A == pytest.approx(G.PAPER_CALIBRATED_A, rel=1e-6)
         assert k.n0 == G.PAPER_N0
         assert k.n_mu == G.PAPER_N_MU_100
         assert k.b_mu == pytest.approx(G.PAPER_B_MU_100, rel=1e-12)
         assert k.v_mu == pytest.approx(G.PAPER_V_MU_100, rel=1e-6)
-        assert k.w_mu == pytest.approx(G.PAPER_W_MU_100, rel=1e-6)
+        # the W_mu golden was computed at c_tv = 1, and W_mu is linear in c_tv
+        assert k.w_mu == pytest.approx(G.PAPER_W_MU_100 * k.c_tv, rel=1e-6)
+
+    @pytest.mark.parametrize("fixture, geom, small", [
+        ("paper_sys", PAPER_GEOM, False),
+        ("small_preset_sys", SMALL_PRESET_GEOM, True),
+    ], ids=["paper", "small"])
+    def test_envelopes_hold_on_the_tail(self, request, fixture, geom, small):
+        # sigma_n >= A e^(-alpha n) from n = 1 on, and the ROI envelope from N_mu on
+        sys_ = request.getfixturevalue(fixture)
+        ns, ks = np.array(tail_index_map(sys_)).T
+        for mu in load_config(None, small=small).mu_list:
+            k = calibrate_constants(sys_, geom, mu)
+            assert k.n0 == 1
+            assert np.all(sys_.sigmas[ks] >= k.A * np.exp(-k.alpha * ns))
+            rn = np.array([roi_norm(sys_, kk, mu) for kk in ks])
+            tail = ns >= k.n_mu
+            assert np.all(rn[tail] <= k.b_mu * np.exp(-k.beta_mu * ns[tail]))
 
     @pytest.mark.parametrize("fixture, geom, c_tv, tol", [
         ("paper_sys", PAPER_GEOM, 11.2, 0.1),
@@ -116,8 +133,8 @@ class TestCalibration:
             tv = np.abs(np.diff(np.concatenate([[0.0], f, [0.0]]))).sum()
             assert np.all(ns * np.abs(sys_.step * f @ sys_.u[:, ks]) <= k.c_tv * tv)
 
-    def test_synthetic_exact_model_with_explicit_amplitude(self):
-        # spectrum exactly 2 e^(-alpha n) and ROI-free columns: N_0 = 1
+    def test_synthetic_exact_model(self):
+        # spectrum exactly 2 e^(-alpha n) and ROI-free columns: A = 0.98 * 2
         geom = UNIT_GEOM
         a = alpha(geom)
         count = 10
@@ -132,14 +149,20 @@ class TestCalibration:
                                object_grid=grid,
                                data_grid=SampledGrid(-1.0, 0.5, 5),
                                step=grid.step, geom=geom)
-        k = calibrate_constants(synth, geom, 0.05, amplitude=1.9)
+        k = calibrate_constants(synth, geom, 0.05)
+        assert k.A == pytest.approx(1.96, rel=1e-12)
         assert k.n0 == 1
         assert k.n_mu == 2
         assert k.b_mu == pytest.approx(1.0 / np.sqrt(2 * np.pi), rel=1e-12)
 
-    def test_amplitude_too_large_fails(self, paper_sys):
-        with pytest.raises(SpectralError):
-            calibrate_constants(paper_sys, PAPER_GEOM, 100.0, amplitude=1.95)
+    def test_explicit_constants_refused(self, small_preset_sys):
+        # only None, which ExperimentConfig's c_tv and A still hold, is accepted
+        geom = SMALL_PRESET_GEOM
+        for extra in ({"c_tv": 1.0}, {"amplitude": 1.95}):
+            with pytest.raises(ValueError):
+                calibrate_constants(small_preset_sys, geom, 10.0, **extra)
+        assert (calibrate_constants(small_preset_sys, geom, 10.0, c_tv=None, amplitude=None)
+                == calibrate_constants(small_preset_sys, geom, 10.0))
 
     def test_n_mu_nonincreasing_in_mu(self, paper_sys):
         k_small = calibrate_constants(paper_sys, PAPER_GEOM, 20.0)

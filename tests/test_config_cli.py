@@ -502,6 +502,19 @@ class TestCommands:
         lines = (out / "spectrum.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + summary["retained"]
 
+    def test_svd_report_records_near_one_error(self, tmp_path):
+        # 7 retained values hold no near-one window: the fit is refused, the
+        # command still reports the rest
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"geometry": [0, 2, 6, 8], "mu_list": [1.0]}))
+        out = tmp_path / "o"
+        assert main(["svd-report", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "svd_summary.json").read_text())
+        assert summary["retained"] == 7
+        assert summary["near_one_fit"] == {
+            "error": "near-one fit needs at least 15 retained values, got 7"}
+        assert "near_one_rate_expected" not in summary
+
     def test_figure2_small(self, tmp_path):
         out = tmp_path / "o"
         rc = main(["figure2", "--small", "--out", str(out)])

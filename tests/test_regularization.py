@@ -95,7 +95,7 @@ class TestTsvd:
         sys_ = small_preset_sys
         pairs = tail_index_map(sys_, min(9, sys_.count))
         n, k = pairs[4]    # tail index 5
-        s, u, v = sys_.triple(k)
+        s, u, v = sys_.sigmas[k], sys_.u[:, k], sys_.v[:, k]
         g = s * v
         rec = tsvd_reconstruct(sys_, g, n_cut=n)
         np.testing.assert_allclose(rec.f, u, atol=1e-10 * np.abs(u).max())
@@ -156,7 +156,7 @@ class TestTikhonov:
     def test_single_component(self, small_preset_sys):
         sys_ = small_preset_sys
         k = sys_.count - 12   # a well-conditioned mid-spectrum component
-        s, u, v = sys_.triple(k)
+        s, u, v = sys_.sigmas[k], sys_.u[:, k], sys_.v[:, k]
         eta = 0.1
         rec = tikhonov_reconstruct(sys_, 2.0 * v, eta)
         np.testing.assert_allclose(rec.f, 2.0 * s / (s ** 2 + eta) * u, atol=1e-10)
@@ -214,10 +214,16 @@ class TestSharedProjection:
 
 class TestPhantoms:
     def test_hat_total_variation(self, small_preset_op):
-        f = make_phantom("hat", SMALL_PRESET_GEOM, small_preset_op.object_grid,
-                         center=60.5, half_width=20.0, peak=1.5)
-        tv = np.abs(np.diff(np.concatenate([[0.0], f, [0.0]]))).sum()
-        assert tv == pytest.approx(2 * 1.5, rel=1e-10)
+        # the sampled hat rises to its largest sample and falls back, so its
+        # TV is 2 max |f|: 2 |peak| only with the centre on a sample (60.5);
+        # the highest sample of the hat at 109.9 is 109.5, giving TV 1.81
+        for center, half_width, peak, tv_expected in [
+                (60.5, 20.0, 1.5, 3.0), (109.9, 4.25, 1.0, 2 * (1 - 0.4 / 4.25))]:
+            f = make_phantom("hat", SMALL_PRESET_GEOM, small_preset_op.object_grid,
+                             center=center, half_width=half_width, peak=peak)
+            tv = np.abs(np.diff(np.concatenate([[0.0], f, [0.0]]))).sum()
+            assert tv == pytest.approx(2 * np.abs(f).max(), rel=1e-12)
+            assert tv == pytest.approx(tv_expected, rel=1e-10)
 
     def test_bump_norm_matches_quadrature(self, small_preset_op):
         c, w, amp = 60.0, 15.0, 1.0

@@ -77,8 +77,8 @@ class TestComputeSvd:
 
     def test_residuals(self, tiny_op, tiny_sys):
         for k in range(tiny_sys.count):
-            s, u, v = tiny_sys.triple(k)
-            res = weighted_norm(tiny_op.matrix @ u - s * v, tiny_op.step)
+            res = weighted_norm(tiny_op.matrix @ tiny_sys.u[:, k]
+                                - tiny_sys.sigmas[k] * tiny_sys.v[:, k], tiny_op.step)
             assert res <= 1e-10
 
     def test_sign_convention(self, tiny_sys):
@@ -225,32 +225,40 @@ class TestRoiNorm:
             assert abs(fit.rate - beta) / beta < 0.10
 
 
+def _near_one_system(sig):
+    count = sig.size
+    return SingularSystem(sigmas=sig, u=np.zeros((4, count)), v=np.zeros((4, count)),
+                          object_grid=SampledGrid(0.25, 1.0, 4),
+                          data_grid=SampledGrid(0.0, 1.0, 4),
+                          step=1.0, geom=TINY_GEOM)
+
+
 class TestNearOneFit:
-    def test_synthetic_exact(self, paper_sys):
-        # sigmas generated from the law; smallest provided value is |n| = 1
-        ns = np.arange(1, 6)
-        sig = np.sort(1.0 - 2.0 * np.exp(-4.0 * ns))[::-1]
-        synth = SingularSystem(sigmas=sig, u=np.zeros((4, 5)), v=np.zeros((4, 5)),
-                               object_grid=SampledGrid(0.25, 1.0, 4),
-                               data_grid=SampledGrid(0.0, 1.0, 4),
-                               step=1.0, geom=TINY_GEOM)
-        fit = near_one_tail_fit(synth)
+    # 5 values from the law at |n| = 5..1, the transition value, the 9-value tail
+    SPECTRUM = np.concatenate([1.0 - 2.0 * np.exp(-4.0 * np.arange(5, 0, -1)), [0.5],
+                               2.0 * np.exp(-5.0 * np.arange(1, 10))])
+
+    def test_synthetic_exact(self):
+        fit = near_one_tail_fit(_near_one_system(self.SPECTRUM))
         # exact up to the bits lost storing sigma = 1 - 4e-9 in doubles
         assert fit.amplitude == pytest.approx(2.0, rel=1e-6)
         assert fit.rate == pytest.approx(4.0, rel=1e-6)
+
+    @pytest.mark.parametrize("count", [1, 5, 9, 14])
+    def test_small_system_rejected(self, count):
+        sig = self.SPECTRUM[15 - count:]
+        with pytest.raises(SpectralError, match=f"at least 15 retained values, got {count}"):
+            near_one_tail_fit(_near_one_system(sig))
 
     def test_paper_rate(self, paper_sys):
         fit = near_one_tail_fit(paper_sys)
         assert abs(fit.rate - G.PAPER_NEAR_ONE_RATE) / G.PAPER_NEAR_ONE_RATE < 0.15
 
-    def test_sigma_at_one_rejected(self, paper_sys):
-        sig = np.array([1.0, 0.9, 0.7, 0.5, 0.3])
-        synth = SingularSystem(sigmas=sig, u=np.zeros((4, 5)), v=np.zeros((4, 5)),
-                               object_grid=SampledGrid(0.25, 1.0, 4),
-                               data_grid=SampledGrid(0.0, 1.0, 4),
-                               step=1.0, geom=TINY_GEOM)
-        with pytest.raises(SpectralError):
-            near_one_tail_fit(synth)
+    def test_sigma_at_one_rejected(self):
+        sig = self.SPECTRUM.copy()
+        sig[0] = 1.0
+        with pytest.raises(SpectralError, match="too close to the accumulation point"):
+            near_one_tail_fit(_near_one_system(sig))
 
 
 class TestMonotone:
