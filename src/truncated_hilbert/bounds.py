@@ -1,18 +1,18 @@
 """Worst-case stability bounds for the restricted reconstruction problem.
 
-All bounds share the constants bundle calibrated against a computed
-singular system:
+All bounds share one constants bundle, built from the five values
+calibrate_constants measures on a computed singular system:
 
 * A, alpha      lower envelope sigma_n >= A exp(-alpha n) on every tail
                 index, so N_0 = 1;
-* B_mu, beta_mu upper envelope |chi_mu u_n| <= B_mu exp(-beta_mu n) for
-                n >= N_mu, with B_mu = 1/sqrt(N_mu pi);
-* V_mu, W_mu    closed-form combinations entering the quasi-optimal
-                cutoff under the norm prior and the variation prior;
+* beta_mu, N_mu upper envelope |chi_mu u_n| <= B_mu exp(-beta_mu n) for
+                n >= N_mu;
 * c_tv          tail bound |<f, u_n>| <= c_tv |f|_TV / n.
 
-calibrate_constants measures A and c_tv from the tail and accepts no
-other value for either.
+The bundle derives the rest: B_mu = 1/sqrt(N_mu pi), and V_mu, W_mu,
+the closed-form combinations entering the quasi-optimal cutoff under the
+norm prior and the variation prior.  calibrate_constants measures A and
+c_tv from the tail and accepts no other value for either.
 
 The two-solution bound under the norm prior |f| <= E is
 
@@ -34,7 +34,8 @@ survives:
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,28 +51,30 @@ _LOG_MAX = math.log(sys.float_info.max)   # exp of anything below is finite
 
 @dataclass(frozen=True)
 class AsymptoticConstants:
-    """Calibrated constants feeding every bound."""
+    """The five calibrated constants feeding every bound, and B_mu, V_mu, W_mu."""
 
     A: float
     alpha: float
-    n0: int
-    n_mu: int
-    b_mu: float
     beta_mu: float
-    v_mu: float
-    w_mu: float
+    n_mu: int
     c_tv: float
+    b_mu: float = field(init=False)
+    v_mu: float = field(init=False)
+    w_mu: float = field(init=False)
+    n0: ClassVar[int] = 1
 
     def __post_init__(self):
         if not (0.0 < self.A < 2.0):
             raise SpectralError(f"A must lie in (0, 2), got {self.A}")
         if not (self.alpha > self.beta_mu > 0.0):
-            raise SpectralError(
-                f"need alpha > beta_mu > 0, got alpha={self.alpha}, beta_mu={self.beta_mu}")
-        if self.n0 < 0 or self.n_mu <= self.n0:
-            raise SpectralError(f"need N_mu > N_0 >= 0, got N_0={self.n0}, N_mu={self.n_mu}")
-        if self.b_mu <= 0 or self.v_mu <= 0 or self.w_mu <= 0 or self.c_tv <= 0:
-            raise SpectralError("B_mu, V_mu, W_mu and c_tv must be positive")
+            raise SpectralError(f"need alpha > beta_mu > 0, got {self.alpha}, {self.beta_mu}")
+        if not self.n_mu > self.n0:
+            raise SpectralError(f"need N_mu > N_0 = {self.n0}, got N_mu={self.n_mu}")
+        if not self.c_tv > 0:
+            raise SpectralError(f"c_tv must be positive, got {self.c_tv}")
+        object.__setattr__(self, "b_mu", 1.0 / np.sqrt(self.n_mu * np.pi))
+        object.__setattr__(self, "v_mu", v_mu(self.alpha, self.beta_mu))
+        object.__setattr__(self, "w_mu", w_mu(self.alpha, self.beta_mu, self.c_tv, self.n_mu))
 
 
 def v_mu(alpha: float, beta_mu: float) -> float:
@@ -137,10 +140,7 @@ def calibrate_constants(sys: SingularSystem, geom: Geometry, mu,
             "no self-consistent N_mu within the computed tail; "
             "use a larger matrix or a larger mu")
 
-    b = 1.0 / np.sqrt(n_mu * np.pi)
-    return AsymptoticConstants(A=A, alpha=a, n0=1, n_mu=n_mu, b_mu=b,
-                               beta_mu=beta, v_mu=v_mu(a, beta),
-                               w_mu=w_mu(a, beta, c_tv, n_mu), c_tv=c_tv)
+    return AsymptoticConstants(A=A, alpha=a, beta_mu=beta, n_mu=n_mu, c_tv=c_tv)
 
 
 def l2_validity(delta: float, E: float, k: AsymptoticConstants) -> bool:
@@ -222,8 +222,8 @@ def full_interval_bound(delta: float, kappa: float, k: AsymptoticConstants) -> f
 
     C and D are the explicit values produced by optimizing the split index
     under the variation prior: C = c (1/alpha + 2) sqrt(alpha + 3/2) and
-    D = log(A c/(2 alpha)); the validity condition keeps the bracket
-    positive.
+    D = log(A c/(2 alpha)); the validity condition, strict, keeps the
+    bracket above alpha + 3/2.
     """
     if delta <= 0 or kappa <= 0:
         raise ValueError("delta and kappa must be positive")
@@ -232,10 +232,7 @@ def full_interval_bound(delta: float, kappa: float, k: AsymptoticConstants) -> f
             f"full-interval bound not applicable at delta/kappa={delta / kappa:g}")
     C = k.c_tv * (1.0 / k.alpha + 2.0) * np.sqrt(k.alpha + 1.5)
     D = np.log(k.A * k.c_tv / (2.0 * k.alpha))
-    bracket = np.log(kappa / delta) + D
-    if bracket <= 0:
-        raise BoundNotApplicableError("logarithm bracket not positive")
-    return kappa * C / np.sqrt(bracket)
+    return kappa * C / np.sqrt(np.log(kappa / delta) + D)
 
 
 def write_bounds_csv(path, deltas, k: AsymptoticConstants, E: float,

@@ -33,8 +33,8 @@ class ExperimentConfig:
     output_dir: str = "ht_out"
     phantom: dict | None = None
     # not keys: every command uses these library defaults.  Object nodes
-    # midway between data nodes keep the spectrum accumulating at 1, and
-    # the structured solver at its default truncation resolves its tail.
+    # midway between data nodes, for any breakpoints, make the spectrum
+    # accumulate at 1; the structured solver at this truncation resolves its tail.
     shift: ClassVar[float] = 0.5
     rank_tol: ClassVar[float | None] = None
     svd_method: ClassVar[str] = "cauchy"

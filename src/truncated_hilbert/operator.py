@@ -1,9 +1,9 @@
 """Sampled truncated Hilbert transform matrix and its application.
 
 Data samples live at x_i = a1 + i*step on [a1, a3]; object samples at
-y_j = a2 - shift*step + j*step, kept while y_j < a4 (one extra boundary
-sample just below a2).  With the default shift of half a step no object
-point ever coincides with a data point, every kernel entry
+y_k = a1 + (k + shift)*step for the integers k with a2 - step < y_k < a4.
+The default shift of half a step puts every object point midway between
+two data points, whatever the breakpoints, so every kernel entry
 
     H[i, j] = (step / pi) / (y_j - x_i)
 
@@ -78,10 +78,12 @@ def sample_grids(geom: Geometry, step: float = 1.0,
                  shift: float = 0.5) -> tuple[SampledGrid, SampledGrid]:
     """Data and object grids of the sampled operator, in O(m + n).
 
-    shift is the offset of the object grid relative to the data grid, as a
-    fraction of step in (0, 1).  Breakpoints that are not multiples of step
-    round the sample counts down.  Raises GridError if an object sample
-    coincides with a data sample, where the kernel would be singular.
+    shift is the offset of the object grid from the data lattice
+    a1 + i*step, as a fraction of step in (0, 1), for any breakpoints.
+    Breakpoints that are not multiples of step round the data count down.
+    Raises GridError if an object sample lands within 1e-12 step of a data
+    sample, where the kernel would be singular: at breakpoints too large
+    for the step to resolve, or at a shift that close to 0 or 1.
     """
     if step <= 0:
         raise GridError(f"step must be positive, got {step}")
@@ -92,8 +94,9 @@ def sample_grids(geom: Geometry, step: float = 1.0,
     n_data = int(np.floor((a3 - a1) / step + 1e-9)) + 1
     x = a1 + step * np.arange(n_data)
 
-    j_max = int(np.floor((a4 - a2) / step + 1e-9)) + 1
-    y_cand = a2 - shift * step + step * np.arange(j_max + 1)
+    # lattice indices around (a2 - step, a4) with spares; the rounded nodes decide
+    k = np.arange(np.floor((a2 - a1) / step) - 2.0, np.ceil((a4 - a1) / step) + 1.0)
+    y_cand = a1 + step * (k + shift)
     y = y_cand[(y_cand > a2 - step) & (y_cand < a4)]
     if y.size == 0:
         raise GridError("empty object grid; step too large for the geometry")
@@ -104,7 +107,7 @@ def sample_grids(geom: Geometry, step: float = 1.0,
     gap = np.minimum(np.abs(y - x[np.maximum(i - 1, 0)]),
                      np.abs(y - x[np.minimum(i, n_data - 1)]))
     if gap.min() < 1e-12 * step:
-        raise GridError("object and data grids collide; adjust shift or step")
+        raise GridError("object and data grids collide: samples within 1e-12 step")
 
     return (SampledGrid(start=float(x[0]), step=step, count=n_data),
             SampledGrid(start=float(y[0]), step=step, count=int(y.size)))

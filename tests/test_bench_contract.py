@@ -2,14 +2,19 @@
 
 bench/tracing.py wraps the functions in its TARGETS table by name, and
 bench/worker.py reads the hit counts of the w3 cache; renaming or removing
-one of them breaks `bench/run.py --trace 1`.  This module only reads bench/.
+one of them breaks `bench/run.py --trace 1`.  bench/oracle.py rebuilds the
+sampling nodes on its own, so they must equal those of sample_grids.  This
+module only reads bench/.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-from truncated_hilbert import geometry
+import numpy as np
+
+from truncated_hilbert import Geometry, geometry
+from truncated_hilbert.operator import sample_grids
 
 _TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -97,3 +102,16 @@ def test_noise_sweep_operations_pass(monkeypatch):
         if reasons:
             failures[res["name"]] = reasons
     assert failures == {}
+
+
+def test_sample_grids_match_the_oracle_nodes(monkeypatch):
+    # geometry_sweep checks its mpmath spectra on nodes bench/oracle.py
+    # rebuilds itself; the package's grids must stay bitwise the same there
+    monkeypatch.syspath_prepend(str(_TRACING.parent))
+    workloads = importlib.import_module("workloads")
+    geometries = [g for seed in (1, 2, 3) for g in workloads.random_geometries(seed)]
+    for g in [*workloads.oracle.FIXED_GEOMETRIES, *geometries]:
+        data, obj = sample_grids(Geometry(*g), 1.0, 0.5)
+        x, y = workloads.oracle.nodes(g)
+        assert data.points.tobytes() == np.array(x).tobytes(), g
+        assert obj.points.tobytes() == np.array(y).tobytes(), g

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -17,11 +19,9 @@ from truncated_hilbert.spectral import SingularSystem, roi_norm, tail_index_map
 
 
 def paper_constants(c_tv=1.0):
-    return AsymptoticConstants(
-        A=G.PAPER_CALIBRATED_A, alpha=G.PAPER_ALPHA, n0=G.PAPER_N0,
-        n_mu=G.PAPER_N_MU_100, b_mu=G.PAPER_B_MU_100,
-        beta_mu=G.PAPER_BETA[100.0], v_mu=G.PAPER_V_MU_100,
-        w_mu=G.PAPER_W_MU_100, c_tv=c_tv)
+    return AsymptoticConstants(A=G.PAPER_CALIBRATED_A, alpha=G.PAPER_ALPHA,
+                               beta_mu=G.PAPER_BETA[100.0], n_mu=G.PAPER_N_MU_100,
+                               c_tv=c_tv)
 
 
 class TestClosedFormConstants:
@@ -68,17 +68,32 @@ class TestClosedFormConstants:
 
 class TestConstantsType:
     def test_invariants_enforced(self):
-        with pytest.raises(SpectralError):
-            paper_constants(c_tv=-1.0)
-        with pytest.raises(SpectralError):
-            AsymptoticConstants(A=2.5, alpha=5.0, n0=1, n_mu=2, b_mu=0.4,
-                                beta_mu=1.0, v_mu=0.1, w_mu=0.1, c_tv=1.0)
-        with pytest.raises(SpectralError):
-            AsymptoticConstants(A=1.5, alpha=1.0, n0=1, n_mu=2, b_mu=0.4,
-                                beta_mu=2.0, v_mu=0.1, w_mu=0.1, c_tv=1.0)
-        with pytest.raises(SpectralError):
-            AsymptoticConstants(A=1.5, alpha=5.0, n0=2, n_mu=2, b_mu=0.4,
-                                beta_mu=1.0, v_mu=0.1, w_mu=0.1, c_tv=1.0)
+        for bad in ({"A": 2.5}, {"A": 0.0}, {"beta_mu": 5.0}, {"beta_mu": 6.0},
+                    {"beta_mu": 0.0}, {"n_mu": 1}, {"c_tv": 0.0}, {"c_tv": -1.0}):
+            with pytest.raises(SpectralError):
+                AsymptoticConstants(**{"A": 1.5, "alpha": 5.0, "beta_mu": 1.0,
+                                       "n_mu": 2, "c_tv": 1.0, **bad})
+
+    def test_derived_constants_are_the_closed_forms(self):
+        k = paper_constants(c_tv=11.2)
+        assert AsymptoticConstants.n0 == k.n0 == 1
+        assert k.b_mu == 1.0 / np.sqrt(k.n_mu * np.pi)
+        assert k.v_mu == v_mu(k.alpha, k.beta_mu)
+        assert k.w_mu == w_mu(k.alpha, k.beta_mu, k.c_tv, k.n_mu)
+
+    def test_replace_rederives(self):
+        k = paper_constants()
+        k3 = replace(k, n_mu=3)
+        assert k3.b_mu == 1.0 / np.sqrt(3 * np.pi)
+        assert k3.w_mu == w_mu(k.alpha, k.beta_mu, k.c_tv, 3)
+        assert k3.v_mu == k.v_mu
+        assert replace(k3, n_mu=k.n_mu) == k
+
+    @pytest.mark.parametrize("name", ["n0", "b_mu", "v_mu", "w_mu"])
+    def test_derived_constants_not_accepted(self, name):
+        with pytest.raises(TypeError):
+            AsymptoticConstants(A=1.5, alpha=5.0, beta_mu=1.0, n_mu=2, c_tv=1.0,
+                                **{name: 1})
 
 
 class TestCalibration:
@@ -281,9 +296,7 @@ class TestTvBound:
         # threshold; valid must still mean a finite bound
         a = alpha(SMALL_PRESET_GEOM)
         beta = beta_mu_exact(SMALL_PRESET_GEOM, 6.173353054684783e-277)
-        k = AsymptoticConstants(A=0.71, alpha=a, n0=1, n_mu=2, b_mu=1 / np.sqrt(2 * np.pi),
-                                beta_mu=beta, v_mu=v_mu(a, beta),
-                                w_mu=w_mu(a, beta, 1.0, 2), c_tv=1.0)
+        k = AsymptoticConstants(A=0.71, alpha=a, beta_mu=beta, n_mu=2, c_tv=1.0)
         with mpmath.workdps(30):
             ka, kb, kA, kw, delta, kappa = map(
                 mpmath.mpf, (k.alpha, k.beta_mu, k.A, k.w_mu, 1e-3, 1e100))

@@ -110,6 +110,13 @@ class TestCliExitCodes:
         assert rc == 0
         assert "config OK" in capsys.readouterr().out
 
+    def test_validate_off_lattice_a2(self, tmp_path, capsys):
+        # a2 half a step off the data lattice; object nodes still fall midway
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"geometry": [0, 30.5, 90, 115]}))
+        assert main(["validate", "--small", "--config", str(cfg)]) == 0
+        assert "config OK" in capsys.readouterr().out
+
     def test_config_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"geometry": [3.0, 2.0, 1.0, 0.0]}))
@@ -306,7 +313,8 @@ class TestCliExitCodes:
             assert doc["bound_valid"] is False and doc["bound"] is None
 
     @pytest.mark.parametrize("doc", [
-        {"geometry": [0, 0.5, 0.9, 3], "mu_list": [0.1]},   # a2 - step/2 = a1
+        # doubles 2 apart round the object nodes onto the data nodes
+        {"geometry": [1e16, 1e16 + 30, 1e16 + 90, 1e16 + 116]},
         {"geometry": [0, 2, 4, 6], "step": 3.0, "mu_list": [0.5]},
     ])
     def test_grids_the_svd_commands_reject_exit_2(self, tmp_path, capsys, doc):

@@ -51,9 +51,23 @@ class TestBuildOperator:
         assert op.matrix is op.matrix
 
     def test_collision_raises(self):
-        # non-multiple breakpoint puts object samples onto data samples
-        with pytest.raises(GridError):
-            build_operator(Geometry(0.0, 2.5, 6.0, 8.0), step=1.0, shift=0.5)
+        # at 1e16 doubles are 2 apart, so a1 + k + 1/2 rounds onto the data lattice
+        with pytest.raises(GridError, match="collide"):
+            build_operator(Geometry(*(1e16 + np.array([0.0, 30.0, 90.0, 116.0]))))
+        for shift in (1e-13, 1.0 - 1e-13):
+            with pytest.raises(GridError, match="collide"):
+                build_operator(TINY_GEOM, shift=shift)
+
+    @pytest.mark.parametrize("a2", [29.8, 30.5])
+    def test_object_nodes_on_the_data_lattice(self, a2):
+        # whatever a2, object nodes sit half a step off the data lattice, so
+        # the spectrum accumulates at 1, not at 1/sin(pi frac(a2 - shift))
+        op = build_operator(Geometry(0.0, a2, 90.0, 115.0))
+        y = op.object_grid.points
+        offset = (y - op.geom.a1) / op.step - 0.5
+        np.testing.assert_array_equal(offset, np.round(offset))
+        assert y[0] <= a2 < y[1] and y[-1] < op.geom.a4 <= y[-1] + op.step
+        assert compute_svd(op).sigmas[0] <= 1.0 + 1e-12
 
     def test_shift_validation(self):
         with pytest.raises(GridError):

@@ -17,11 +17,9 @@ from truncated_hilbert.quadrature import integrate
 
 
 def paper_constants():
-    return AsymptoticConstants(
-        A=G.PAPER_CALIBRATED_A, alpha=G.PAPER_ALPHA, n0=G.PAPER_N0,
-        n_mu=G.PAPER_N_MU_100, b_mu=G.PAPER_B_MU_100,
-        beta_mu=G.PAPER_BETA[100.0], v_mu=G.PAPER_V_MU_100,
-        w_mu=G.PAPER_W_MU_100, c_tv=1.0)
+    return AsymptoticConstants(A=G.PAPER_CALIBRATED_A, alpha=G.PAPER_ALPHA,
+                               beta_mu=G.PAPER_BETA[100.0], n_mu=G.PAPER_N_MU_100,
+                               c_tv=1.0)
 
 
 class TestAddNoise:
