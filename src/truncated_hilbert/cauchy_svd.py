@@ -51,9 +51,15 @@ Every operation on the way is either exact-ratio arithmetic (step 1) or
 columnwise backward-stable orthogonal transforms applied to graded
 columns, so small singular values and their vectors come out with high
 relative accuracy while everything stays in ordinary doubles.
+
+Below rank SMALL_RANK, steps 2 and 3 run on one thread of scipy's
+OpenBLAS, so its worker pool does not compete with numpy's for the cores.
 """
 
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -154,6 +160,51 @@ def gecp_cauchy(x_nodes, y_nodes, scale: float, floor_rel: float = 1e-28) -> Cau
     return CauchyRRD(rperm=rperm, cperm=cperm, L=L[:, :rank], d=d[:rank], U=U[:rank, :])
 
 
+# Below this rank the pivoted QR and dgejsv run on one BLAS thread; the
+# paper grid (rank 914) gains from a second one.  Measured crossover: see
+# the README, "BLAS threads".
+SMALL_RANK = 800
+
+
+@functools.cache
+def _blas_threads_local():
+    """openblas_set_num_threads_local of the OpenBLAS scipy's LAPACK uses, or None.
+
+    On manylinux wheels that library is scipy.libs/libscipy_openblas*.so.
+    The setter sets the library's thread count and returns the previous one.
+    """
+    import ctypes
+    import scipy
+    libs = sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob("libscipy_openblas*.so"))
+    try:
+        setter = ctypes.CDLL(str(libs[0])).openblas_set_num_threads_local
+    except (IndexError, OSError, AttributeError):
+        return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = ctypes.c_int
+    return setter
+
+
+@contextmanager
+def _blas_threads_for(rank: int):
+    """Run scipy's LAPACK on the calling thread when rank < SMALL_RANK.
+
+    numpy and scipy each bundle an OpenBLAS whose idle workers keep
+    spinning, so on a small host the two pools compete when small numpy
+    products and scipy solves alternate.  Without the library or its
+    setter the block runs unchanged.
+    """
+    setter = _blas_threads_local() if rank < SMALL_RANK else None
+    if setter is None:
+        yield
+        return
+    old = setter(1)
+    try:
+        yield
+    finally:
+        setter(old)
+
+
 def svd_from_rrd(rrd: CauchyRRD):
     """SVD of L @ diag(d) @ U from a rank-revealing decomposition.
 
@@ -175,20 +226,22 @@ def svd_from_rrd(rrd: CauchyRRD):
     # buffer becomes Q
     Q = np.multiply(L, d, order="F")
     del L
-    Q, R, piv = sla.qr(Q, mode="economic", pivoting=True, overwrite_a=True)
-    Up = U[piv, :]
-    del U
-    W = R @ Up
-    del R, Up
-    # joba='C': W.T is a well-conditioned matrix times a column scaling, the
-    # case dgejsv resolves to high relative accuracy (the default 'A' treats
-    # values below eps * sigma_max as noise and zeroes the tail); jobr='R'
-    # keeps the scaled values in [sqrt(sfmin), sqrt(big)], jobp='N' adds no
-    # perturbation.  sigma is sva times work[1] / work[0].  W is C-ordered,
-    # so W.T is Fortran-ordered and dgejsv overwrites it instead of a copy.
-    sva, u, v, work, _, info = sla.lapack.dgejsv(
-        W.T, joba=0, jobu=0, jobv=0, jobr=1, jobt=0, jobp=0, overwrite_a=1)
-    del W
+    with _blas_threads_for(r):
+        Q, R, piv = sla.qr(Q, mode="economic", pivoting=True, overwrite_a=True)
+        Up = U[piv, :]
+        del U
+        W = R @ Up
+        del R, Up
+        # joba='C': W.T is a well-conditioned matrix times a column scaling,
+        # the case dgejsv resolves to high relative accuracy (the default 'A'
+        # treats values below eps * sigma_max as noise and zeroes the tail);
+        # jobr='R' keeps the scaled values in [sqrt(sfmin), sqrt(big)],
+        # jobp='N' adds no perturbation.  sigma is sva times work[1] /
+        # work[0].  W is C-ordered, so W.T is Fortran-ordered and dgejsv
+        # overwrites it instead of a copy.
+        sva, u, v, work, _, info = sla.lapack.dgejsv(
+            W.T, joba=0, jobu=0, jobv=0, jobr=1, jobt=0, jobp=0, overwrite_a=1)
+        del W
     if info != 0:
         raise SpectralError(f"Jacobi SVD (dgejsv) failed with info={info}")
     return Q @ v, sva * (work[1] / work[0]), u

@@ -7,8 +7,12 @@ smaller instances, two of them slowly decaying, and on randomly drawn
 geometries, integer ones at step 1 and non-integer ones on the grids of
 sample_grids) rather than against a double-precision SVD only.
 On one live instance the singular vectors and their ROI norms are
-checked as well.
+checked as well.  Last, the one-BLAS-thread cap on small solves: it
+restores the thread count, stays off above SMALL_RANK, degrades to the
+threaded path without the library, and changes no bit on the small preset.
 """
+
+import ctypes
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goldens as G
+from truncated_hilbert import cauchy_svd
 from truncated_hilbert import (Geometry, build_operator, compute_svd, roi_mask,
                                roi_norm, tail_index_map)
 from truncated_hilbert.cauchy_svd import (CauchyRRD, accurate_cauchy_svd,
@@ -309,3 +314,109 @@ class TestEdgeCases:
     def test_single_entry(self):
         vd, s, uo = accurate_cauchy_svd(np.array([0.0]), np.array([0.5]), 2.0)
         assert s[0] == pytest.approx(4.0, rel=1e-14)
+
+
+SMALL_PRESET_NODES = (np.arange(91.0), 29.5 + np.arange(86.0), 1.0 / np.pi)
+
+
+class SetterSpy:
+    """Stands in for openblas_set_num_threads_local and records its calls.
+
+    Delegates to the real setter when given one, else keeps a count.
+    """
+
+    def __init__(self, real=None, count=2):
+        self.real, self.count, self.calls = real, count, []
+
+    def __call__(self, n):
+        self.calls.append(n)
+        if self.real is not None:
+            return self.real(n)
+        old, self.count = self.count, n
+        return old
+
+
+@pytest.fixture
+def fresh_lookup():
+    """The library lookup runs anew in the test and is forgotten after it."""
+    cauchy_svd._blas_threads_local.cache_clear()
+    yield cauchy_svd._blas_threads_local
+    cauchy_svd._blas_threads_local.cache_clear()
+
+
+@pytest.fixture
+def real_setter():
+    setter = cauchy_svd._blas_threads_local()
+    if setter is None:
+        pytest.skip("scipy's OpenBLAS or its thread setter is not found")
+    return setter
+
+
+def small_preset_svd(monkeypatch, spy=None, small_rank=cauchy_svd.SMALL_RANK):
+    monkeypatch.setattr(cauchy_svd, "SMALL_RANK", small_rank)
+    if spy is not None:
+        monkeypatch.setattr(cauchy_svd, "_blas_threads_local", lambda: spy)
+    return accurate_cauchy_svd(*SMALL_PRESET_NODES)
+
+
+class TestBlasThreadCap:
+    def test_small_solve_restores_the_count(self, monkeypatch, real_setter):
+        before = real_setter(1)
+        real_setter(before)
+        spy = SetterSpy(real_setter)
+        small_preset_svd(monkeypatch, spy)
+        assert spy.calls == [1, before]
+        after = real_setter(1)
+        real_setter(after)
+        assert after == before
+
+    def test_failed_jacobi_restores_the_count(self, monkeypatch):
+        import scipy.linalg
+        real = scipy.linalg.lapack.dgejsv
+
+        def failing(*args, **kwargs):
+            return (*real(*args, **kwargs)[:-1], 3)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgejsv", failing)
+        spy = SetterSpy(count=2)
+        with pytest.raises(SpectralError, match="info=3"):
+            small_preset_svd(monkeypatch, spy)
+        assert spy.calls == [1, 2]
+        assert spy.count == 2
+
+    def test_setter_unused_from_small_rank_up(self, monkeypatch):
+        rank = gecp_cauchy(*SMALL_PRESET_NODES).rank
+        spy = SetterSpy()
+        small_preset_svd(monkeypatch, spy, small_rank=rank)
+        assert spy.calls == []
+
+    @pytest.mark.parametrize("failure", ["no library", "unloadable", "no symbol"])
+    def test_lookup_failure_still_solves(self, monkeypatch, fresh_lookup, failure):
+        import scipy
+        expected = accurate_cauchy_svd(*SMALL_PRESET_NODES)
+        fresh_lookup.cache_clear()
+        if failure == "no library":
+            monkeypatch.setattr(scipy, "__file__", "/nonexistent/scipy/__init__.py")
+        elif failure == "unloadable":
+            def unloadable(path):
+                raise OSError(f"cannot load {path}")
+            monkeypatch.setattr(ctypes, "CDLL", unloadable)
+        else:
+            monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+        assert fresh_lookup() is None
+        got = accurate_cauchy_svd(*SMALL_PRESET_NODES)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+        m = min(got[1].size, len(G.SMALL_PRESET_SIGMAS))
+        s, ref = got[1][:m], np.array(G.SMALL_PRESET_SIGMAS[:m])
+        sel = ref > 1e-18 * ref[0]
+        assert (np.abs(s[sel] - ref[sel]) / ref[sel]).max() < 1e-11
+
+    def test_cap_changes_no_bit_on_the_small_preset(self, monkeypatch, real_setter):
+        spy = SetterSpy(real_setter)
+        capped = small_preset_svd(monkeypatch, spy)
+        assert spy.calls[0] == 1
+        threaded = small_preset_svd(monkeypatch, spy, small_rank=0)
+        assert len(spy.calls) == 2
+        for a, b in zip(capped, threaded):
+            assert np.array_equal(a, b)

@@ -1,7 +1,8 @@
-"""Only a command that decomposes loads scipy.
+"""Only a command that decomposes loads scipy or looks up its OpenBLAS.
 
 Each case runs CLI commands in one fresh interpreter and, after the last
-main() returns, lists the scipy modules in sys.modules.
+main() returns, lists the scipy modules in sys.modules and counts the
+lookups of scipy's OpenBLAS thread setter.
 """
 
 import json
@@ -17,14 +18,17 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 _PROBE = """
 import json, sys
 from truncated_hilbert.cli import main
+from truncated_hilbert.cauchy_svd import _blas_threads_local
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+print(json.dumps({
+    "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+    "lookups": _blas_threads_local.cache_info().misses}))
 """
 
 
-def scipy_modules_after(*commands, out):
-    """The scipy modules loaded after running commands (lists of CLI args) in order."""
+def probe(*commands, out):
+    """Run commands (lists of CLI args) in order; the scipy modules loaded and the lookups."""
     argvs = [cmd + ["--out", str(out)] for cmd in commands]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argvs)],
@@ -33,29 +37,34 @@ def scipy_modules_after(*commands, out):
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    assert scipy_modules_after(out=tmp_path) == []
+    assert probe(out=tmp_path)["scipy"] == []
 
 
 def test_commands_without_a_decomposition_load_no_scipy(tmp_path):
-    assert scipy_modules_after(["validate"], ["constants"], ["figure1", "--small"],
-                               out=tmp_path) == []
+    assert probe(["validate"], ["constants"], ["figure1", "--small"],
+                 out=tmp_path) == {"scipy": [], "lookups": 0}
 
 
 @pytest.fixture(scope="module")
 def cold_svd_report(tmp_path_factory):
-    """An output directory and the scipy modules a cold svd-report loaded there."""
+    """An output directory and what a cold svd-report loaded and looked up there."""
     out = tmp_path_factory.mktemp("warm")
-    return out, scipy_modules_after(["svd-report", "--small"], out=out)
+    return out, probe(["svd-report", "--small"], out=out)
 
 
 def test_cold_svd_report_loads_only_scipy_linalg(cold_svd_report):
     _, loaded = cold_svd_report
-    assert "scipy.linalg" in loaded
-    assert not any(m.startswith("scipy.special") for m in loaded)
+    assert "scipy.linalg" in loaded["scipy"]
+    assert not any(m.startswith("scipy.special") for m in loaded["scipy"])
+
+
+def test_small_cold_svd_report_looks_up_the_setter_once(cold_svd_report):
+    _, loaded = cold_svd_report
+    assert loaded["lookups"] == 1
 
 
 @pytest.mark.parametrize("command", ["figure2", "reconstruct", "bounds"])
 def test_warm_cache_commands_load_no_scipy(cold_svd_report, command):
     out, _ = cold_svd_report
     assert (out / "svd_cache.npy").exists()
-    assert scipy_modules_after([command, "--small"], out=out) == []
+    assert probe([command, "--small"], out=out)["scipy"] == []
