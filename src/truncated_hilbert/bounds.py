@@ -43,7 +43,7 @@ from .errors import BoundNotApplicableError, SpectralError
 from .geometry import Geometry, alpha as geom_alpha, beta_mu_exact, check_roi
 from .regularization import optimal_cutoff_l2
 from .report import write_csv
-from .spectral import SingularSystem, roi_norm, tail_index_map
+from .spectral import SingularSystem, roi_norm, tail_for_fit
 
 _CALIBRATION_MARGIN = 0.98   # A sits this factor below its measurement, c_tv above
 _LOG_MAX = math.log(sys.float_info.max)   # exp of anything below is finite
@@ -121,7 +121,9 @@ def calibrate_constants(sys: SingularSystem, geom: Geometry, mu,
     m = check_roi(geom, mu)
     a = geom_alpha(geom)
     beta = beta_mu_exact(geom, m)
-    ns, ks = np.array(tail_index_map(sys)).T
+    tail = tail_for_fit(sys)
+    ks = np.arange(tail.start, tail.stop)
+    ns = ks - tail.start + 1
     A = float(min(_CALIBRATION_MARGIN * (sys.sigmas[ks] * np.exp(a * ns)).min(), 1.99))
     U = sys.step * np.cumsum(sys.u[:, ks], axis=0)
     spread = np.maximum(U.max(axis=0), 0.0) - np.minimum(U.min(axis=0), 0.0)

@@ -37,7 +37,7 @@ from .report import write_csv, write_json
 from .spectral import (SingularSystem, check_monotone, check_reconstruction,
                        compute_svd, export_spectrum_csv, fit_roi_decay,
                        fit_tail_decay, near_one_tail_fit, roi_mask, roi_norm,
-                       sigma_counts, tail_index_map)
+                       sigma_counts)
 
 # singular system of the configured operator as compute_svd returns it: four
 # consecutive .npy records (key, data vectors v, sigmas, object vectors u)
@@ -196,9 +196,6 @@ def _spectral_setup(cfg, outdir):
 def _cmd_svd_report(cfg, outdir) -> None:
     geom = cfg.geom()
     op, sys_ = _spectral_setup(cfg, outdir)
-    if sys_.count == 0:
-        raise SpectralError("spectrum is empty after rank truncation")
-    pairs = tail_index_map(sys_)
     below_097, below_001 = sigma_counts(sys_)
     tail_fit = fit_tail_decay(sys_)
     a = geo.alpha(geom)
@@ -228,10 +225,10 @@ def _cmd_svd_report(cfg, outdir) -> None:
         summary["near_one_rate_expected"] = geo.near_one_rate(geom)
     except SpectralError as exc:   # small systems may lack the near-one branch
         summary["near_one_fit"] = {"error": str(exc)}
-    for n, k in pairs:
+    for n, k in enumerate(sys_.tail, 1):
         summary["monotone_tail"].append(
             {"n": n, "monotone": check_monotone(sys_, k)})
-    head_index = max(0, pairs[0][1] - 20)
+    head_index = max(0, sys_.tail.start - 20)
     summary["head_vector_monotone"] = check_monotone(sys_, head_index)
 
     spec_path = os.path.join(outdir, "spectrum.csv")
@@ -261,12 +258,12 @@ def _cmd_figure1(cfg, outdir) -> None:
 def _cmd_figure2(cfg, outdir) -> None:
     geom = cfg.geom()
     op, sys_ = _spectral_setup(cfg, outdir)
-    pairs = tail_index_map(sys_)
     a = geo.alpha(geom)
 
     sig_path = os.path.join(outdir, "figure2_sigma.csv")
     write_csv(sig_path, ["n", "log_sigma", "log_model"],
-              [[n, np.log(sys_.sigmas[k]), np.log(2.0) - a * n] for n, k in pairs])
+              [[n, np.log(sys_.sigmas[k]), np.log(2.0) - a * n]
+               for n, k in enumerate(sys_.tail, 1)])
 
     roi_path = os.path.join(outdir, "figure2_roi.csv")
     betas = {mu: geo.beta_mu_exact(geom, mu) for mu in cfg.mu_list}
@@ -274,7 +271,7 @@ def _cmd_figure2(cfg, outdir) -> None:
     for mu in cfg.mu_list:
         header += [f"log_roi_mu{mu:g}", f"log_model_mu{mu:g}"]
     rows = []
-    for n, k in pairs:
+    for n, k in enumerate(sys_.tail, 1):
         row = [n]
         for mu in cfg.mu_list:
             row += [np.log(roi_norm(sys_, k, mu)),

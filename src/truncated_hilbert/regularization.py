@@ -25,7 +25,7 @@ from .errors import GeometryError
 from .geometry import Geometry
 from .operator import SampledGrid, weighted_norm
 from .report import write_csv, write_json
-from .spectral import SingularSystem, tail_index_map
+from .spectral import SingularSystem
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,8 @@ def tsvd_reconstruct(sys: SingularSystem, g: np.ndarray, n_cut: int) -> Reconstr
     if n_cut < 0:
         raise ValueError(f"n_cut must be >= 0, got {n_cut}")
     coeffs = sys.coefficients(g)
-    # the tail is a suffix, its index n rising with the position
-    pairs = tail_index_map(sys)
-    keep = pairs[0][1] + min(n_cut, len(pairs))
+    # tail index n sits at position tail.start + n - 1
+    keep = sys.tail.start + min(n_cut, len(sys.tail))
     weights = np.zeros(sys.count)
     weights[:keep] = coeffs[:keep] / sys.sigmas[:keep]
     f = sys.u @ weights

@@ -7,14 +7,17 @@ compute_svd is the one decomposition path; the conventions it fixes:
 * singular vectors are unit in the step-weighted norm, with the sign of
   each object-side vector set so that its first sample strictly inside
   (a2, a3) is positive (the data-side partner flips along with it);
-* the asymptotic tail is the last min(DEFAULT_TAIL_LEN, count) retained
-  triples, decided by tail_index_map alone; its index n = 1, 2, ...
-  counts from the largest of them toward the smallest value;
+* the asymptotic tail is SingularSystem.tail, the range of positions of
+  the last min(DEFAULT_TAIL_LEN, count) retained triples; its index
+  n = position - tail.start + 1 counts from the largest of them toward
+  the smallest value.  Every fit, constant, cutoff and report reads
+  that range; tail_index_map is only the explicit-length view;
 * the accumulation branch near one is indexed |n| = 1, 2, ... away from
   the transition value that separates the two branches.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +72,11 @@ class SingularSystem:
     @property
     def count(self) -> int:
         return int(self.sigmas.size)
+
+    @cached_property
+    def tail(self) -> range:
+        """Positions of the asymptotic tail; its index is n = position - tail.start + 1."""
+        return range(self.count - min(DEFAULT_TAIL_LEN, self.count), self.count)
 
     def coefficients(self, g) -> np.ndarray:
         """Read-only expansion coefficients step * (v.T @ g) of a data vector.
@@ -176,16 +184,13 @@ def check_reconstruction(op: DiscreteOperator, v, s, u) -> None:
                             f"for a matrix of norm {norm:.2e}")
 
 
-def tail_index_map(sys: SingularSystem, tail_len: int | None = None):
-    """Pairs (n, k): asymptotic index n = 1..tail_len onto the last triples.
+def tail_index_map(sys: SingularSystem, tail_len: int):
+    """Pairs (n, k): index n = 1..tail_len onto the last tail_len triples.
 
     n = 1 is the tail_len-th smallest retained value, n = tail_len the
-    smallest, so the map is strictly order-reversing in sigma.  tail_len
-    None is the asymptotic tail every fit, constant and cutoff reads:
-    the last min(DEFAULT_TAIL_LEN, count) triples.
+    smallest, so the map is strictly order-reversing in sigma.  This is
+    the explicit-length view; the asymptotic tail is SingularSystem.tail.
     """
-    if tail_len is None:
-        tail_len = min(DEFAULT_TAIL_LEN, sys.count)
     if tail_len < 1 or tail_len > sys.count:
         raise SpectralError(f"tail_len={tail_len} outside 1..{sys.count}")
     start = sys.count - tail_len
@@ -222,9 +227,19 @@ def roi_norm(sys: SingularSystem, triple_index: int, mu) -> float:
     return weighted_norm(sys.u[mask, triple_index], sys.step)
 
 
+def tail_for_fit(sys: SingularSystem) -> range:
+    """The tail of sys; SpectralError unless it holds the two values a fit needs."""
+    tail = sys.tail
+    if len(tail) < 2:
+        raise SpectralError(f"asymptotic tail holds {len(tail)} values; "
+                            "its fits need at least 2")
+    return tail
+
+
 def fit_tail_decay(sys: SingularSystem, tail_len: int | None = None) -> TailFit:
-    """Exponential fit of the last tail_len singular values (default: the tail) against n."""
-    pairs = tail_index_map(sys, tail_len)
+    """Exponential fit of the tail (or of the last tail_len values) against n."""
+    pairs = (enumerate(tail_for_fit(sys), 1) if tail_len is None
+             else tail_index_map(sys, tail_len))
     return fit_exponential((n, sys.sigmas[k]) for n, k in pairs)
 
 
@@ -236,8 +251,8 @@ def fit_roi_decay(sys: SingularSystem, mu) -> TailFit:
     pure exponential decay, directly comparable to the geometric constant
     beta_mu.
     """
-    pairs = tail_index_map(sys)
-    pts = [(n, roi_norm(sys, k, mu) * np.sqrt(n * np.pi)) for n, k in pairs]
+    pts = [(n, roi_norm(sys, k, mu) * np.sqrt(n * np.pi))
+           for n, k in enumerate(tail_for_fit(sys), 1)]
     return fit_exponential(pts)
 
 
@@ -251,7 +266,7 @@ def near_one_tail_fit(sys: SingularSystem) -> TailFit:
     of fewer than 15 retained values (5 + the transition value + the
     9-value tail) holds no such window and raises SpectralError.
     """
-    n1_index = tail_index_map(sys)[0][1] - 2
+    n1_index = sys.tail.start - 2
     if n1_index < _NEAR_ONE_LEN - 1:
         raise SpectralError(f"near-one fit needs at least "
                             f"{_NEAR_ONE_LEN + 1 + DEFAULT_TAIL_LEN} retained values, "
@@ -298,11 +313,11 @@ def sigma_counts(sys: SingularSystem):
 
 def export_spectrum_csv(sys: SingularSystem, path, mu_list) -> None:
     """Spectrum report: one row per retained triple, ROI norms per mu."""
-    n_of = {k: n for n, k in tail_index_map(sys)} if sys.count else {}
+    tail = sys.tail
     mus = [float(m) for m in mu_list]
     masks = [roi_mask(sys.geom, sys.object_grid, m) for m in mus]
     write_csv(path, ["n_discrete", "n_asymptotic", "sigma"]
               + [f"roi_norm_mu{m:g}" for m in mus],
-              [[k + 1, n_of.get(k), sys.sigmas[k]]
+              [[k + 1, k - tail.start + 1 if k in tail else None, sys.sigmas[k]]
                + [weighted_norm(sys.u[mask, k], sys.step) for mask in masks]
                for k in range(sys.count)])

@@ -15,7 +15,7 @@ from truncated_hilbert.config import load_config
 from truncated_hilbert.errors import BoundNotApplicableError, SpectralError
 from truncated_hilbert.geometry import alpha, beta_mu_exact
 from truncated_hilbert.regularization import default_phantom
-from truncated_hilbert.spectral import SingularSystem, roi_norm, tail_index_map
+from truncated_hilbert.spectral import SingularSystem, roi_norm
 
 
 def paper_constants(c_tv=1.0):
@@ -114,7 +114,8 @@ class TestCalibration:
     def test_envelopes_hold_on_the_tail(self, request, fixture, geom, small):
         # sigma_n >= A e^(-alpha n) from n = 1 on, and the ROI envelope from N_mu on
         sys_ = request.getfixturevalue(fixture)
-        ns, ks = np.array(tail_index_map(sys_)).T
+        ks = np.array(sys_.tail)
+        ns = ks - sys_.tail.start + 1
         for mu in load_config(None, small=small).mu_list:
             k = calibrate_constants(sys_, geom, mu)
             assert k.n0 == 1
@@ -143,7 +144,8 @@ class TestCalibration:
             make_phantom("indicator", geom, grid, c=geom.a2 + 0.1 * w, d=geom.a4 - 0.1 * w),
             make_phantom(bump.pop("kind"), geom, grid, **bump),
         ]
-        ns, ks = np.array(tail_index_map(sys_)).T
+        ks = np.array(sys_.tail)
+        ns = ks - sys_.tail.start + 1
         for f in phantoms:
             tv = np.abs(np.diff(np.concatenate([[0.0], f, [0.0]]))).sum()
             assert np.all(ns * np.abs(sys_.step * f @ sys_.u[:, ks]) <= k.c_tv * tv)
