@@ -4,9 +4,9 @@ Both estimators read the expansion of the data in the computed singular
 basis from SingularSystem.coefficients, which remembers the last data
 vector's, so any number of estimates of one data vector (each cutoff,
 each eta) project it onto the singular vectors once.  The truncated
-estimate inverts every retained non-tail component plus tail components
-up to a cutoff index; the quasi-optimal cutoff for noise level delta
-under the norm prior |f| <= E is
+estimate inverts every retained component above the tail plus tail
+components up to a cutoff index; the quasi-optimal cutoff for noise
+level delta under the norm prior |f| <= E is
 
     N(delta) = round( log(E A V_mu / delta) / alpha ),
 
@@ -30,11 +30,9 @@ from .spectral import SingularSystem
 
 @dataclass(frozen=True)
 class NoisyData:
-    """Data vector with its exact step-weighted distance to the clean data."""
+    """Data vector g, at the step-weighted distance delta add_noise was given."""
 
     g: np.ndarray
-    delta: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -53,11 +51,11 @@ def add_noise(g_ex: np.ndarray, delta: float, seed: int, step: float = 1.0) -> N
         raise ValueError(f"delta must be nonnegative, got {delta}")
     g_ex = np.asarray(g_ex, dtype=float)
     if delta == 0.0:
-        return NoisyData(g=g_ex.copy(), delta=0.0, seed=seed)
+        return NoisyData(g=g_ex.copy())
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(g_ex.size)
     noise *= delta / weighted_norm(noise, step)
-    return NoisyData(g=g_ex + noise, delta=delta, seed=seed)
+    return NoisyData(g=g_ex + noise)
 
 
 @dataclass(frozen=True)
@@ -86,10 +84,11 @@ def optimal_cutoff_l2(delta: float, E: float, consts) -> CutoffChoice:
 def tsvd_reconstruct(sys: SingularSystem, g: np.ndarray, n_cut: int) -> ReconstructionResult:
     """Truncated expansion sum <g, v_k>/sigma_k u_k.
 
-    Includes every retained non-tail component (the discrete stand-in for
-    the stably invertible branch) plus tail components with asymptotic
-    index n <= n_cut.  Only included coefficients are divided by their
-    sigma, so a discarded tail value near 1e-21 cannot overflow.
+    Includes every retained component above the tail (the discrete
+    stand-in for the stably invertible branch, and the transition value)
+    plus tail components with asymptotic index n <= n_cut; values below
+    the tail are never included.  Only included coefficients are divided
+    by their sigma, so a discarded value near 1e-21 cannot overflow.
     """
     if n_cut < 0:
         raise ValueError(f"n_cut must be >= 0, got {n_cut}")

@@ -7,13 +7,16 @@ compute_svd is the one decomposition path; the conventions it fixes:
 * singular vectors are unit in the step-weighted norm, with the sign of
   each object-side vector set so that its first sample strictly inside
   (a2, a3) is positive (the data-side partner flips along with it);
-* the asymptotic tail is SingularSystem.tail, the range of positions of
-  the last min(DEFAULT_TAIL_LEN, count) retained triples; its index
-  n = position - tail.start + 1 counts from the largest of them toward
-  the smallest value.  Every fit, constant, cutoff and report reads
-  that range; tail_index_map is only the explicit-length view;
-* the accumulation branch near one is indexed |n| = 1, 2, ... away from
-  the transition value that separates the two branches.
+* the transition value, at argmax min(sigma, 1 - sigma), separates the
+  branch accumulating at one from the exponentially decaying branch;
+* the asymptotic tail is SingularSystem.tail, the positions of the
+  first min(DEFAULT_TAIL_LEN, values below it) values below the
+  transition; its index n = position - tail.start + 1 counts from the
+  transition toward the smallest value.  Every fit, constant, cutoff
+  and report reads that range; a fit given an explicit tail_len reads
+  the last tail_len values instead, whatever the transition;
+* the accumulation branch near one is indexed |n| = 1, 2, ... upward
+  from the transition value.
 """
 
 from dataclasses import dataclass, field
@@ -75,8 +78,15 @@ class SingularSystem:
 
     @cached_property
     def tail(self) -> range:
-        """Positions of the asymptotic tail; its index is n = position - tail.start + 1."""
-        return range(self.count - min(DEFAULT_TAIL_LEN, self.count), self.count)
+        """Positions of the asymptotic tail; its index is n = position - tail.start + 1.
+
+        The transition value, at t = argmax min(sigma, 1 - sigma), separates
+        the branch accumulating at one from the decaying branch; the tail
+        is the first min(DEFAULT_TAIL_LEN, count - t - 1) values below it.
+        """
+        s = self.sigmas
+        t = int(np.argmax(np.minimum(s, 1.0 - s)))
+        return range(t + 1, t + 1 + min(DEFAULT_TAIL_LEN, self.count - t - 1))
 
     def coefficients(self, g) -> np.ndarray:
         """Read-only expansion coefficients step * (v.T @ g) of a data vector.
@@ -231,8 +241,8 @@ def tail_for_fit(sys: SingularSystem) -> range:
     """The tail of sys; SpectralError unless it holds the two values a fit needs."""
     tail = sys.tail
     if len(tail) < 2:
-        raise SpectralError(f"asymptotic tail holds {len(tail)} values; "
-                            "its fits need at least 2")
+        raise SpectralError(f"tail fits need at least 2 values below the "
+                            f"transition, got {len(tail)}")
     return tail
 
 
@@ -259,18 +269,16 @@ def fit_roi_decay(sys: SingularSystem, mu) -> TailFit:
 def near_one_tail_fit(sys: SingularSystem) -> TailFit:
     """Fit 1 - sigma ~ amplitude * exp(-rate * |n|) on the near-one branch.
 
-    The fit runs over |n| = 1..5.  |n| = 1 is anchored two places above
-    the start of the tail (descending-order position): the value just
-    above the single transition value that separates the branch
-    accumulating at one from the exponentially decaying tail.  A system
-    of fewer than 15 retained values (5 + the transition value + the
-    9-value tail) holds no such window and raises SpectralError.
+    The fit runs over |n| = 1..5.  |n| = 1 is the value just above the
+    transition value, which sits at tail.start - 1 and separates the
+    branch accumulating at one from the exponentially decaying tail.  A
+    system with fewer than 5 values above the transition raises
+    SpectralError.
     """
     n1_index = sys.tail.start - 2
     if n1_index < _NEAR_ONE_LEN - 1:
-        raise SpectralError(f"near-one fit needs at least "
-                            f"{_NEAR_ONE_LEN + 1 + DEFAULT_TAIL_LEN} retained values, "
-                            f"got {sys.count}")
+        raise SpectralError(f"near-one fit needs {_NEAR_ONE_LEN} values above "
+                            f"the transition, got {n1_index + 1}")
     pts = []
     for k in range(1, _NEAR_ONE_LEN + 1):
         sigma = sys.sigmas[n1_index - (k - 1)]

@@ -417,6 +417,26 @@ class TestCliContract:
             _check_valid_bounds(heavy_dir / "o" / "bounds.csv", k, cfg.E, cfg.kappa)
 
 
+# 0, 1, 3, 4, 8 and 12 values below the transition
+_SMALL_GEOMETRIES = ([0, 1, 3, 4], [0, 2, 6, 8], [0, 4, 6, 10], [0, 6, 16, 21],
+                     [0, 12, 34, 44], [0, 60, 120, 180])
+
+
+@pytest.mark.parametrize("geometry", _SMALL_GEOMETRIES,
+                         ids=lambda g: "_".join(map(str, g)))
+@pytest.mark.parametrize("cmd", ["svd-report", "figure2", "reconstruct", "bounds"])
+def test_decomposing_commands_on_small_geometries(tmp_path, capsys, geometry, cmd):
+    # a short tail or none ends in exit 0, 2 or 3, never in a traceback
+    a1, a2, a3, a4 = geometry
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "geometry": geometry, "mu_list": [0.1 * (a3 - a2)],
+        "phantom": {"kind": "hat", "center": 0.5 * (a2 + a4),
+                    "half_width": 0.25 * (a4 - a2)}}))
+    assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def _check_valid_bounds(path, k, E, kappa):
     """Every bound marked valid matches its closed form, evaluated in logs."""
     log = math.log
@@ -511,17 +531,42 @@ class TestCommands:
         assert len(lines) == 1 + summary["retained"]
 
     def test_svd_report_records_near_one_error(self, tmp_path):
-        # 7 retained values hold no near-one window: the fit is refused, the
-        # command still reports the rest
+        # 7 retained values, the transition at position 3: the 3 values below
+        # it fit the tail, the 3 above hold no near-one window, so that fit
+        # is refused and the command still reports the rest
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"geometry": [0, 2, 6, 8], "mu_list": [1.0]}))
+        cfg.write_text(json.dumps({
+            "geometry": [0, 4, 6, 10], "mu_list": [0.5],
+            "phantom": {"kind": "hat", "center": 7.0, "half_width": 2.0}}))
         out = tmp_path / "o"
         assert main(["svd-report", "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "svd_summary.json").read_text())
         assert summary["retained"] == 7
+        assert [e["n"] for e in summary["monotone_tail"]] == [1, 2, 3]
         assert summary["near_one_fit"] == {
-            "error": "near-one fit needs at least 15 retained values, got 7"}
+            "error": "near-one fit needs 5 values above the transition, got 3"}
         assert "near_one_rate_expected" not in summary
+
+    def test_svd_report_refuses_a_one_value_tail(self, tmp_path, capsys):
+        # one of the 7 values lies below the transition: no tail fit can run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"geometry": [0, 2, 6, 8], "mu_list": [0.5]}))
+        out = tmp_path / "o"
+        assert main(["svd-report", "--config", str(cfg), "--out", str(out)]) == 3
+        assert ("tail fits need at least 2 values below the transition, got 1"
+                in capsys.readouterr().err)
+        assert not (out / "svd_summary.json").exists()
+
+    def test_figure2_tail_starts_at_the_transition(self, tmp_path):
+        # alpha 4.02, 12 values below the transition: n = 1 is the first of
+        # them (the last nine read log sigma -15.6 against the model's -3.33)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"geometry": [0, 60, 120, 180], "mu_list": [5.0]}))
+        out = tmp_path / "o"
+        assert main(["figure2", "--config", str(cfg), "--out", str(out)]) == 0
+        first = _read_rows(out / "figure2_sigma.csv")[0]
+        assert first["n"] == "1"
+        assert abs(float(first["log_sigma"]) - float(first["log_model"])) < 0.5
 
     def test_figure2_small(self, tmp_path):
         out = tmp_path / "o"

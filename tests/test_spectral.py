@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import goldens as G
-from conftest import PAPER_GEOM, TINY_GEOM
-from truncated_hilbert import (SampledGrid, build_operator, check_monotone,
+from conftest import PAPER_GEOM, SMALL_PRESET_GEOM, TINY_GEOM
+from truncated_hilbert import (Geometry, SampledGrid, build_operator,
+                               calibrate_constants, check_monotone,
                                compute_svd, export_spectrum_csv,
                                fit_exponential, fit_roi_decay, fit_tail_decay,
-                               near_one_tail_fit, roi_mask, roi_norm,
-                               sigma_counts, tail_index_map, weighted_norm)
+                               near_one_rate, near_one_tail_fit, roi_mask,
+                               roi_norm, sigma_counts, tail_index_map,
+                               weighted_norm)
 from truncated_hilbert.errors import SpectralError
 from truncated_hilbert.spectral import SingularSystem, check_reconstruction
 
@@ -169,6 +171,49 @@ class TestTailIndexMap:
             tail_index_map(tiny_sys, tiny_sys.count + 1)
 
 
+# alpha 4.02: 2 e^(-9 alpha) is still above the 1e-21 truncation, so 12
+# values lie below the transition and the last nine start three too low
+WIDE_GEOM = Geometry(0.0, 60.0, 120.0, 180.0)
+
+
+@pytest.fixture(scope="module")
+def wide_sys():
+    return compute_svd(build_operator(WIDE_GEOM, step=1.0))
+
+
+class TestLocatedTail:
+    def test_suffix_on_the_presets(self, paper_sys, small_preset_sys):
+        half = compute_svd(build_operator(SMALL_PRESET_GEOM, step=0.5))
+        for sys_ in (paper_sys, small_preset_sys, half):
+            assert sys_.tail == range(sys_.count - 9, sys_.count)
+
+    def test_starts_just_below_the_transition(self, wide_sys):
+        tail, sig = wide_sys.tail, wide_sys.sigmas
+        assert (wide_sys.count, tail) == (74, range(62, 71))
+        assert sig[tail.start - 2] > 0.9 and 0.1 < sig[tail.start - 1] < 0.9
+        assert sig[tail.start] < 0.1
+
+    def test_calibrated_amplitude(self, wide_sys):
+        # the last nine values gave A = 5e-6; the located tail 1.20
+        assert calibrate_constants(wide_sys, WIDE_GEOM, 5.0).A >= 1.0
+
+    def test_near_one_rate(self, wide_sys):
+        # the window anchored above the last nine read 2.32 against 4.91
+        target = near_one_rate(WIDE_GEOM)
+        assert abs(near_one_tail_fit(wide_sys).rate - target) / target < 0.05
+
+    def test_empty_tail_refused(self):
+        # 4 values, the smallest of them the transition value
+        geom = Geometry(0.0, 1.0, 3.0, 4.0)
+        sys_ = compute_svd(build_operator(geom, step=1.0))
+        assert (sys_.count, len(sys_.tail)) == (4, 0)
+        for fit in (lambda: fit_tail_decay(sys_), lambda: fit_roi_decay(sys_, 0.5),
+                    lambda: calibrate_constants(sys_, geom, 0.5)):
+            with pytest.raises(SpectralError, match="at least 2 values below the "
+                                                    "transition, got 0"):
+                fit()
+
+
 class TestFitExponential:
     def test_exact_model(self):
         ns = np.arange(1, 10)
@@ -246,8 +291,11 @@ class TestNearOneFit:
 
     @pytest.mark.parametrize("count", [1, 5, 9, 14])
     def test_small_system_rejected(self, count):
+        # the last count values: below 10 the largest of them is the transition
         sig = self.SPECTRUM[15 - count:]
-        with pytest.raises(SpectralError, match=f"at least 15 retained values, got {count}"):
+        above = max(0, count - 10)
+        with pytest.raises(SpectralError,
+                           match=f"needs 5 values above the transition, got {above}"):
             near_one_tail_fit(_near_one_system(sig))
 
     def test_paper_rate(self, paper_sys):
@@ -300,5 +348,6 @@ def test_export_spectrum_csv(tmp_path, tiny_sys):
     assert len(lines) == 1 + tiny_sys.count
     last = lines[-1].split(",")
     assert last[0] == str(tiny_sys.count)
-    assert last[1] == str(min(9, tiny_sys.count))
+    # the one value below the transition value 0.527 is the whole tail
+    assert [line.split(",")[1] for line in lines[1:]] == [""] * 6 + ["1"]
     assert float(last[2]) == pytest.approx(tiny_sys.sigmas[-1], rel=1e-15)
