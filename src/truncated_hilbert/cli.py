@@ -10,7 +10,7 @@ unwritable output, 3 numerical failure.
 svd-report, figure2, reconstruct and bounds share one decomposition per
 output directory: the first of them to run decomposes through compute_svd
 and writes the singular system to svd_cache.npy there; the others read
-it back and repeat the reconstruction check on it.
+it back, and SingularSystem.of checks it as it checks a fresh one.
 Only a command that decomposes loads scipy; validate, constants and
 figure1 never do.
 """
@@ -34,10 +34,9 @@ from .regularization import (add_noise, default_phantom, export_reconstruction,
                              make_phantom, optimal_cutoff_l2,
                              tikhonov_reconstruct, tsvd_reconstruct)
 from .report import write_csv, write_json
-from .spectral import (SingularSystem, check_monotone, check_reconstruction,
-                       compute_svd, export_spectrum_csv, fit_roi_decay,
-                       fit_tail_decay, near_one_tail_fit, roi_mask, roi_norm,
-                       sigma_counts)
+from .spectral import (SingularSystem, check_monotone, compute_svd,
+                       export_spectrum_csv, fit_roi_decay, fit_tail_decay,
+                       near_one_tail_fit, roi_mask, roi_norm, sigma_counts)
 
 # singular system of the configured operator as compute_svd returns it: four
 # consecutive .npy records (key, data vectors v, sigmas, object vectors u)
@@ -154,13 +153,9 @@ def _load_system(path, key, op):
                 return None
             v, s, u = (_read_record(fh, np.dtype(float), bound)
                        for bound in ((m, rank), (rank,), (n, rank)))
-        if v.shape != (m, s.size) or u.shape != (n, s.size):
-            return None
-        # the weighted vectors reconstruct the matrix divided by step
-        check_reconstruction(op, v, s * op.step, u)
+        return SingularSystem.of(op, s, u, v)
     except (OSError, ValueError, EOFError, SpectralError):
         return None
-    return SingularSystem.of(op, s, u, v)
 
 
 def _save_system(path, key, sys_) -> None:
@@ -180,8 +175,8 @@ def _save_system(path, key, sys_) -> None:
 def _spectral_setup(cfg, outdir):
     """Operator and singular system, decomposed at most once per output directory.
 
-    A cached system passes the reconstruction check of a fresh one; a
-    cache that is unreadable, stale or fails it is replaced by a fresh solve.
+    A cached system passes the check of a fresh one, in SingularSystem.of;
+    a cache that is unreadable, stale or fails it is replaced by a fresh solve.
     """
     op = build_operator(cfg.geom(), step=cfg.step)
     path = os.path.join(outdir, SVD_CACHE)

@@ -47,7 +47,7 @@ class ReconstructionResult:
 
 def add_noise(g_ex: np.ndarray, delta: float, seed: int, step: float = 1.0) -> NoisyData:
     """Perturb g_ex by a seeded Gaussian vector rescaled to weighted norm delta."""
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     g_ex = np.asarray(g_ex, dtype=float)
     if delta == 0.0:
@@ -103,7 +103,7 @@ def tsvd_reconstruct(sys: SingularSystem, g: np.ndarray, n_cut: int) -> Reconstr
 
 def tikhonov_reconstruct(sys: SingularSystem, g: np.ndarray, eta: float) -> ReconstructionResult:
     """Spectral-filter minimizer of |Hf - g|^2 + eta |f|^2 on the retained span."""
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
     coeffs = sys.coefficients(g)
     weights = coeffs * sys.sigmas / (sys.sigmas ** 2 + eta)

@@ -1,6 +1,9 @@
 """Singular system of the discrete operator: conventions, fits, ROI norms.
 
-compute_svd is the one decomposition path; the conventions it fixes:
+compute_svd is the one decomposition path; SingularSystem.of is the one
+check, run on every system a caller can hold, solved or loaded from a
+cache: the weighted triples must reconstruct the operator's matrix.  The
+conventions compute_svd fixes:
 
 * singular values are ordered descending and truncated at rank_tol times
   the largest one;
@@ -48,15 +51,15 @@ class SingularSystem:
 
     u columns live on the object grid, v columns on the data grid; both
     are orthonormal under the step-weighted inner product.  A system
-    built by `of` owns its sigmas, u and v and marks them read-only, so
-    the projection `coefficients` remembers cannot go stale.
+    built by `of` has passed its check, owns its sigmas, u and v and
+    marks them read-only, so the projection `coefficients` remembers
+    cannot go stale.
     """
 
     sigmas: np.ndarray
     u: np.ndarray           # (n_object, count)
     v: np.ndarray           # (n_data, count)
     object_grid: SampledGrid
-    data_grid: SampledGrid
     step: float
     geom: Geometry
     # (bytes of the last data vector, its coefficients) in one slot, so a
@@ -66,11 +69,21 @@ class SingularSystem:
 
     @classmethod
     def of(cls, op: DiscreteOperator, sigmas, u, v) -> "SingularSystem":
-        """The system of op that takes over sigmas, u and v, made read-only."""
+        """The system of op that takes over sigmas, u and v, made read-only.
+
+        Raises SpectralError unless u is (n_object, k) and v is (n_data, k)
+        for k = sigmas.size, and (v, sigmas * step, u) passes
+        check_reconstruction.
+        """
+        m, n = op.shape
+        if u.shape != (n, sigmas.size) or v.shape != (m, sigmas.size):
+            raise SpectralError(f"{sigmas.size} values with u {u.shape} and "
+                                f"v {v.shape} do not fit a {m} x {n} operator")
+        check_reconstruction(op, v, sigmas * op.step, u)
         for arr in (sigmas, u, v):
             arr.flags.writeable = False
         return cls(sigmas=sigmas, u=u, v=v, object_grid=op.object_grid,
-                   data_grid=op.data_grid, step=op.step, geom=op.geom)
+                   step=op.step, geom=op.geom)
 
     @property
     def count(self) -> int:
@@ -127,10 +140,11 @@ def compute_svd(op: DiscreteOperator, rank_tol: float | None = None,
     uses the structured high relative-accuracy solver (default; resolves
     the exponential tail far below the conventional double-precision
     floor), "lapack" the standard dense SVD for cross-validation.  The
-    untruncated factors pass check_reconstruction; then they are
-    truncated at rank_tol, normalized in the step-weighted norm and
-    sign-fixed.  Raises SpectralError unless rank_tol is None or
-    positive and method is "cauchy" or "lapack".
+    factors are truncated at rank_tol, normalized in the step-weighted
+    norm and sign-fixed, and the result is checked by SingularSystem.of.
+    Raises SpectralError unless rank_tol is None or positive and method
+    is "cauchy" or "lapack", or when the returned system fails the check,
+    as a truncation coarse enough for the check to see does.
     """
     if rank_tol is not None and not rank_tol > 0:
         raise SpectralError(f"rank_tol must be positive, got {rank_tol}")
@@ -143,15 +157,16 @@ def compute_svd(op: DiscreteOperator, rank_tol: float | None = None,
             op.data_grid.points, op.object_grid.points, op.step / np.pi,
             floor_rel=min(1e-28, tol * 1e-7))
     else:
-        v_all, s_all, ut = np.linalg.svd(op.matrix, full_matrices=False)
-        u_all = ut.T
-    check_reconstruction(op, v_all, s_all, u_all)
+        v_all, s_all, u_all = np.linalg.svd(op.matrix, full_matrices=False)
+        u_all = u_all.T
 
     # compress copies once and, unlike a [:, keep] index, keeps C order
     keep = s_all > tol * s_all[0]
     s = s_all[keep]
     u = u_all.compress(keep, axis=1)
     v = v_all.compress(keep, axis=1)
+    # the check in `of` then runs beside the retained factors alone
+    del s_all, u_all, v_all
 
     # weighted normalization: euclidean-unit columns scaled by 1/sqrt(step)
     scale = 1.0 / np.sqrt(op.step)
@@ -177,7 +192,7 @@ def check_reconstruction(op: DiscreteOperator, v, s, u) -> None:
     Squared norms accumulate over row blocks of kernel and product, so
     neither the matrix nor an m x n product is ever formed.  A system of
     op is checked as (v, sigmas * step, u): its weighted vectors
-    reconstruct the matrix divided by step.
+    reconstruct the matrix divided by step, as SingularSystem.of checks it.
     """
     x, y = op.data_grid.points, op.object_grid.points
     rows = -(-x.size // _CHECK_BLOCKS)

@@ -164,7 +164,6 @@ class TestCalibration:
             u[outside[j % outside.size], j] = 1.0 / np.sqrt(grid.step)
         synth = SingularSystem(sigmas=sig, u=u, v=np.zeros((5, count)),
                                object_grid=grid,
-                               data_grid=SampledGrid(-1.0, 0.5, 5),
                                step=grid.step, geom=geom)
         k = calibrate_constants(synth, geom, 0.05)
         assert k.A == pytest.approx(1.96, rel=1e-12)

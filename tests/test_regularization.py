@@ -45,8 +45,9 @@ class TestAddNoise:
         assert not np.array_equal(a.g, c.g)
 
     def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError):
-            add_noise(np.zeros(3), -1.0, seed=0)
+        for delta in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                add_noise(np.zeros(3), delta, seed=0)
 
 
 class TestCutoffs:
@@ -166,8 +167,9 @@ class TestTikhonov:
         assert weighted_norm(big.f, tiny_sys.step) < 1e-10
 
     def test_eta_validation(self, tiny_sys):
-        with pytest.raises(ValueError):
-            tikhonov_reconstruct(tiny_sys, np.zeros(7), 0.0)
+        for eta in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                tikhonov_reconstruct(tiny_sys, np.zeros(7), eta)
 
 
 class _CountingArray(np.ndarray):

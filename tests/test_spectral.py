@@ -41,7 +41,7 @@ class TestComputeSvd:
     def test_reconstruction_check_reads_every_data_row(self, small_preset_op,
                                                        small_preset_sys, row):
         # 91 data rows: the check's row blocks end with a single row; a
-        # system is checked the way the CLI checks a cached one
+        # system is checked the way SingularSystem.of checks it
         op, sys_ = small_preset_op, small_preset_sys
         s = sys_.sigmas * op.step
         check_reconstruction(op, sys_.v, s, sys_.u)
@@ -55,9 +55,16 @@ class TestComputeSvd:
         with pytest.raises(SpectralError):
             compute_svd(tiny_op, rank_tol=rank_tol)
 
-    def test_rank_tol_above_sigma_max_empties_spectrum(self, tiny_op):
-        sys_ = compute_svd(tiny_op, rank_tol=1.5)
-        assert sys_.count == 0
+    def test_rank_tol_above_sigma_max_refused(self, tiny_op):
+        # an empty system reconstructs nothing: SingularSystem.of refuses it
+        with pytest.raises(SpectralError, match="reconstruction error"):
+            compute_svd(tiny_op, rank_tol=1.5)
+
+    def test_truncation_the_check_sees_refused(self, small_preset_op):
+        # 1e-3 drops values the 1e-10 reconstruction check can see; the
+        # check runs on the truncated system, so it is refused
+        with pytest.raises(SpectralError, match="reconstruction error"):
+            compute_svd(small_preset_op, rank_tol=1e-3)
 
     def test_unknown_method(self, tiny_op):
         with pytest.raises(SpectralError):
@@ -254,7 +261,6 @@ class TestRoiNorm:
         synth = SingularSystem(sigmas=np.array([0.5]), u=u,
                                v=np.zeros((paper_sys.v.shape[0], 1)),
                                object_grid=paper_sys.object_grid,
-                               data_grid=paper_sys.data_grid,
                                step=paper_sys.step, geom=paper_sys.geom)
         assert roi_norm(synth, 0, 100.0) == 0.0
         assert mask.sum() > 0
@@ -274,7 +280,6 @@ def _near_one_system(sig):
     count = sig.size
     return SingularSystem(sigmas=sig, u=np.zeros((4, count)), v=np.zeros((4, count)),
                           object_grid=SampledGrid(0.25, 1.0, 4),
-                          data_grid=SampledGrid(0.0, 1.0, 4),
                           step=1.0, geom=TINY_GEOM)
 
 
@@ -324,7 +329,6 @@ class TestMonotone:
         synth = SingularSystem(sigmas=np.array([0.5]), u=u,
                                v=np.zeros((paper_sys.v.shape[0], 1)),
                                object_grid=paper_sys.object_grid,
-                               data_grid=paper_sys.data_grid,
                                step=paper_sys.step, geom=paper_sys.geom)
         assert not check_monotone(synth, 0)
 
