@@ -31,6 +31,7 @@ n = 1, 1e-7 at n = 2 and less beyond (paper geometry, mu = 100).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,20 +78,23 @@ class WkbProfile:
     n: int
     epsilon: float
 
-    @property
+    @cached_property
     def validity_interval(self):
         inset = self.epsilon * self.geom.overlap_width ** 2
         return (self.geom.a2 + inset, self.geom.a3 - inset)
 
+    @cached_property
+    def _amplitude(self) -> float:
+        """The signed amplitude sqrt(2/K-) (-1)^(n+1)."""
+        sign = -1.0 if self.n % 2 == 0 else 1.0
+        return np.sqrt(2.0 / k_minus(self.geom)) * sign
+
     def evaluate_raw(self, x: float) -> float:
         """Profile value without the domain guard (for integral checks)."""
-        g = self.geom
-        p = poly_P(g, x)
+        p = poly_P(self.geom, x)
         if p <= 0:
             raise DomainError(f"profile undefined where P(x) <= 0 (x={x})")
-        sign = -1.0 if self.n % 2 == 0 else 1.0
-        return (np.sqrt(2.0 / k_minus(g)) * sign * p ** (-0.25)
-                * np.exp(-w3(g, x) / self.epsilon))
+        return self._amplitude * p ** (-0.25) * np.exp(-w3(self.geom, x) / self.epsilon)
 
     def __call__(self, x: float) -> float:
         lo, hi = self.validity_interval

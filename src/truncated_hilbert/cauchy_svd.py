@@ -120,17 +120,22 @@ def gecp_cauchy(x_nodes, y_nodes, scale: float, floor_rel: float = 1e-28) -> Cau
         xk, yk, ak, bk = xa[k:], ya[k:], a[k:], b[k:]   # the active part
         # rook search: alternate column and row maxima until the entry is
         # largest in both its row and its column; every entry is evaluated
-        # as (a_i * b_j) / (y_j - x_i), so both scans agree bitwise
+        # as (a_i * b_j) / (y_j - x_i), so both scans agree bitwise.  The
+        # denominators dcol and drow of the last column and row scanned are
+        # kept for the generator update.
         j = 0
-        col = (ak * bk[j]) / (yk[j] - xk)
+        dcol = yk[j] - xk
+        col = (ak * bk[j]) / dcol
         i = int(np.abs(col).argmax())
         while True:
-            row = (ak[i] * bk) / (yk - xk[i])
+            drow = yk - xk[i]
+            row = (ak[i] * bk) / drow
             j_new = int(np.abs(row).argmax())
             if abs(row[j_new]) <= abs(row[j]):
                 break
             j = j_new
-            col = (ak * bk[j]) / (yk[j] - xk)
+            dcol = yk[j] - xk
+            col = (ak * bk[j]) / dcol
             i_new = int(np.abs(col).argmax())
             if abs(col[i_new]) <= abs(col[i]):
                 break
@@ -138,24 +143,33 @@ def gecp_cauchy(x_nodes, y_nodes, scale: float, floor_rel: float = 1e-28) -> Cau
         piv = row[j]
         if abs(piv) <= floor:
             break
-        # move the pivot to (k, k); col and row are its column and row
-        if i:
-            for arr in (xk, ak, rperm[k:], col):
-                arr[0], arr[i] = arr[i], arr[0]
-            L[[k, k + i], :k] = L[[k + i, k], :k]
-        if j:
-            for arr in (yk, bk, cperm[k:], row):
-                arr[0], arr[j] = arr[j], arr[0]
-            U[:k, [k, k + j]] = U[:k, [k + j, k]]
+        # the pivot's column of L and row of U, and the next generators, in
+        # the order before the pivot moves.  (x_p - x_i) / dcol_i, with
+        # dcol_i = y_q - x_i, negates both operands of the docstring's
+        # (x_i - x_p) / (x_i - y_q), which leaves an IEEE quotient unchanged;
+        # drow_j = y_j - x_p is the docstring's denominator of the b update.
+        # col[i] and row[j] are piv itself, so L and U get exact ones on the
+        # diagonal; the pivot's own generators become zero, never read again.
         d[k] = piv
-        L[k, k] = 1.0
-        U[k, k] = 1.0
-        L[k + 1:, k] = col[1:] / piv
-        U[k, k + 1:] = row[1:] / piv
-        xi = xk[1:]
-        yj = yk[1:]
-        ak[1:] *= (xi - xk[0]) / (xi - yk[0])
-        bk[1:] *= (yj - yk[0]) / (yj - xk[0])
+        L[k:, k] = col / piv
+        U[k, k:] = row / piv
+        ak *= (xk[i] - xk) / dcol
+        bk *= (yk - yk[j]) / drow
+        # move the pivot to (k, k), swapping the L row and U column segments
+        # through basic slices and one copy (a fancy-indexed swap costs more
+        # than the arithmetic on small systems)
+        if i:
+            for arr in (xk, ak, rperm[k:]):
+                arr[0], arr[i] = arr[i], arr[0]
+            tmp = L[k, :k + 1].copy()
+            L[k, :k + 1] = L[k + i, :k + 1]
+            L[k + i, :k + 1] = tmp
+        if j:
+            for arr in (yk, bk, cperm[k:]):
+                arr[0], arr[j] = arr[j], arr[0]
+            tmp = U[:k + 1, k].copy()
+            U[:k + 1, k] = U[:k + 1, k + j]
+            U[:k + 1, k + j] = tmp
         rank = k + 1
     return CauchyRRD(rperm=rperm, cperm=cperm, L=L[:, :rank], d=d[:rank], U=U[:rank, :])
 

@@ -85,7 +85,13 @@ def check_roi(geom: Geometry, mu) -> float:
 
 
 def poly_P(geom: Geometry, x):
-    """The quartic P(x) = (x-a1)(x-a2)(x-a3)(x-a4); vectorized in x."""
+    """The quartic P(x) = (x-a1)(x-a2)(x-a3)(x-a4); vectorized in x.
+
+    A Python float is evaluated in float arithmetic, the same operations
+    in the same order as on an array, and returned as a Python float.
+    """
+    if type(x) is float:
+        return float((x - geom.a1) * (x - geom.a2) * (x - geom.a3) * (x - geom.a4))
     x = np.asarray(x, dtype=float)
     out = (x - geom.a1) * (x - geom.a2) * (x - geom.a3) * (x - geom.a4)
     return out if out.ndim else float(out)
@@ -261,9 +267,16 @@ def beta_mu_exact(geom: Geometry, mu) -> float:
     """beta_mu = (pi/K-) w3(a3 - mu) = (pi/K-) int_{a3-mu}^{a3} dt/sqrt(P(t)).
 
     Evaluated from mu itself rather than from the rounded a3 - mu, so small
-    mu keep full relative accuracy.
+    mu keep full relative accuracy.  mu is checked on every call; the value
+    is cached per geometry and float mu.
     """
-    m = check_roi(geom, mu)
+    return _beta_mu(geom, check_roi(geom, mu))
+
+
+# holder_exponent and the ROI-norm models read each of a caller's few mu
+# many times per geometry
+@functools.lru_cache(maxsize=256)
+def _beta_mu(geom: Geometry, m: float) -> float:
     return np.pi / k_minus(geom) * _phase(geom, geom.overlap_width - m, m)
 
 

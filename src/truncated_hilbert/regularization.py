@@ -47,8 +47,8 @@ class ReconstructionResult:
 
 def add_noise(g_ex: np.ndarray, delta: float, seed: int, step: float = 1.0) -> NoisyData:
     """Perturb g_ex by a seeded Gaussian vector rescaled to weighted norm delta."""
-    if not delta >= 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    if not 0 <= delta < np.inf:
+        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
     g_ex = np.asarray(g_ex, dtype=float)
     if delta == 0.0:
         return NoisyData(g=g_ex.copy())
@@ -73,8 +73,8 @@ def optimal_cutoff_l2(delta: float, E: float, consts) -> CutoffChoice:
     `valid` reports whether the unrounded index exceeds N_mu, i.e. whether
     the noise level is small enough for the accompanying error bound.
     """
-    if delta <= 0 or E <= 0:
-        raise ValueError("delta and E must be positive")
+    if not (0 < delta < np.inf and 0 < E < np.inf):
+        raise ValueError(f"delta and E must be finite and positive, got {delta}, {E}")
     n_real = np.log(E * consts.A * consts.v_mu / delta) / consts.alpha
     n_cut = max(0, int(round(n_real)))
     return CutoffChoice(n_cut=n_cut, n_real=float(n_real),

@@ -38,8 +38,14 @@ DEFAULT_TAIL_LEN = 9
 _NEAR_ONE_LEN = 5
 # rank_tol = None: the default truncation, relative to sigma_max, per method
 _DEFAULT_RANK_TOL = {"cauchy": 1e-21, "lapack": 1e-13}
-# the reconstruction check holds about 2/_CHECK_BLOCKS of an m x n matrix
+# the reconstruction check holds about 2/_CHECK_BLOCKS of an m x n matrix,
+# but each row block at least _CHECK_MIN_ENTRIES kernel entries: on a small
+# system the per-block numpy calls, not the arithmetic, set its cost.  The
+# floor leaves the paper grid at 85 rows a block and the paper geometry at
+# step 3 at 29, so their memory does not move; a system with sides 10-140
+# is checked in 1-5 blocks instead of 16.
 _CHECK_BLOCKS = 16
+_CHECK_MIN_ENTRIES = 4096
 # components below this fraction of a vector's peak cannot survive a
 # double-precision orthogonal assembly and are excluded from shape checks
 MONOTONE_NOISE_FLOOR = 1e-12
@@ -195,7 +201,7 @@ def check_reconstruction(op: DiscreteOperator, v, s, u) -> None:
     reconstruct the matrix divided by step, as SingularSystem.of checks it.
     """
     x, y = op.data_grid.points, op.object_grid.points
-    rows = -(-x.size // _CHECK_BLOCKS)
+    rows = max(-(-x.size // _CHECK_BLOCKS), -(-_CHECK_MIN_ENTRIES // y.size))
     err2 = norm2 = 0.0
     for i in range(0, x.size, rows):
         kern = kernel_rows(x[i:i + rows], y, op.step).ravel()

@@ -7,7 +7,8 @@ smaller instances, two of them slowly decaying, and on randomly drawn
 geometries, integer ones at step 1 and non-integer ones on the grids of
 sample_grids) rather than against a double-precision SVD only.
 On one live instance the singular vectors and their ROI norms are
-checked as well.  Last, the one-BLAS-thread cap on small solves: it
+checked as well.  The elimination is pinned bit for bit to a reference
+copy of its earlier loop.  Last, the one-BLAS-thread cap on small solves: it
 restores the thread count, stays off above SMALL_RANK, degrades to the
 threaded path without the library, and changes no bit on the small preset.
 """
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goldens as G
+from conftest import PAPER_GEOM
 from truncated_hilbert import cauchy_svd
 from truncated_hilbert import (Geometry, build_operator, compute_svd, roi_mask,
                                roi_norm)
@@ -137,6 +139,100 @@ class TestGecp:
         assert np.abs(rrd.U).max() <= 1.0 + 1e-12
         assert np.linalg.cond(rrd.L) < 1e4
         assert np.linalg.cond(rrd.U) < 1e4
+
+
+def reference_gecp(x_nodes, y_nodes, scale, floor_rel=1e-28):
+    """The elimination loop before its swaps and updates were reorganized:
+    fancy-indexed swaps, and the generator ratios (x_i - x_p)/(x_i - y_q) and
+    (y_j - y_q)/(y_j - x_p) formed afresh after the pivot moves.  gecp_cauchy
+    must return its factors bit for bit."""
+    xa = np.array(x_nodes, dtype=float, copy=True)
+    ya = np.array(y_nodes, dtype=float, copy=True)
+    m, n = xa.size, ya.size
+    r_max = min(m, n)
+    a = np.full(m, float(scale))
+    b = np.ones(n)
+    rperm = np.arange(m)
+    cperm = np.arange(n)
+    L = np.zeros((m, r_max))
+    U = np.zeros((r_max, n))
+    d = np.zeros(r_max)
+    floor = floor_rel * cauchy_svd._max_entry(xa, ya, scale) if r_max else 0.0
+    rank = 0
+    for k in range(r_max):
+        xk, yk, ak, bk = xa[k:], ya[k:], a[k:], b[k:]
+        j = 0
+        col = (ak * bk[j]) / (yk[j] - xk)
+        i = int(np.abs(col).argmax())
+        while True:
+            row = (ak[i] * bk) / (yk - xk[i])
+            j_new = int(np.abs(row).argmax())
+            if abs(row[j_new]) <= abs(row[j]):
+                break
+            j = j_new
+            col = (ak * bk[j]) / (yk[j] - xk)
+            i_new = int(np.abs(col).argmax())
+            if abs(col[i_new]) <= abs(col[i]):
+                break
+            i = i_new
+        piv = row[j]
+        if abs(piv) <= floor:
+            break
+        if i:
+            for arr in (xk, ak, rperm[k:], col):
+                arr[0], arr[i] = arr[i], arr[0]
+            L[[k, k + i], :k] = L[[k + i, k], :k]
+        if j:
+            for arr in (yk, bk, cperm[k:], row):
+                arr[0], arr[j] = arr[j], arr[0]
+            U[:k, [k, k + j]] = U[:k, [k + j, k]]
+        d[k] = piv
+        L[k, k] = 1.0
+        U[k, k] = 1.0
+        L[k + 1:, k] = col[1:] / piv
+        U[k, k + 1:] = row[1:] / piv
+        xi = xk[1:]
+        yj = yk[1:]
+        ak[1:] *= (xi - xk[0]) / (xi - yk[0])
+        bk[1:] *= (yj - yk[0]) / (yj - xk[0])
+        rank = k + 1
+    return CauchyRRD(rperm=rperm, cperm=cperm, L=L[:, :rank], d=d[:rank], U=U[:rank, :])
+
+
+def seeded_integer_geometries(count=100, seed=25):
+    """Integer breakpoints with sides below 60; on their half-integer lattice
+    the rook search meets exact ties in argmax."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        a2, overlap, tail = (int(v) for v in rng.integers(1, 30, size=3))
+        out.append((0, a2, a2 + overlap, a2 + overlap + tail))
+    return out
+
+
+@pytest.fixture(scope="module")
+def paper_step3_op():
+    return build_operator(PAPER_GEOM, step=3.0, shift=0.5)
+
+
+class TestGecpBitForBit:
+    """gecp_cauchy reorganizes the reference loop without changing a bit."""
+
+    @staticmethod
+    def assert_same(x, y, scale):
+        got = gecp_cauchy(x, y, scale)
+        want = reference_gecp(x, y, scale)
+        for name in ("rperm", "cperm", "d", "L", "U"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("fixture", ["small_preset_op", "paper_step3_op"])
+    def test_presets(self, fixture, request):
+        op = request.getfixturevalue(fixture)
+        self.assert_same(op.data_grid.points, op.object_grid.points, op.step / np.pi)
+
+    def test_integer_geometries_with_ties(self):
+        for g in seeded_integer_geometries():
+            self.assert_same(*step1_nodes(*g), 1.0 / np.pi)
 
 
 class TestAgainstLapackWhereValid:

@@ -8,6 +8,7 @@ from conftest import PAPER_GEOM, SMALL_PRESET_GEOM, UNIT_GEOM
 from truncated_hilbert import (Geometry, alpha, beta_mu_approx, beta_mu_exact,
                                check_roi, holder_exponent, k_minus, k_plus,
                                near_one_rate, poly_P, poly_P_prime_a3, w3)
+from truncated_hilbert import geometry
 from truncated_hilbert.errors import GeometryError
 from truncated_hilbert.geometry import _rf
 
@@ -55,6 +56,13 @@ class TestPolyP:
         assert poly_P(UNIT_GEOM, 0.25) > 0          # inside (a2, a3)
         for root in UNIT_GEOM.points:
             assert poly_P(UNIT_GEOM, root) == 0.0
+
+    def test_float_path_matches_array_path(self):
+        xs = np.linspace(-2.0, 2.0, 101)
+        for geom in (UNIT_GEOM, PAPER_GEOM, Geometry(0, 6, 16, 21)):
+            for x, want in zip(xs * geom.a4, poly_P(geom, xs * geom.a4)):
+                got = poly_P(geom, float(x))
+                assert type(got) is float and got == want
 
     def test_prime_at_a3_negative(self):
         assert poly_P_prime_a3(UNIT_GEOM) < 0
@@ -161,6 +169,21 @@ class TestBetaMu:
             beta_mu_exact(UNIT_GEOM, 0.5)
         with pytest.raises(GeometryError):
             beta_mu_exact(UNIT_GEOM, -0.1)
+
+    def test_bad_mu_raises_on_every_call(self):
+        # the value is cached; the check of mu is not
+        for mu in (0.5, -0.1, float("nan")):
+            for _ in range(3):
+                with pytest.raises(GeometryError):
+                    beta_mu_exact(UNIT_GEOM, mu)
+
+    def test_one_cache_entry_per_float_mu(self):
+        g = Geometry(0, 6, 16, 21)
+        geometry._beta_mu.cache_clear()
+        vals = [beta_mu_exact(g, mu) for mu in (5, 5.0, np.float64(5))]
+        assert len({v.hex() for v in map(float, vals)}) == 1
+        info = geometry._beta_mu.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestBetaMuApprox:

@@ -45,7 +45,7 @@ class TestAddNoise:
         assert not np.array_equal(a.g, c.g)
 
     def test_negative_delta_rejected(self):
-        for delta in (-1.0, float("nan")):
+        for delta in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 add_noise(np.zeros(3), delta, seed=0)
 
@@ -63,6 +63,14 @@ class TestCutoffs:
         a = optimal_cutoff_l2(1e-4, 1.0, k)
         b = optimal_cutoff_l2(1e-4 * np.exp(-k.alpha), 1.0, k)
         assert b.n_real == pytest.approx(a.n_real + 1.0, rel=1e-12)
+
+    def test_bad_delta_or_E_refused(self):
+        # before, inf overflowed in int(round(...)) and NaN failed to convert
+        k = paper_constants()
+        for bad in (0.0, -1.0, float("inf"), float("nan")):
+            for delta, E in ((bad, 1.0), (1e-6, bad)):
+                with pytest.raises(ValueError, match="finite and positive"):
+                    optimal_cutoff_l2(delta, E, k)
 
     def test_paper_golden_composition(self):
         k = paper_constants()

@@ -37,11 +37,12 @@ class TestComputeSvd:
         diff = np.abs(paper_sys.sigmas[:m] - ref[:m])
         assert np.all(diff <= 1e-7 * ref[:m] + 1e-15 * ref[0])
 
-    @pytest.mark.parametrize("row", [0, 45, -1])
+    @pytest.mark.parametrize("row", [0, 45, 47, 48, -1])
     def test_reconstruction_check_reads_every_data_row(self, small_preset_op,
                                                        small_preset_sys, row):
-        # 91 data rows: the check's row blocks end with a single row; a
-        # system is checked the way SingularSystem.of checks it
+        # 91 data rows by 86 object samples: row blocks of 48 and 43, each
+        # at least 4096 kernel entries; a system is checked the way
+        # SingularSystem.of checks it
         op, sys_ = small_preset_op, small_preset_sys
         s = sys_.sigmas * op.step
         check_reconstruction(op, sys_.v, s, sys_.u)
@@ -49,6 +50,18 @@ class TestComputeSvd:
         v[row] *= 1 + 1e-6
         with pytest.raises(SpectralError):
             check_reconstruction(op, v, s, sys_.u)
+
+    def test_reconstruction_check_in_one_block(self):
+        # 17 x 16 samples fit in one block; one sigma off by 1e-8 shows
+        op = build_operator(Geometry(0, 6, 16, 21), step=1.0, shift=0.5)
+        sys_ = compute_svd(op)
+        s = sys_.sigmas * op.step
+        check_reconstruction(op, sys_.v, s, sys_.u)
+        for k in (0, sys_.tail.start - 1):
+            bad = s.copy()
+            bad[k] *= 1 + 1e-8
+            with pytest.raises(SpectralError, match="reconstruction error"):
+                check_reconstruction(op, sys_.v, bad, sys_.u)
 
     @pytest.mark.parametrize("rank_tol", [0.0, -1e-21])
     def test_nonpositive_rank_tol_refused(self, tiny_op, rank_tol):
