@@ -28,9 +28,12 @@ additive cancellation:
 2. Pivoted QR of the graded factor.  A column-pivoted QR of L*D gives
    L*D*P = Q*R, so L D U = Q W with W = R * (P^T U).  The rows of W are
    graded by the pivots and W is otherwise well conditioned.  L*D is
-   formed in Fortran order and L is released; the QR overwrites L*D,
-   whose buffer becomes Q.  U is released once P^T U is formed, R and
-   P^T U once W is.
+   formed in Fortran order and L is released; LAPACK's dgeqp3 factors it
+   in place and dorgqr turns the same buffer into Q.  Both come from
+   scipy's compiled LAPACK module, scipy.linalg._flapack, loaded on its
+   own from beside the installed scipy, so the scipy.linalg package is
+   never imported.  U is released once P^T U is formed, R and P^T U once
+   W is.
 
 3. One-sided Jacobi SVD of W^T, whose columns are therefore scaled but
    otherwise well conditioned.  Jacobi rotations are accurate relative to
@@ -40,7 +43,10 @@ additive cancellation:
    overwriting W (W^T is Fortran-ordered, so no copy is made); W is
    released before Q v is formed.  While it runs only Q, W, its
    workspace (2 r^2 doubles for rank r) and its u and v are alive,
-   about 3.5 m x n doubles on the paper grid.
+   about 3.5 m x n doubles on the paper grid.  The first k columns of
+   Q v and of u, k the values kept by the truncation, are scattered back
+   to the original index order straight into their m x k and n x k
+   results.
 
 Steps 1-3 are Algorithm 3.1 of Demmel, Gu, Eisenstat, Slapnicar, Veselic
 and Drmac, "Computing the singular value decomposition with high
@@ -57,8 +63,11 @@ OpenBLAS, so its worker pool does not compete with numpy's for the cores.
 """
 
 import functools
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +189,35 @@ def gecp_cauchy(x_nodes, y_nodes, scale: float, floor_rel: float = 1e-28) -> Cau
 SMALL_RANK = 800
 
 
+def _scipy_dir() -> Path:
+    """The directory of the installed scipy package; imports scipy's top level only."""
+    import scipy
+    return Path(scipy.__file__).parent
+
+
+@functools.cache
+def _lapack():
+    """scipy.linalg._flapack, scipy's compiled LAPACK wrappers, loaded once.
+
+    The extension is loaded from its file beside the installed scipy and
+    registered under its own name, so a later `import scipy.linalg` finds
+    it instead of loading it again; the package's __init__, with its
+    array-API layer, is never run for the solver.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        finder = FileFinder(str(_scipy_dir() / "linalg"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        if spec is None:
+            raise ImportError(f"{name} not found beside the installed scipy")
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module
+
+
 @functools.cache
 def _blas_threads_local():
     """openblas_set_num_threads_local of the OpenBLAS scipy's LAPACK uses, or None.
@@ -188,8 +226,7 @@ def _blas_threads_local():
     The setter sets the library's thread count and returns the previous one.
     """
     import ctypes
-    import scipy
-    libs = sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob("libscipy_openblas*.so"))
+    libs = sorted((_scipy_dir().parent / "scipy.libs").glob("libscipy_openblas*.so"))
     try:
         setter = ctypes.CDLL(str(libs[0])).openblas_set_num_threads_local
     except (IndexError, OSError, AttributeError):
@@ -219,14 +256,29 @@ def _blas_threads_for(rank: int):
         setter(old)
 
 
+def _call(name: str, *args, **kwargs):
+    """Run the named LAPACK routine at its optimal workspace, as scipy.linalg.qr does.
+
+    A first call with lwork=-1 returns the optimal size in work[0]; the
+    outputs of the second call, without work and info, are returned.
+    Raises SpectralError if the routine reports info != 0.
+    """
+    routine = getattr(_lapack(), name)
+    query = routine(*args, lwork=-1, **kwargs)
+    out = routine(*args, lwork=int(query[-2][0]), **kwargs)
+    if out[-1] != 0:
+        raise SpectralError(f"{name} failed with info={out[-1]}")
+    return out[:-2]
+
+
 def svd_from_rrd(rrd: CauchyRRD):
     """SVD of L @ diag(d) @ U from a rank-revealing decomposition.
 
     Returns (left, sigma, right) with left (m x r) and right (n x r)
     orthonormal and sigma descending.  Consumes rrd: its L and U are set
     to None on entry and each is freed as soon as it has been read, so
-    neither is alive during the Jacobi step.  Raises SpectralError if the
-    Jacobi SVD reports a failure.
+    neither is alive during the Jacobi step.  Raises SpectralError if
+    L * d is not finite or a LAPACK step reports a failure.
     """
     L, d, U = rrd.L, rrd.d, rrd.U
     rrd.L = rrd.U = None
@@ -235,15 +287,22 @@ def svd_from_rrd(rrd: CauchyRRD):
     if r == 0:
         return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
 
-    import scipy.linalg as sla   # here, so commands that do not decompose never load scipy
+    lapack = _lapack()   # here, so commands that do not decompose never load scipy
     # L * d in Fortran order, so the pivoted QR factors it in place and its
     # buffer becomes Q
     Q = np.multiply(L, d, order="F")
     del L
+    # LAPACK would carry a NaN or an infinity into every factor
+    if not np.isfinite(Q).all():
+        raise SpectralError("the scaled elimination factor L * d is not finite")
     with _blas_threads_for(r):
-        Q, R, piv = sla.qr(Q, mode="economic", pivoting=True, overwrite_a=True)
-        Up = U[piv, :]
-        del U
+        # the economic pivoted QR of scipy.linalg.qr: dgeqp3, R from the
+        # leading r rows, dorgqr forming Q in the same buffer
+        Q, piv, tau = _call("dgeqp3", Q, overwrite_a=1)
+        R = np.triu(Q[:r])
+        Q, = _call("dorgqr", Q, tau, overwrite_a=1)
+        Up = U[piv - 1, :]   # dgeqp3's pivots count from one
+        del U, tau
         W = R @ Up
         del R, Up
         # joba='C': W.T is a well-conditioned matrix times a column scaling,
@@ -253,7 +312,7 @@ def svd_from_rrd(rrd: CauchyRRD):
         # jobp='N' adds no perturbation.  sigma is sva times work[1] /
         # work[0].  W is C-ordered, so W.T is Fortran-ordered and dgejsv
         # overwrites it instead of a copy.
-        sva, u, v, work, _, info = sla.lapack.dgejsv(
+        sva, u, v, work, _, info = lapack.dgejsv(
             W.T, joba=0, jobu=0, jobv=0, jobr=1, jobt=0, jobp=0, overwrite_a=1)
         del W
     if info != 0:
@@ -261,16 +320,21 @@ def svd_from_rrd(rrd: CauchyRRD):
     return Q @ v, sva * (work[1] / work[0]), u
 
 
-def accurate_cauchy_svd(x_nodes, y_nodes, scale: float, floor_rel: float = 1e-28):
+def accurate_cauchy_svd(x_nodes, y_nodes, scale: float, floor_rel: float = 1e-28,
+                        rank_tol: float | None = None):
     """Full pipeline: returns (data_vectors, sigmas, object_vectors).
 
-    data_vectors is (len(x), r), object_vectors is (len(y), r), both with
-    orthonormal columns in the original (unpermuted) index order.
+    data_vectors is (len(x), k), object_vectors is (len(y), k), both with
+    orthonormal columns in the original (unpermuted) index order.  k is
+    the rank of the elimination, or with rank_tol the number of values
+    above rank_tol times the largest one.
     """
     rrd = gecp_cauchy(x_nodes, y_nodes, scale, floor_rel=floor_rel)
     left, s, right = svd_from_rrd(rrd)
-    data_vecs = np.zeros_like(left)
-    data_vecs[rrd.rperm, :] = left
-    obj_vecs = np.zeros_like(right)
-    obj_vecs[rrd.cperm, :] = right
-    return data_vecs, s, obj_vecs
+    k = s.size if rank_tol is None else int(np.count_nonzero(s > rank_tol * s[:1]))
+    data_vecs = np.empty((left.shape[0], k))
+    data_vecs[rrd.rperm, :] = left[:, :k]
+    del left
+    obj_vecs = np.empty((right.shape[0], k))
+    obj_vecs[rrd.cperm, :] = right[:, :k]
+    return data_vecs, s[:k], obj_vecs

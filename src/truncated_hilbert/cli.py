@@ -11,8 +11,9 @@ svd-report, figure2, reconstruct and bounds share one decomposition per
 output directory: the first of them to run decomposes through compute_svd
 and writes the singular system to svd_cache.npy there; the others read
 it back, and SingularSystem.of checks it as it checks a fresh one.
-Only a command that decomposes loads scipy; validate, constants and
-figure1 never do.
+Only a command that decomposes loads scipy, and of it only the top-level
+package and the compiled LAPACK module scipy.linalg._flapack, never the
+scipy.linalg package; validate, constants and figure1 load no scipy.
 """
 
 import argparse

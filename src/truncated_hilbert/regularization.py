@@ -75,7 +75,10 @@ def optimal_cutoff_l2(delta: float, E: float, consts) -> CutoffChoice:
     """
     if not (0 < delta < np.inf and 0 < E < np.inf):
         raise ValueError(f"delta and E must be finite and positive, got {delta}, {E}")
-    n_real = np.log(E * consts.A * consts.v_mu / delta) / consts.alpha
+    # a sum of logs: the product E A V_mu / delta overflows or underflows
+    # at extreme finite delta and E, the log of each factor does not
+    n_real = (np.log(E) + np.log(consts.A) + np.log(consts.v_mu)
+              - np.log(delta)) / consts.alpha
     n_cut = max(0, int(round(n_real)))
     return CutoffChoice(n_cut=n_cut, n_real=float(n_real),
                         valid=bool(n_real > consts.n_mu))

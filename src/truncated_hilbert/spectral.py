@@ -158,21 +158,20 @@ def compute_svd(op: DiscreteOperator, rank_tol: float | None = None,
         raise SpectralError(f"unknown SVD method {method!r}")
     tol = _DEFAULT_RANK_TOL[method] if rank_tol is None else rank_tol
     if method == "cauchy":
-        # the elimination stops at a pivot floor set by the truncation
-        v_all, s_all, u_all = accurate_cauchy_svd(
+        # the elimination stops at a pivot floor set by the truncation, and
+        # the solver writes only the retained columns back to grid order
+        v, s, u = accurate_cauchy_svd(
             op.data_grid.points, op.object_grid.points, op.step / np.pi,
-            floor_rel=min(1e-28, tol * 1e-7))
+            floor_rel=min(1e-28, tol * 1e-7), rank_tol=tol)
     else:
         v_all, s_all, u_all = np.linalg.svd(op.matrix, full_matrices=False)
-        u_all = u_all.T
-
-    # compress copies once and, unlike a [:, keep] index, keeps C order
-    keep = s_all > tol * s_all[0]
-    s = s_all[keep]
-    u = u_all.compress(keep, axis=1)
-    v = v_all.compress(keep, axis=1)
-    # the check in `of` then runs beside the retained factors alone
-    del s_all, u_all, v_all
+        # compress copies once and, unlike a [:, keep] index, keeps C order
+        keep = s_all > tol * s_all[0]
+        s = s_all[keep]
+        u = u_all.T.compress(keep, axis=1)
+        v = v_all.compress(keep, axis=1)
+        # the check in `of` then runs beside the retained factors alone
+        del s_all, u_all, v_all
 
     # weighted normalization: euclidean-unit columns scaled by 1/sqrt(step)
     scale = 1.0 / np.sqrt(op.step)

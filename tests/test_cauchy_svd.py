@@ -8,9 +8,11 @@ geometries, integer ones at step 1 and non-integer ones on the grids of
 sample_grids) rather than against a double-precision SVD only.
 On one live instance the singular vectors and their ROI norms are
 checked as well.  The elimination is pinned bit for bit to a reference
-copy of its earlier loop.  Last, the one-BLAS-thread cap on small solves: it
-restores the thread count, stays off above SMALL_RANK, degrades to the
-threaded path without the library, and changes no bit on the small preset.
+copy of its earlier loop.  Then the one-BLAS-thread cap on small solves: it
+restores the thread count, also when a LAPACK step fails, stays off above
+SMALL_RANK, degrades to the threaded path without the library, and changes
+no bit on the small preset.  Last, compute_svd is pinned bit for bit to a
+reference copy of its earlier route through scipy.linalg.
 """
 
 import ctypes
@@ -407,6 +409,13 @@ class TestEdgeCases:
         assert left.shape == (3, 0)
         assert right.shape == (4, 0)
 
+    def test_non_finite_factor_refused(self):
+        rrd = CauchyRRD(rperm=np.arange(2), cperm=np.arange(2),
+                        L=np.array([[1.0, 0.0], [np.inf, 1.0]]), d=np.ones(2),
+                        U=np.eye(2))
+        with pytest.raises(SpectralError, match="not finite"):
+            svd_from_rrd(rrd)
+
     def test_single_entry(self):
         vd, s, uo = accurate_cauchy_svd(np.array([0.0]), np.array([0.5]), 2.0)
         assert s[0] == pytest.approx(4.0, rel=1e-14)
@@ -467,15 +476,30 @@ class TestBlasThreadCap:
         assert after == before
 
     def test_failed_jacobi_restores_the_count(self, monkeypatch):
-        import scipy.linalg
-        real = scipy.linalg.lapack.dgejsv
+        lapack = cauchy_svd._lapack()
+        real = lapack.dgejsv
 
         def failing(*args, **kwargs):
             return (*real(*args, **kwargs)[:-1], 3)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgejsv", failing)
+        monkeypatch.setattr(lapack, "dgejsv", failing)
         spy = SetterSpy(count=2)
         with pytest.raises(SpectralError, match="info=3"):
+            small_preset_svd(monkeypatch, spy)
+        assert spy.calls == [1, 2]
+        assert spy.count == 2
+
+    @pytest.mark.parametrize("routine", ["dgeqp3", "dorgqr"])
+    def test_failed_qr_step_restores_the_count(self, monkeypatch, routine):
+        lapack = cauchy_svd._lapack()
+        real = getattr(lapack, routine)
+
+        def failing(*args, **kwargs):
+            return (*real(*args, **kwargs)[:-1], -4)
+
+        monkeypatch.setattr(lapack, routine, failing)
+        spy = SetterSpy(count=2)
+        with pytest.raises(SpectralError, match=f"{routine} failed with info=-4"):
             small_preset_svd(monkeypatch, spy)
         assert spy.calls == [1, 2]
         assert spy.count == 2
@@ -516,3 +540,65 @@ class TestBlasThreadCap:
         assert len(spy.calls) == 2
         for a, b in zip(capped, threaded):
             assert np.array_equal(a, b)
+
+
+def reference_compute_svd(op, tol=1e-21):
+    """compute_svd's earlier route: scipy.linalg.qr and scipy.linalg.lapack's
+    dgejsv, a zeros_like scatter of all r columns, then a compress
+    truncation, the weighted scaling and the sign convention.  compute_svd
+    must return its sigmas, u and v bit for bit."""
+    import scipy.linalg as sla
+    rrd = gecp_cauchy(op.data_grid.points, op.object_grid.points, op.step / np.pi,
+                      floor_rel=min(1e-28, tol * 1e-7))
+    Q = np.multiply(rrd.L, rrd.d, order="F")
+    with cauchy_svd._blas_threads_for(rrd.rank):
+        Q, R, piv = sla.qr(Q, mode="economic", pivoting=True, overwrite_a=True)
+        W = R @ rrd.U[piv, :]
+        sva, u, v, work, _, info = sla.lapack.dgejsv(
+            W.T, joba=0, jobu=0, jobv=0, jobr=1, jobt=0, jobp=0, overwrite_a=1)
+    assert info == 0
+    left, s_all, right = Q @ v, sva * (work[1] / work[0]), u
+    v_all = np.zeros_like(left)
+    v_all[rrd.rperm, :] = left
+    u_all = np.zeros_like(right)
+    u_all[rrd.cperm, :] = right
+    keep = s_all > tol * s_all[0]
+    s = s_all[keep]
+    u = u_all.compress(keep, axis=1)
+    v = v_all.compress(keep, axis=1)
+    scale = 1.0 / np.sqrt(op.step)
+    u *= scale
+    v *= scale
+    ys = op.object_grid.points
+    inside = (ys > op.geom.a2) & (ys < op.geom.a3)
+    if inside.any():
+        first = int(np.argmax(inside))
+        signs = np.sign(u[first, :])
+        signs[signs == 0.0] = 1.0
+        u *= signs[None, :]
+        v *= signs[None, :]
+    return s, u, v
+
+
+class TestComputeSvdBitForBit:
+    """The direct LAPACK calls and the truncated scatter change no bit.
+
+    The paper grid (rank 914) runs the threaded path, every other case the
+    one-thread path below SMALL_RANK.
+    """
+
+    @staticmethod
+    def assert_same(op):
+        got = compute_svd(op)
+        want = reference_compute_svd(op)
+        for name, a, b in zip(("sigmas", "u", "v"), (got.sigmas, got.u, got.v), want):
+            assert np.array_equal(a, b), name
+            assert a.flags.c_contiguous == b.flags.c_contiguous, name
+
+    @pytest.mark.parametrize("fixture", ["paper_op", "small_preset_op", "paper_step3_op"])
+    def test_presets(self, fixture, request):
+        self.assert_same(request.getfixturevalue(fixture))
+
+    def test_integer_geometries(self):
+        for g in seeded_integer_geometries():
+            self.assert_same(build_operator(Geometry(*map(float, g)), step=1.0, shift=0.5))

@@ -53,8 +53,12 @@ def cold_svd_report(tmp_path_factory):
 
 
 def test_cold_svd_report_loads_only_scipy_linalg(cold_svd_report):
+    # of the scipy.linalg package only its compiled LAPACK module, loaded
+    # without the package, whose __init__ brings scipy's array-API layer
     _, loaded = cold_svd_report
-    assert "scipy.linalg" in loaded["scipy"]
+    assert [m for m in loaded["scipy"] if m.startswith("scipy.linalg")] == [
+        "scipy.linalg._flapack"]
+    assert "scipy._lib._array_api" not in loaded["scipy"]
     assert not any(m.startswith("scipy.special") for m in loaded["scipy"])
 
 

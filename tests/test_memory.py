@@ -32,7 +32,7 @@ def traced_peak(fn, *args, **kwargs):
 @pytest.fixture(scope="module")
 def step3_op():
     """The paper geometry at step 3: 451 x 426 samples, 311 retained triples."""
-    # one small solve first, so the scipy.linalg import is not in any window
+    # one small solve first, so loading scipy's LAPACK module is not in any window
     accurate_cauchy_svd(np.arange(4.0), 0.5 + np.arange(3.0), 1.0)
     return build_operator(PAPER_GEOM, step=3.0, shift=0.5)
 

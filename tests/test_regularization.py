@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +72,18 @@ class TestCutoffs:
             for delta, E in ((bad, 1.0), (1e-6, bad)):
                 with pytest.raises(ValueError, match="finite and positive"):
                     optimal_cutoff_l2(delta, E, k)
+
+    @pytest.mark.parametrize("delta, E", [(1e-320, 1.0), (1e-300, 1e300),
+                                          (1e300, 1e-300)])
+    def test_extreme_finite_inputs(self, delta, E):
+        # E A V_mu / delta overflows at the first two and underflows to
+        # zero at the third; the suite turns the warnings into errors
+        k = paper_constants()
+        choice = optimal_cutoff_l2(delta, E, k)
+        expected = (math.log(E) + math.log(k.A * k.v_mu) - math.log(delta)) / k.alpha
+        assert choice.n_real == pytest.approx(expected, rel=1e-14)
+        assert choice.n_cut == max(0, round(expected))
+        assert choice.valid == (expected > k.n_mu)
 
     def test_paper_golden_composition(self):
         k = paper_constants()
