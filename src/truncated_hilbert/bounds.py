@@ -114,10 +114,13 @@ def calibrate_constants(sys: SingularSystem, geom: Geometry, mu,
     both ends, summation by parts gives <f, u_n> = -sum (jumps of f) U_n;
     the jumps sum to 0, so n |<f, u_n>| <= c_n |f|_TV, sharply.
     c_tv and amplitude accept None only, the value ExperimentConfig's
-    ClassVars of those names hold; anything else raises ValueError.
+    ClassVars of those names hold; anything else raises ValueError, as
+    does a geom other than sys.geom, whose constants would not fit the tail.
     """
     if c_tv is not None or amplitude is not None:
         raise ValueError("c_tv and A are measured from the tail, not passed")
+    if geom != sys.geom:
+        raise ValueError(f"geometry {geom.points} is not the system's {sys.geom.points}")
     m = check_roi(geom, mu)
     a = geom_alpha(geom)
     beta = beta_mu_exact(geom, m)

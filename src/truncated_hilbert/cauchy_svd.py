@@ -20,10 +20,10 @@ additive cancellation:
    both its row and its column (Foster, J. Comput. Appl. Math. 86, 1997;
    Poole and Neal, ibid. 123, 2000).  That keeps |L| <= 1 and |U| <= 1
    entrywise, hence L and U well conditioned:  H = P_r^T (L D U) P_c^T.
-   Elimination stops once a pivot falls below floor_rel times max |H|,
-   the entry of the closest node pair.  L and U are views of an m x
-   min(m, n) and a min(m, n) x n buffer; the node arrays are copied, so
-   the caller's are never written.
+   Elimination stops once a pivot falls below floor_rel (by default
+   PIVOT_FLOOR) times max |H|, the entry of the closest node pair.  L
+   and U are views of an m x min(m, n) and a min(m, n) x n buffer; the
+   node arrays are copied, so the caller's are never written.
 
 2. Pivoted QR of the graded factor.  A column-pivoted QR of L*D gives
    L*D*P = Q*R, so L D U = Q W with W = R * (P^T U).  The rows of W are
@@ -100,7 +100,12 @@ def _max_entry(x, y, scale: float) -> float:
     return abs(scale) / gap
 
 
-def gecp_cauchy(x_nodes, y_nodes, scale: float, floor_rel: float = 1e-28) -> CauchyRRD:
+# Elimination stops at a pivot below this fraction of the largest entry,
+# unless a truncation asks for a lower floor (accurate_cauchy_svd)
+PIVOT_FLOOR = 1e-28
+
+
+def gecp_cauchy(x_nodes, y_nodes, scale: float, floor_rel: float = PIVOT_FLOOR) -> CauchyRRD:
     """Rook-pivoted elimination of C[i, j] = scale / (y_j - x_i) in generator form.
 
     Every Schur complement is S[i, j] = a_i b_j / (y_j - x_i), so only the
@@ -320,15 +325,16 @@ def svd_from_rrd(rrd: CauchyRRD):
     return Q @ v, sva * (work[1] / work[0]), u
 
 
-def accurate_cauchy_svd(x_nodes, y_nodes, scale: float, floor_rel: float = 1e-28,
-                        rank_tol: float | None = None):
+def accurate_cauchy_svd(x_nodes, y_nodes, scale: float, rank_tol: float | None = None):
     """Full pipeline: returns (data_vectors, sigmas, object_vectors).
 
     data_vectors is (len(x), k), object_vectors is (len(y), k), both with
     orthonormal columns in the original (unpermuted) index order.  k is
     the rank of the elimination, or with rank_tol the number of values
-    above rank_tol times the largest one.
+    above rank_tol times the largest one.  The elimination stops at
+    PIVOT_FLOOR, or seven decades below rank_tol if that is lower.
     """
+    floor_rel = PIVOT_FLOOR if rank_tol is None else min(PIVOT_FLOOR, rank_tol * 1e-7)
     rrd = gecp_cauchy(x_nodes, y_nodes, scale, floor_rel=floor_rel)
     left, s, right = svd_from_rrd(rrd)
     k = s.size if rank_tol is None else int(np.count_nonzero(s > rank_tol * s[:1]))

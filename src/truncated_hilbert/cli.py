@@ -31,10 +31,10 @@ from .bounds import calibrate_constants, roi_bound_l2, write_bounds_csv
 from .config import load_config
 from .errors import ConfigError, SpectralError, TruncatedHilbertError
 from .operator import apply_forward, build_operator, sample_grids, weighted_norm
-from .regularization import (add_noise, default_phantom, export_reconstruction,
-                             make_phantom, optimal_cutoff_l2,
-                             tikhonov_reconstruct, tsvd_reconstruct)
-from .report import write_csv, write_json
+from .regularization import (add_noise, export_reconstruction, optimal_cutoff_l2,
+                             phantom_from_spec, tikhonov_eta, tikhonov_reconstruct,
+                             tsvd_reconstruct)
+from .report import delta_label, mu_label, write_csv, write_json
 from .spectral import (SingularSystem, check_monotone, compute_svd,
                        export_spectrum_csv, fit_roi_decay, fit_tail_decay,
                        near_one_tail_fit, roi_mask, roi_norm, sigma_counts)
@@ -47,14 +47,7 @@ SVD_CACHE = "svd_cache.npy"
 def _build_parser():
     p = argparse.ArgumentParser(prog="ht", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
-    for name, desc in (
-            ("constants", "interval constants and Hoelder exponents"),
-            ("svd-report", "spectrum, decay fits, counts, monotonicity"),
-            ("figure1", "Hoelder exponent sweep over the overlap size"),
-            ("figure2", "tail decay and ROI-norm data with model overlays"),
-            ("reconstruct", "regularized inversions against noise sweeps"),
-            ("bounds", "stability bound sweep"),
-            ("validate", "check a configuration file and exit")):
+    for name, (desc, _) in _COMMANDS.items():
         q = sub.add_parser(name, help=desc)
         q.add_argument("--config", default=None, help="JSON config file")
         q.add_argument("--out", default=None, help="output directory")
@@ -66,25 +59,12 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _, runner = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config, small=args.small,
                           overrides={"seed": args.seed, "output_dir": args.out})
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        if args.command != "validate":   # the one command that writes nothing
+        if runner is not _cmd_validate:   # the one command that writes nothing
             os.makedirs(cfg.output_dir, exist_ok=True)
-        runner = {
-            "constants": _cmd_constants,
-            "svd-report": _cmd_svd_report,
-            "figure1": _cmd_figure1,
-            "figure2": _cmd_figure2,
-            "reconstruct": _cmd_reconstruct,
-            "bounds": _cmd_bounds,
-            "validate": _cmd_validate,
-        }[args.command]
         runner(cfg, cfg.output_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -211,7 +191,7 @@ def _cmd_svd_report(cfg, outdir) -> None:
     for mu in cfg.mu_list:
         rf = fit_roi_decay(sys_, mu)
         beta = geo.beta_mu_exact(geom, mu)
-        summary["roi_fits"][f"{mu:g}"] = {
+        summary["roi_fits"][mu_label(mu)] = {
             "rate": rf.rate, "beta_mu": beta,
             "rel_dev": abs(rf.rate - beta) / beta,
         }
@@ -265,7 +245,7 @@ def _cmd_figure2(cfg, outdir) -> None:
     betas = {mu: geo.beta_mu_exact(geom, mu) for mu in cfg.mu_list}
     header = ["n"]
     for mu in cfg.mu_list:
-        header += [f"log_roi_mu{mu:g}", f"log_model_mu{mu:g}"]
+        header += [f"log_roi_mu{mu_label(mu)}", f"log_model_mu{mu_label(mu)}"]
     rows = []
     for n, k in enumerate(sys_.tail, 1):
         row = [n]
@@ -280,10 +260,7 @@ def _cmd_figure2(cfg, outdir) -> None:
 def _cmd_reconstruct(cfg, outdir) -> None:
     geom = cfg.geom()
     _, object_grid = sample_grids(geom, cfg.step)
-    phantom_spec = cfg.phantom or default_phantom(geom)
-    kind = phantom_spec["kind"]
-    params = {k: v for k, v in phantom_spec.items() if k != "kind"}
-    f_true = make_phantom(kind, geom, object_grid, **params)
+    f_true = phantom_from_spec(cfg.phantom, geom, object_grid)
     norm_true = weighted_norm(f_true, cfg.step)
     # the prior check needs only the object grid: refuse before decomposing
     if norm_true > cfg.E:
@@ -300,7 +277,7 @@ def _cmd_reconstruct(cfg, outdir) -> None:
 
     rows = []
     for delta in map(float, cfg.delta_list):
-        eta = delta ** 2 / cfg.E ** 2   # a positive double: config checks it
+        eta = tikhonov_eta(delta, cfg.E)   # a positive double: config checks it
         noisy = add_noise(g_ex, delta, cfg.seed, step=op.step)
         cut = optimal_cutoff_l2(delta, cfg.E, consts)
         valid = cut.valid and delta > rounding
@@ -311,7 +288,7 @@ def _cmd_reconstruct(cfg, outdir) -> None:
                      if valid else float("nan"))
             rows.append([delta, rec.method, rec.cutoff_n, rec.eta, err, bound, valid])
             run_path = os.path.join(
-                outdir, f"recon_{rec.method}_delta{delta:.0e}.csv")
+                outdir, f"recon_{rec.method}_delta{delta_label(delta)}.csv")
             export_reconstruction(run_path, op.object_grid, f_true, rec.f, {
                 "method": rec.method, "delta": delta, "E": cfg.E,
                 "mu": mu, "seed": cfg.seed,
@@ -337,6 +314,18 @@ def _cmd_bounds(cfg, outdir) -> None:
     print(f"calibrated: A={consts.A:.6f} N0={consts.n0} N_mu={consts.n_mu} "
           f"beta_mu={consts.beta_mu:.6f} V_mu={consts.v_mu:.6f} c_tv={consts.c_tv:.6f}")
     print(f"wrote {path}")
+
+
+# command -> (help line, runner); the parser and main both read this table
+_COMMANDS = {
+    "constants": ("interval constants and Hoelder exponents", _cmd_constants),
+    "svd-report": ("spectrum, decay fits, counts, monotonicity", _cmd_svd_report),
+    "figure1": ("Hoelder exponent sweep over the overlap size", _cmd_figure1),
+    "figure2": ("tail decay and ROI-norm data with model overlays", _cmd_figure2),
+    "reconstruct": ("regularized inversions against noise sweeps", _cmd_reconstruct),
+    "bounds": ("stability bound sweep", _cmd_bounds),
+    "validate": ("check a configuration file and exit", _cmd_validate),
+}
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import json
 import numbers
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
@@ -9,7 +10,8 @@ from typing import ClassVar
 from .errors import ConfigError, GeometryError, GridError
 from .geometry import Geometry
 from .operator import sample_grids
-from .regularization import default_phantom, make_phantom
+from .regularization import phantom_from_spec, tikhonov_eta
+from .report import delta_label, mu_label
 from .spectral import roi_mask
 
 PAPER_GEOMETRY = (0.0, 450.0, 1350.0, 1725.0)
@@ -85,8 +87,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             _check_real(f"{name} entry", val)
     if isinstance(cfg.seed, bool) or not isinstance(cfg.seed, int) or cfg.seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {cfg.seed!r}")
-    if not isinstance(cfg.output_dir, str):
-        raise ConfigError(f"output_dir must be a string, got {cfg.output_dir!r}")
+    if not isinstance(cfg.output_dir, str) or not _is_path(cfg.output_dir):
+        raise ConfigError(f"output_dir must be a usable path string, got {cfg.output_dir!r}")
     if not isinstance(cfg.geometry, (list, tuple)) or len(cfg.geometry) != 4:
         raise ConfigError("geometry must list exactly four breakpoints")
     for val in cfg.geometry:
@@ -116,10 +118,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         if not d > 0:
             raise ConfigError(f"delta values must be positive, got {d}")
         _check_noise_level(float(d), cfg.E, cfg.kappa)
-    # svd-report and figure2 name their columns and keys by the mu label,
-    # reconstruct its per-run files by the delta label
-    for name, spec in (("mu_list", "g"), ("delta_list", ".0e")):
-        labels = [format(float(v), spec) for v in getattr(cfg, name)]
+    for name, label in (("mu_list", mu_label), ("delta_list", delta_label)):
+        labels = [label(v) for v in getattr(cfg, name)]
         if len(set(labels)) < len(labels):
             raise ConfigError(f"{name} labels {labels} repeat; one entry's "
                               f"outputs would overwrite another's")
@@ -131,20 +131,25 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             if key != "kind":
                 _check_real(f"phantom {key}", val)
     # the default phantom too may leave (a2, a4) on a short overlap
-    spec = cfg.phantom or default_phantom(geom)
-    make_phantom(spec["kind"], geom, object_grid,
-                 **{k: v for k, v in spec.items() if k != "kind"})
+    phantom_from_spec(cfg.phantom, geom, object_grid)
     return cfg
+
+
+def _is_path(name: str) -> bool:
+    """True if the file system can take name: no null byte, no lone surrogate."""
+    try:
+        return b"\0" not in os.fsencode(name)
+    except UnicodeEncodeError:
+        return False
 
 
 def _check_noise_level(delta: float, E, kappa) -> None:
     """Refuse delta unless delta^2/E^2, delta/kappa and kappa/delta are positive doubles.
 
-    Past that range the bounds come out wrong yet marked valid.  The
-    Tikhonov parameter is formed exactly as the reconstruct command forms it.
+    Past that range the bounds come out wrong yet marked valid.
     """
     try:
-        eta = delta ** 2 / E ** 2
+        eta = tikhonov_eta(delta, E)
     except (OverflowError, ZeroDivisionError):   # E^2 may underflow to 0
         eta = float("nan")
     if not 0.0 < eta < float("inf"):
@@ -161,12 +166,14 @@ def load_config(path, small: bool = False, overrides: dict | None = None) -> Exp
     cfg = default_config(small=small)
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        # malformed JSON, bytes that are not UTF-8, or nesting past the
+        # recursion limit of the parser
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"cannot parse config {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
         known = {f.name for f in fields(ExperimentConfig)}

@@ -85,16 +85,12 @@ def check_roi(geom: Geometry, mu) -> float:
 
 
 def poly_P(geom: Geometry, x):
-    """The quartic P(x) = (x-a1)(x-a2)(x-a3)(x-a4); vectorized in x.
+    """The quartic P(x) = (x-a1)(x-a2)(x-a3)(x-a4) at a float or a float array.
 
-    A Python float is evaluated in float arithmetic, the same operations
-    in the same order as on an array, and returned as a Python float.
+    One expression serves both, so a Python float gives a Python float
+    equal bit for bit to the array entry at the same x.
     """
-    if type(x) is float:
-        return float((x - geom.a1) * (x - geom.a2) * (x - geom.a3) * (x - geom.a4))
-    x = np.asarray(x, dtype=float)
-    out = (x - geom.a1) * (x - geom.a2) * (x - geom.a3) * (x - geom.a4)
-    return out if out.ndim else float(out)
+    return (x - geom.a1) * (x - geom.a2) * (x - geom.a3) * (x - geom.a4)
 
 
 def poly_P_prime_a3(geom: Geometry) -> float:

@@ -14,7 +14,7 @@ and optimal_cutoff_l2 is the one place that evaluates it: the bound
 validity of bounds.l2_validity reads the same unrounded index.
 The Tikhonov estimate applies the spectral filter sigma/(sigma^2 + eta),
 equivalent to the normal-equations solve on the retained span; the
-default parameter is eta = delta^2 / E^2.
+default parameter is tikhonov_eta(delta, E) = delta^2 / E^2.
 """
 
 from dataclasses import dataclass
@@ -104,6 +104,11 @@ def tsvd_reconstruct(sys: SingularSystem, g: np.ndarray, n_cut: int) -> Reconstr
     return ReconstructionResult(f=f, method="tsvd", cutoff_n=n_cut)
 
 
+def tikhonov_eta(delta: float, E) -> float:
+    """The Tikhonov parameter delta^2 / E^2 of noise level delta under |f| <= E."""
+    return delta ** 2 / E ** 2
+
+
 def tikhonov_reconstruct(sys: SingularSystem, g: np.ndarray, eta: float) -> ReconstructionResult:
     """Spectral-filter minimizer of |Hf - g|^2 + eta |f|^2 on the retained span."""
     if not eta > 0:
@@ -131,6 +136,13 @@ def default_phantom(geom: Geometry) -> dict:
     """
     return {"kind": "bump", "center": 0.5 * (geom.a2 + geom.a3),
             "width": 0.2 * (geom.a4 - geom.a2), "amplitude": 1.0}
+
+
+def phantom_from_spec(spec: dict | None, geom: Geometry, grid: SampledGrid) -> np.ndarray:
+    """Sample a config's phantom: spec's kind and parameters, or default_phantom for None."""
+    spec = default_phantom(geom) if spec is None else spec
+    return make_phantom(spec["kind"], geom, grid,
+                        **{k: v for k, v in spec.items() if k != "kind"})
 
 
 def make_phantom(kind: str, geom: Geometry, grid: SampledGrid, /,

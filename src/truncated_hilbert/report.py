@@ -5,12 +5,26 @@ round-trips every double; True/False become true/false; None becomes an
 empty cell ("not applicable"); anything else, ints and pre-formatted
 strings, goes through str.  JSON documents are indented by 2, keys
 sorted, numpy scalars encoded as floats, and end with a newline.
+
+A region-of-interest width mu and a noise level delta enter file names,
+column headers and keys only through mu_label and delta_label, which the
+config also reads to refuse entries whose outputs would collide.
 """
 
 import csv
 import json
 
 import numpy as np
+
+
+def mu_label(mu) -> str:
+    """Label of mu in output names: %g, six significant digits, so 8.0 reads 8."""
+    return format(float(mu), "g")
+
+
+def delta_label(delta) -> str:
+    """Label of delta in output names: one significant digit, as in 1e-05."""
+    return format(float(delta), ".0e")
 
 
 def _cell(x) -> str:

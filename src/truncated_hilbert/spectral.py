@@ -31,7 +31,7 @@ from .cauchy_svd import accurate_cauchy_svd
 from .errors import SpectralError
 from .geometry import Geometry, check_roi
 from .operator import DiscreteOperator, SampledGrid, kernel_rows, weighted_norm
-from .report import write_csv
+from .report import mu_label, write_csv
 
 DEFAULT_TAIL_LEN = 9
 # points of the near-one fit, counted down from its anchor
@@ -160,9 +160,8 @@ def compute_svd(op: DiscreteOperator, rank_tol: float | None = None,
     if method == "cauchy":
         # the elimination stops at a pivot floor set by the truncation, and
         # the solver writes only the retained columns back to grid order
-        v, s, u = accurate_cauchy_svd(
-            op.data_grid.points, op.object_grid.points, op.step / np.pi,
-            floor_rel=min(1e-28, tol * 1e-7), rank_tol=tol)
+        v, s, u = accurate_cauchy_svd(op.data_grid.points, op.object_grid.points,
+                                      op.step / np.pi, rank_tol=tol)
     else:
         v_all, s_all, u_all = np.linalg.svd(op.matrix, full_matrices=False)
         # compress copies once and, unlike a [:, keep] index, keeps C order
@@ -345,7 +344,7 @@ def export_spectrum_csv(sys: SingularSystem, path, mu_list) -> None:
     mus = [float(m) for m in mu_list]
     masks = [roi_mask(sys.geom, sys.object_grid, m) for m in mus]
     write_csv(path, ["n_discrete", "n_asymptotic", "sigma"]
-              + [f"roi_norm_mu{m:g}" for m in mus],
+              + [f"roi_norm_mu{mu_label(m)}" for m in mus],
               [[k + 1, k - tail.start + 1 if k in tail else None, sys.sigmas[k]]
                + [weighted_norm(sys.u[mask, k], sys.step) for mask in masks]
                for k in range(sys.count)])

@@ -13,7 +13,7 @@ from truncated_hilbert import (AsymptoticConstants, SampledGrid,
                                w_mu, write_bounds_csv)
 from truncated_hilbert.config import load_config
 from truncated_hilbert.errors import BoundNotApplicableError, SpectralError
-from truncated_hilbert.geometry import alpha, beta_mu_exact
+from truncated_hilbert.geometry import Geometry, alpha, beta_mu_exact
 from truncated_hilbert.regularization import default_phantom
 from truncated_hilbert.spectral import SingularSystem, roi_norm
 
@@ -170,6 +170,17 @@ class TestCalibration:
         assert k.n0 == 1
         assert k.n_mu == 2
         assert k.b_mu == pytest.approx(1.0 / np.sqrt(2 * np.pi), rel=1e-12)
+
+    def test_geometry_must_be_the_systems(self, small_preset_sys):
+        # alpha and beta_mu of another geometry on this tail gave A = 3.2e-4
+        # for a4 = 200, against 0.71 for the system's own a4 = 115
+        with pytest.raises(ValueError, match="is not the system's"):
+            calibrate_constants(small_preset_sys, Geometry(0, 30, 90, 200), 10.0)
+        equal = Geometry(*small_preset_sys.geom.points)
+        assert equal is not small_preset_sys.geom
+        k = calibrate_constants(small_preset_sys, equal, 10.0)
+        assert k == calibrate_constants(small_preset_sys, small_preset_sys.geom, 10.0)
+        assert k.A == pytest.approx(0.71, abs=0.01)
 
     def test_explicit_constants_refused(self, small_preset_sys):
         # only None, which ExperimentConfig's c_tv and A still hold, is accepted

@@ -17,6 +17,7 @@ from truncated_hilbert.cli import main
 from truncated_hilbert.config import ExperimentConfig, default_config, load_config
 from truncated_hilbert.errors import ConfigError
 from truncated_hilbert.operator import build_operator, sample_grids
+from truncated_hilbert.report import delta_label, mu_label
 from truncated_hilbert.spectral import compute_svd
 
 
@@ -222,6 +223,32 @@ class TestCliExitCodes:
         (tmp_path / "o").write_text("")
         assert main(["constants", "--small", "--out", str(tmp_path / "o")]) == 2
         assert "output error" in capsys.readouterr().err
+
+    # documents json.dumps never writes, and values the file system or
+    # int() refuse after json.load has accepted them
+    @pytest.mark.parametrize("raw", [
+        b'{"output_dir": "a\\u0000b"}',          # os.makedirs: embedded null byte
+        b'{"output_dir": "a\\ud800b"}',          # a lone surrogate encodes to no path
+        b'{"E": 5\xff}',                          # not UTF-8
+        b"[" * 200000 + b"]" * 200000,            # nesting past the parser's recursion
+        b'{"E": ' + b"1" * 5000 + b"}",           # past int()'s 4300-digit limit
+    ], ids=["null_byte", "surrogate", "not_utf8", "deep_nesting", "long_int"])
+    def test_unparseable_or_unusable_config_exit_2(self, tmp_path, capsys,
+                                                   monkeypatch, raw):
+        # no --out, which would replace the output_dir under test
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_bytes(raw)
+        with pytest.raises(ConfigError):
+            load_config("cfg.json")
+        for cmd in ("validate", "constants"):
+            assert main([cmd, "--config", "cfg.json"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_null_byte_in_out_flag_exit_2(self, tmp_path, capsys):
+        assert main(["constants", "--small", "--out", str(tmp_path / "a\0b")]) == 2
+        assert capsys.readouterr().err.startswith("config error: output_dir")
 
     def test_validate_touches_no_output_path(self, tmp_path):
         out = tmp_path / "o"
@@ -581,6 +608,25 @@ class TestCommands:
             for key, val in row.items():
                 if key.startswith("log_"):
                     assert float(val) < 0
+
+    def test_outputs_are_named_by_the_labels(self, tmp_path):
+        # every column, key and file named after a mu or a delta reads
+        # mu_label or delta_label of it: 8.5 and 2.5e-5 read 8.5 and 3e-05
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mu_list": [8.5], "delta_list": [2.5e-5]}))
+        out = tmp_path / "o"
+        for cmd in ("svd-report", "figure2", "reconstruct"):
+            assert main([cmd, "--small", "--config", str(cfg), "--out", str(out)]) == 0
+        mu, delta = mu_label(8.5), delta_label(2.5e-5)
+        assert (mu, delta) == ("8.5", "3e-05")
+        with open(out / "spectrum.csv", newline="") as fh:
+            assert next(csv.reader(fh))[-1] == f"roi_norm_mu{mu}"
+        with open(out / "figure2_roi.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == ["n", f"log_roi_mu{mu}", f"log_model_mu{mu}"]
+        summary = json.loads((out / "svd_summary.json").read_text())
+        assert list(summary["roi_fits"]) == [mu]
+        assert sorted(p.name for p in out.glob("recon_*.csv")) == [
+            f"recon_{method}_delta{delta}.csv" for method in ("tikhonov", "tsvd")]
 
     def test_reconstruct_small(self, tmp_path):
         out = tmp_path / "o"

@@ -64,6 +64,11 @@ class TestPolyP:
                 got = poly_P(geom, float(x))
                 assert type(got) is float and got == want
 
+    def test_numpy_scalar_matches_array_path(self):
+        xs = np.linspace(-2.0, 2.0, 101) * PAPER_GEOM.a4
+        for x, want in zip(xs, poly_P(PAPER_GEOM, xs)):
+            assert poly_P(PAPER_GEOM, x) == want   # x an np.float64
+
     def test_prime_at_a3_negative(self):
         assert poly_P_prime_a3(UNIT_GEOM) < 0
         assert poly_P_prime_a3(PAPER_GEOM) < 0

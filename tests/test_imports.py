@@ -72,3 +72,13 @@ def test_warm_cache_commands_load_no_scipy(cold_svd_report, command):
     out, _ = cold_svd_report
     assert (out / "svd_cache.npy").exists()
     assert probe([command, "--small"], out=out)["scipy"] == []
+
+
+def test_version_has_one_source():
+    # pyproject.toml reads the version from the package instead of restating it
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        doc = tomllib.load(fh)
+    assert "version" not in doc["project"] and doc["project"]["dynamic"] == ["version"]
+    assert doc["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "truncated_hilbert.__version__"}

@@ -178,7 +178,7 @@ def test_raw_factor_cache_is_solved_again(tmp_path, solves, small_preset_op):
     raw_key = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
     op = small_preset_op
     factors = accurate_cauchy_svd(op.data_grid.points, op.object_grid.points,
-                                  op.step / np.pi, floor_rel=1e-28)
+                                  op.step / np.pi)
     out = tmp_path / "o"
     out.mkdir()
     write_records(out / SVD_CACHE, [np.array(raw_key), *factors])
