@@ -1,12 +1,14 @@
 """Regularized inversion: truncated-SVD and Tikhonov estimates, noise, phantoms.
 
-Both estimators read the expansion of the data in the computed singular
-basis from SingularSystem.coefficients, which remembers the last data
-vector's, so any number of estimates of one data vector (each cutoff,
-each eta) project it onto the singular vectors once.  The truncated
-estimate inverts every retained component above the tail plus tail
-components up to a cutoff index; the quasi-optimal cutoff for noise
-level delta under the norm prior |f| <= E is
+Both estimators go through SingularSystem.estimate, which projects the
+last data vector onto the singular vectors once and keeps, per
+estimator, its last estimate of that vector: the truncated estimate
+keyed by the number of components it keeps, the Tikhonov estimate by
+eta.  Estimates of one data vector thus pay a synthesis u @ w only when
+an estimator's key changes, and every estimate f is read-only.  The
+truncated estimate inverts every retained component above the tail
+plus tail components up to a cutoff index; the quasi-optimal cutoff for
+noise level delta under the norm prior |f| <= E is
 
     N(delta) = round( log(E A V_mu / delta) / alpha ),
 
@@ -92,15 +94,22 @@ def tsvd_reconstruct(sys: SingularSystem, g: np.ndarray, n_cut: int) -> Reconstr
     plus tail components with asymptotic index n <= n_cut; values below
     the tail are never included.  Only included coefficients are divided
     by their sigma, so a discarded value near 1e-21 cannot overflow.
+    Raises ValueError unless n_cut is an integer >= 0 (a bool is not).
     """
-    if n_cut < 0:
-        raise ValueError(f"n_cut must be >= 0, got {n_cut}")
-    coeffs = sys.coefficients(g)
-    # tail index n sits at position tail.start + n - 1
+    if (isinstance(n_cut, bool) or not isinstance(n_cut, (int, np.integer))
+            or n_cut < 0):
+        raise ValueError(f"n_cut must be an integer >= 0, got {n_cut!r}")
+    n_cut = int(n_cut)
+    # tail index n sits at position tail.start + n - 1; every n_cut at or
+    # past the tail's length keeps the same components, so keep is the key
     keep = sys.tail.start + min(n_cut, len(sys.tail))
-    weights = np.zeros(sys.count)
-    weights[:keep] = coeffs[:keep] / sys.sigmas[:keep]
-    f = sys.u @ weights
+
+    def weights(coeffs):
+        w = np.zeros(sys.count)
+        w[:keep] = coeffs[:keep] / sys.sigmas[:keep]
+        return w
+
+    f = sys.estimate(g, "tsvd", keep, weights)
     return ReconstructionResult(f=f, method="tsvd", cutoff_n=n_cut)
 
 
@@ -113,9 +122,10 @@ def tikhonov_reconstruct(sys: SingularSystem, g: np.ndarray, eta: float) -> Reco
     """Spectral-filter minimizer of |Hf - g|^2 + eta |f|^2 on the retained span."""
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    coeffs = sys.coefficients(g)
-    weights = coeffs * sys.sigmas / (sys.sigmas ** 2 + eta)
-    f = sys.u @ weights
+    # the double both keys the remembered estimate and forms the filter
+    key = float(eta)
+    f = sys.estimate(g, "tikhonov", key,
+                     lambda coeffs: coeffs * sys.sigmas / (sys.sigmas ** 2 + key))
     return ReconstructionResult(f=f, method="tikhonov", eta=eta)
 
 

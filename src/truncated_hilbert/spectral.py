@@ -58,8 +58,8 @@ class SingularSystem:
     u columns live on the object grid, v columns on the data grid; both
     are orthonormal under the step-weighted inner product.  A system
     built by `of` has passed its check, owns its sigmas, u and v and
-    marks them read-only, so the projection `coefficients` remembers
-    cannot go stale.
+    marks them read-only, so neither the projection `coefficients`
+    remembers nor the estimates `estimate` remembers can go stale.
     """
 
     sigmas: np.ndarray
@@ -68,8 +68,10 @@ class SingularSystem:
     object_grid: SampledGrid
     step: float
     geom: Geometry
-    # (bytes of the last data vector, its coefficients) in one slot, so a
-    # reader never pairs one vector's key with another's coefficients
+    # (bytes of the last data vector, its coefficients, its estimates) in
+    # one slot, so a reader never pairs one vector's key with another's
+    # coefficients or estimates; the estimates map each estimator to one
+    # slot (its key, its estimate), replaced whole
     _projection: tuple | None = field(default=None, init=False, repr=False,
                                       compare=False)
 
@@ -115,6 +117,28 @@ class SingularSystem:
         changed in place is projected again.  Raises ValueError unless g
         holds one value per data sample.
         """
+        return self._project(g)[1]
+
+    def estimate(self, g, estimator: str, key, weights) -> np.ndarray:
+        """Read-only synthesis u @ weights(coefficients(g)) of a data vector.
+
+        Each estimator remembers its last estimate of the last data vector
+        under `key`, which must fix the weights given the coefficients:
+        a call with the same vector and key returns that array without
+        calling `weights`.  A new vector, or the same array changed in
+        place, drops every remembered estimate with its projection.
+        """
+        _, coeffs, estimates = self._project(g)
+        last = estimates.get(estimator)
+        if last is not None and last[0] == key:
+            return last[1]
+        f = self.u @ weights(coeffs)
+        f.flags.writeable = False
+        estimates[estimator] = (key, f)
+        return f
+
+    def _project(self, g) -> tuple:
+        """The slot (key, coefficients, estimates) of data vector g, made current."""
         g = np.asarray(g, dtype=float)
         if g.shape != (self.v.shape[0],):
             raise ValueError(f"expected data vector of length {self.v.shape[0]}, "
@@ -122,11 +146,12 @@ class SingularSystem:
         key = g.tobytes()
         last = self._projection
         if last is not None and last[0] == key:
-            return last[1]
+            return last
         coeffs = self.step * (self.v.T @ g)
         coeffs.flags.writeable = False
-        object.__setattr__(self, "_projection", (key, coeffs))
-        return coeffs
+        last = (key, coeffs, {})
+        object.__setattr__(self, "_projection", last)
+        return last
 
 
 @dataclass(frozen=True)

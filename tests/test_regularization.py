@@ -150,6 +150,25 @@ class TestTsvd:
         with pytest.raises(ValueError):
             tsvd_reconstruct(tiny_sys, np.zeros(6), 1)
 
+    @pytest.mark.parametrize("n_cut", [2.5, 3.0, np.float64(3.0), True, False,
+                                       np.bool_(True), "3", None, np.int64(-1)],
+                             ids=["2.5", "3.0", "float64", "True", "False",
+                                  "bool_", "str", "None", "int64_negative"])
+    def test_cutoff_must_be_an_integer(self, tiny_sys, n_cut):
+        # a float used to fail as a slice index with a bare TypeError, and
+        # True was taken for 1 and recorded as cutoff_n=True
+        with pytest.raises(ValueError, match="n_cut must be an integer"):
+            tsvd_reconstruct(tiny_sys, np.zeros(7), n_cut)
+
+    @pytest.mark.parametrize("n_cut", [3, np.int64(3), np.int32(3), np.uint8(3)],
+                             ids=["int", "int64", "int32", "uint8"])
+    def test_numpy_integers_recorded_as_int(self, tiny_sys, n_cut):
+        g = np.random.default_rng(2).standard_normal(7)
+        rec = tsvd_reconstruct(tiny_sys, g, n_cut)
+        assert type(rec.cutoff_n) is int and rec.cutoff_n == 3
+        cold = tsvd_reconstruct(replace(tiny_sys), g, 3)
+        assert rec.f.tobytes() == cold.f.tobytes()
+
 
 class TestTikhonov:
     def test_matches_normal_equations(self, tiny_op, tiny_sys):
@@ -206,31 +225,75 @@ class _CountingArray(np.ndarray):
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
+def _counting(sys_, name):
+    """A cold copy of sys_ whose u or v records the products it enters."""
+    arr = getattr(sys_, name).view(_CountingArray)
+    arr.products = []
+    return replace(sys_, **{name: arr}), arr.products
+
+
 class TestSharedProjection:
     def test_one_read_of_v_per_data_vector(self, small_preset_sys):
-        v = small_preset_sys.v.view(_CountingArray)
-        v.products = []
-        sys_ = replace(small_preset_sys, v=v)
+        sys_, products = _counting(small_preset_sys, "v")
         rng = np.random.default_rng(12)
-        g = rng.standard_normal(v.shape[0])
+        g = rng.standard_normal(sys_.v.shape[0])
         tsvd_reconstruct(sys_, g, 3)
         tikhonov_reconstruct(sys_, g, 1e-6)
         tsvd_reconstruct(sys_, g.copy(), 5)
-        assert len(v.products) == 1
-        tikhonov_reconstruct(sys_, rng.standard_normal(v.shape[0]), 1e-6)
-        assert len(v.products) == 2
+        assert len(products) == 1
+        tikhonov_reconstruct(sys_, rng.standard_normal(sys_.v.shape[0]), 1e-6)
+        assert len(products) == 2
+
+    def test_one_synthesis_per_estimator_key(self, small_preset_sys):
+        sys_, products = _counting(small_preset_sys, "u")
+        g = np.random.default_rng(13).standard_normal(sys_.v.shape[0])
+        for _ in range(3):
+            tsvd_reconstruct(sys_, g, 4)
+            tikhonov_reconstruct(sys_, g.copy(), 1e-6)
+        assert len(products) == 2
+        # each change of key or of data vector makes exactly one more
+        tikhonov_reconstruct(sys_, g, 1e-8)
+        assert len(products) == 3
+        tsvd_reconstruct(sys_, g, 2)
+        assert len(products) == 4
+        g = np.random.default_rng(14).standard_normal(sys_.v.shape[0])
+        tsvd_reconstruct(sys_, g, 2)
+        assert len(products) == 5
+        g[0] += 1.0
+        tsvd_reconstruct(sys_, g, 2)
+        assert len(products) == 6
+        tikhonov_reconstruct(sys_, g, 1e-8)
+        tikhonov_reconstruct(sys_, g, 1e-8)
+        assert len(products) == 7
+
+    def test_clamped_cutoffs_share_one_estimate(self, small_preset_sys):
+        sys_, products = _counting(small_preset_sys, "u")
+        g = np.random.default_rng(15).standard_normal(sys_.v.shape[0])
+        tail_len = len(sys_.tail)
+        at, past = (tsvd_reconstruct(sys_, g, n) for n in (tail_len, tail_len + 7))
+        assert len(products) == 1
+        assert past.f is at.f
+        assert (at.cutoff_n, past.cutoff_n) == (tail_len, tail_len + 7)
 
     def test_cold_and_warm_bitwise_equal(self, small_preset_op, small_preset_sys):
+        # every remembered estimate is the cold system's, byte for byte
         f_true = make_phantom("bump", SMALL_PRESET_GEOM, small_preset_op.object_grid,
                               center=60.0, width=17.0)
         g = add_noise(apply_forward(small_preset_op, f_true), 1e-4, seed=3,
                       step=small_preset_op.step).g
         warm = replace(small_preset_sys)
         warm.coefficients(g)
-        for estimate in (lambda s: tsvd_reconstruct(s, g, 4),
-                         lambda s: tikhonov_reconstruct(s, g, 4e-12)):
-            cold = estimate(replace(small_preset_sys)).f
-            assert estimate(warm).f.tobytes() == cold.tobytes()
+        estimates = [lambda s: tsvd_reconstruct(s, g, 4),
+                     lambda s: tikhonov_reconstruct(s, g, 4e-12),
+                     lambda s: tsvd_reconstruct(s, g, 40),
+                     lambda s: tikhonov_reconstruct(s, g, 4e-12)]
+        for _ in range(2):
+            for estimate in estimates:
+                f = estimate(warm).f
+                assert f.tobytes() == estimate(replace(small_preset_sys)).f.tobytes()
+                assert not f.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    f[0] = 0.0
 
 
 class TestPhantoms:
