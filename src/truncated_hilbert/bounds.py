@@ -195,20 +195,30 @@ def _log_tv_bound(delta: float, kappa: float, k: AsymptoticConstants) -> float:
     return float(np.logaddexp(log_head, log_tail))
 
 
+def _noise_ratio(delta: float, kappa: float) -> float:
+    """delta/kappa; ValueError unless delta is finite and >= 0, kappa finite and > 0."""
+    if not (0 <= delta < math.inf and 0 < kappa < math.inf):
+        raise ValueError(f"need a finite delta >= 0 and kappa > 0, got {delta}, {kappa}")
+    return delta / kappa
+
+
 def tv_validity(delta: float, kappa: float, k: AsymptoticConstants) -> bool:
     """Strict smallness condition delta/kappa < A W_mu e^(-alpha N_mu).
 
     Also requires the bound of roi_bound_tv to be a finite double, so that
-    whenever this holds roi_bound_tv returns a number.
+    whenever this holds roi_bound_tv returns a number.  Raises ValueError
+    unless delta is finite and >= 0 and kappa finite and > 0.
     """
-    return bool(delta / kappa < k.A * k.w_mu * np.exp(-k.alpha * k.n_mu)
+    return bool(_noise_ratio(delta, kappa) < k.A * k.w_mu * np.exp(-k.alpha * k.n_mu)
                 and _log_tv_bound(delta, kappa, k) < _LOG_MAX)
 
 
 def roi_bound_tv(delta: float, kappa: float, k: AsymptoticConstants) -> float:
-    """Restricted-interval bound under the variation prior |f|_TV <= kappa."""
-    if delta <= 0 or kappa <= 0:
-        raise ValueError("delta and kappa must be positive")
+    """Restricted-interval bound under the variation prior |f|_TV <= kappa.
+
+    The bound at delta = 0 is 0.  Raises ValueError, through tv_validity,
+    unless delta is finite and >= 0 and kappa finite and > 0.
+    """
     if not tv_validity(delta, kappa, k):
         raise BoundNotApplicableError(
             f"variation bound not applicable at delta/kappa={delta / kappa:g}: needs "
@@ -217,9 +227,12 @@ def roi_bound_tv(delta: float, kappa: float, k: AsymptoticConstants) -> float:
 
 
 def full_interval_validity(delta: float, kappa: float, k: AsymptoticConstants) -> bool:
-    """Sufficient condition delta/kappa < (A c/(2 alpha)) e^(-(alpha+3/2) N_0)."""
+    """Sufficient condition delta/kappa < (A c/(2 alpha)) e^(-(alpha+3/2) N_0).
+
+    Raises ValueError unless delta is finite and >= 0 and kappa finite and > 0.
+    """
     thresh = k.A * k.c_tv / (2.0 * k.alpha) * np.exp(-(k.alpha + 1.5) * k.n0)
-    return bool(delta / kappa < thresh)
+    return bool(_noise_ratio(delta, kappa) < thresh)
 
 
 def full_interval_bound(delta: float, kappa: float, k: AsymptoticConstants) -> float:

@@ -1,14 +1,15 @@
 """Regularized inversion: truncated-SVD and Tikhonov estimates, noise, phantoms.
 
-Both estimators go through SingularSystem.estimate, which projects the
-last data vector onto the singular vectors once and keeps, per
-estimator, its last estimate of that vector: the truncated estimate
-keyed by the number of components it keeps, the Tikhonov estimate by
-eta.  Estimates of one data vector thus pay a synthesis u @ w only when
-an estimator's key changes, and every estimate f is read-only.  The
-truncated estimate inverts every retained component above the tail
-plus tail components up to a cutoff index; the quasi-optimal cutoff for
-noise level delta under the norm prior |f| <= E is
+Both estimators are spectral filters: each weights the coefficients
+SingularSystem.coefficients(g) of the data vector and returns
+SingularSystem.synthesize(w) = u @ w.  The system remembers each
+product by the bytes of its input, the last projection and the last two
+syntheses, so estimates of one data vector project it once, and TSVD
+and Tikhonov estimates alternating on it synthesize each set of weights
+once; every estimate f is read-only.  The truncated estimate inverts
+every retained component above the tail plus tail components up to a
+cutoff index; the quasi-optimal cutoff for noise level delta under the
+norm prior |f| <= E is
 
     N(delta) = round( log(E A V_mu / delta) / alpha ),
 
@@ -20,6 +21,7 @@ default parameter is tikhonov_eta(delta, E) = delta^2 / E^2.
 """
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -48,9 +50,15 @@ class ReconstructionResult:
 
 
 def add_noise(g_ex: np.ndarray, delta: float, seed: int, step: float = 1.0) -> NoisyData:
-    """Perturb g_ex by a seeded Gaussian vector rescaled to weighted norm delta."""
+    """Perturb g_ex by a seeded Gaussian vector rescaled to weighted norm delta.
+
+    Raises ValueError unless delta is finite and nonnegative and seed is
+    an integer >= 0 (a bool is not).
+    """
     if not 0 <= delta < np.inf:
         raise ValueError(f"delta must be finite and nonnegative, got {delta}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     g_ex = np.asarray(g_ex, dtype=float)
     if delta == 0.0:
         return NoisyData(g=g_ex.copy())
@@ -100,17 +108,12 @@ def tsvd_reconstruct(sys: SingularSystem, g: np.ndarray, n_cut: int) -> Reconstr
             or n_cut < 0):
         raise ValueError(f"n_cut must be an integer >= 0, got {n_cut!r}")
     n_cut = int(n_cut)
-    # tail index n sits at position tail.start + n - 1; every n_cut at or
-    # past the tail's length keeps the same components, so keep is the key
+    # tail index n sits at position tail.start + n - 1
     keep = sys.tail.start + min(n_cut, len(sys.tail))
-
-    def weights(coeffs):
-        w = np.zeros(sys.count)
-        w[:keep] = coeffs[:keep] / sys.sigmas[:keep]
-        return w
-
-    f = sys.estimate(g, "tsvd", keep, weights)
-    return ReconstructionResult(f=f, method="tsvd", cutoff_n=n_cut)
+    coeffs = sys.coefficients(g)
+    w = np.zeros(sys.count)
+    w[:keep] = coeffs[:keep] / sys.sigmas[:keep]
+    return ReconstructionResult(f=sys.synthesize(w), method="tsvd", cutoff_n=n_cut)
 
 
 def tikhonov_eta(delta: float, E) -> float:
@@ -119,14 +122,16 @@ def tikhonov_eta(delta: float, E) -> float:
 
 
 def tikhonov_reconstruct(sys: SingularSystem, g: np.ndarray, eta: float) -> ReconstructionResult:
-    """Spectral-filter minimizer of |Hf - g|^2 + eta |f|^2 on the retained span."""
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    # the double both keys the remembered estimate and forms the filter
-    key = float(eta)
-    f = sys.estimate(g, "tikhonov", key,
-                     lambda coeffs: coeffs * sys.sigmas / (sys.sigmas ** 2 + key))
-    return ReconstructionResult(f=f, method="tikhonov", eta=eta)
+    """Spectral-filter minimizer of |Hf - g|^2 + eta |f|^2 on the retained span.
+
+    Raises ValueError unless eta is a finite positive real (a bool is
+    not); the result records it as a Python float.
+    """
+    if isinstance(eta, bool) or not isinstance(eta, Real) or not 0 < eta < np.inf:
+        raise ValueError(f"eta must be a finite positive real, got {eta!r}")
+    eta = float(eta)
+    w = sys.coefficients(g) * sys.sigmas / (sys.sigmas ** 2 + eta)
+    return ReconstructionResult(f=sys.synthesize(w), method="tikhonov", eta=eta)
 
 
 # phantom kind -> (required, optional) parameters; the two required ones

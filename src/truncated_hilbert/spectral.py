@@ -58,8 +58,8 @@ class SingularSystem:
     u columns live on the object grid, v columns on the data grid; both
     are orthonormal under the step-weighted inner product.  A system
     built by `of` has passed its check, owns its sigmas, u and v and
-    marks them read-only, so neither the projection `coefficients`
-    remembers nor the estimates `estimate` remembers can go stale.
+    marks them read-only, so neither the projections `coefficients`
+    remembers nor the syntheses `synthesize` remembers can go stale.
     """
 
     sigmas: np.ndarray
@@ -68,12 +68,13 @@ class SingularSystem:
     object_grid: SampledGrid
     step: float
     geom: Geometry
-    # (bytes of the last data vector, its coefficients, its estimates) in
-    # one slot, so a reader never pairs one vector's key with another's
-    # coefficients or estimates; the estimates map each estimator to one
-    # slot (its key, its estimate), replaced whole
+    # (bytes of the last data vector, its coefficients) and, most recent
+    # first, up to two (bytes of the weights, their synthesis); each slot
+    # is replaced whole, so a reader never pairs one input's key with
+    # another input's product
     _projection: tuple | None = field(default=None, init=False, repr=False,
                                       compare=False)
+    _syntheses: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, op: DiscreteOperator, sigmas, u, v) -> "SingularSystem":
@@ -117,41 +118,40 @@ class SingularSystem:
         changed in place is projected again.  Raises ValueError unless g
         holds one value per data sample.
         """
-        return self._project(g)[1]
-
-    def estimate(self, g, estimator: str, key, weights) -> np.ndarray:
-        """Read-only synthesis u @ weights(coefficients(g)) of a data vector.
-
-        Each estimator remembers its last estimate of the last data vector
-        under `key`, which must fix the weights given the coefficients:
-        a call with the same vector and key returns that array without
-        calling `weights`.  A new vector, or the same array changed in
-        place, drops every remembered estimate with its projection.
-        """
-        _, coeffs, estimates = self._project(g)
-        last = estimates.get(estimator)
-        if last is not None and last[0] == key:
-            return last[1]
-        f = self.u @ weights(coeffs)
-        f.flags.writeable = False
-        estimates[estimator] = (key, f)
-        return f
-
-    def _project(self, g) -> tuple:
-        """The slot (key, coefficients, estimates) of data vector g, made current."""
-        g = np.asarray(g, dtype=float)
-        if g.shape != (self.v.shape[0],):
-            raise ValueError(f"expected data vector of length {self.v.shape[0]}, "
-                             f"got shape {g.shape}")
-        key = g.tobytes()
+        g, key = _keyed(g, self.v.shape[0], "data vector")
         last = self._projection
         if last is not None and last[0] == key:
-            return last
+            return last[1]
         coeffs = self.step * (self.v.T @ g)
         coeffs.flags.writeable = False
-        last = (key, coeffs, {})
-        object.__setattr__(self, "_projection", last)
-        return last
+        object.__setattr__(self, "_projection", (key, coeffs))
+        return coeffs
+
+    def synthesize(self, w) -> np.ndarray:
+        """Read-only object vector u @ w of weights on the retained triples.
+
+        The last two results are remembered, keyed by the bytes of w; a
+        hit makes its entry the most recent, so estimators that alternate
+        on one data vector synthesize each of their weights once.  Raises
+        ValueError unless w holds one value per retained triple.
+        """
+        w, key = _keyed(w, self.count, "weights")
+        recent = self._syntheses
+        entry = next((e for e in recent if e[0] == key), None)
+        if entry is None:
+            entry = (key, self.u @ w)
+            entry[1].flags.writeable = False
+        older = [e for e in recent if e is not entry]
+        object.__setattr__(self, "_syntheses", (entry, *older[:1]))
+        return entry[1]
+
+
+def _keyed(x, size: int, name: str) -> tuple:
+    """x as a float vector and its bytes; ValueError unless it holds size values."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (size,):
+        raise ValueError(f"expected {name} of length {size}, got shape {x.shape}")
+    return x, x.tobytes()
 
 
 @dataclass(frozen=True)

@@ -367,6 +367,30 @@ class TestFullIntervalBound:
                     delta, 1.0, k)
 
 
+class TestVariationPriorArguments:
+    # kappa = 0 raised ZeroDivisionError, kappa = -1 a bare math domain error
+    # in tv_validity and True in full_interval_validity, delta = -1 gave
+    # True in both, and full_interval_validity(1e-6, inf) was True while
+    # full_interval_bound returned nan; roi_bound_tv checks through tv_validity
+    @pytest.mark.parametrize("check", [tv_validity, full_interval_validity, roi_bound_tv])
+    @pytest.mark.parametrize("delta, kappa", [
+        (1e-6, 0.0), (1e-6, -1.0), (1e-6, float("inf")), (1e-6, float("nan")),
+        (-1.0, 1.0), (-1e-300, 1.0), (float("inf"), 1.0), (float("nan"), 1.0)],
+        ids=["kappa0", "kappa_negative", "kappa_inf", "kappa_nan",
+             "delta_negative", "delta_tiny_negative", "delta_inf", "delta_nan"])
+    def test_refused(self, check, delta, kappa):
+        with pytest.raises(ValueError, match="finite delta >= 0 and kappa > 0"):
+            check(delta, kappa, paper_constants())
+
+    def test_zero_delta_keeps_its_answer(self):
+        k = paper_constants()
+        assert tv_validity(0.0, 1.0, k)
+        assert full_interval_validity(0.0, 1.0, k)
+        with pytest.raises(ValueError):
+            full_interval_bound(0.0, 1.0, k)
+        assert roi_bound_tv(0.0, 1.0, k) == 0.0
+
+
 def test_bounds_csv(tmp_path):
     k = paper_constants()
     path = tmp_path / "bounds.csv"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -49,6 +50,19 @@ class TestAddNoise:
         for delta in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 add_noise(np.zeros(3), delta, seed=0)
+
+    @pytest.mark.parametrize("seed", [True, False, 1.5, 2.0, -1, np.int64(-1), "3", None],
+                             ids=["True", "False", "1.5", "2.0", "negative",
+                                  "int64_negative", "str", "None"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # True used to be taken for 1, and 1.5 failed inside numpy's SeedSequence
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            add_noise(np.zeros(3), 0.1, seed=seed)
+
+    def test_numpy_integer_seed_matches_int(self):
+        g = np.linspace(-1.0, 1.0, 50)
+        np.testing.assert_array_equal(add_noise(g, 0.3, seed=np.int64(7)).g,
+                                      add_noise(g, 0.3, seed=7).g)
 
 
 class TestCutoffs:
@@ -211,6 +225,26 @@ class TestTikhonov:
             with pytest.raises(ValueError):
                 tikhonov_reconstruct(tiny_sys, np.zeros(7), eta)
 
+    @pytest.mark.parametrize("eta", [True, np.bool_(True), "1e-6", np.array([1e-6, 1e-5]),
+                                     1e-6 + 0j, None, float("inf"), -float("inf"),
+                                     -1e-6, np.float32("inf")],
+                             ids=["True", "bool_", "str", "array", "complex", "None",
+                                  "inf", "-inf", "negative", "float32_inf"])
+    def test_eta_must_be_a_finite_positive_real(self, tiny_sys, eta):
+        # True was recorded as eta=True, inf returned f = 0, "1e-6" failed
+        # with a bare TypeError and an array with numpy's ambiguous truth value
+        with pytest.raises(ValueError, match="eta must be a finite positive real"):
+            tikhonov_reconstruct(tiny_sys, np.zeros(7), eta)
+
+    @pytest.mark.parametrize("eta", [np.float32(1e-3), np.float64(1e-3), 1, np.int64(1)],
+                             ids=["float32", "float64", "int", "int64"])
+    def test_eta_recorded_as_float(self, tiny_sys, eta):
+        g = np.random.default_rng(3).standard_normal(7)
+        rec = tikhonov_reconstruct(tiny_sys, g, eta)
+        assert type(rec.eta) is float and rec.eta == float(eta)
+        cold = tikhonov_reconstruct(replace(tiny_sys), g, float(eta))
+        assert rec.f.tobytes() == cold.f.tobytes()
+
 
 class _CountingArray(np.ndarray):
     """An array that records each matrix product it enters, views included."""
@@ -274,6 +308,59 @@ class TestSharedProjection:
         assert len(products) == 1
         assert past.f is at.f
         assert (at.cutoff_n, past.cutoff_n) == (tail_len, tail_len + 7)
+
+    def test_synthesize_is_u_times_w(self, small_preset_sys):
+        sys_ = replace(small_preset_sys)
+        w = np.random.default_rng(16).standard_normal(sys_.count)
+        f = sys_.synthesize(w)
+        assert f.tobytes() == (sys_.u @ w).tobytes()
+        assert not f.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            f[0] = 0.0
+        # a list of the same values is the same input, and an integer
+        # vector is converted to float
+        assert sys_.synthesize(list(w)) is f
+        ones = sys_.synthesize(np.ones(sys_.count, dtype=int))
+        assert ones.tobytes() == (sys_.u @ np.ones(sys_.count)).tobytes()
+
+    def test_synthesize_refuses_wrong_shape(self, small_preset_sys):
+        count = small_preset_sys.count
+        for shape in [(count - 1,), (count + 1,), (1, count), (), (0,)]:
+            msg = f"expected weights of length {count}, got shape {shape}"
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                small_preset_sys.synthesize(np.zeros(shape))
+
+    def test_noise_sweep_pattern_makes_three_syntheses(self, small_preset_sys):
+        # per noisy vector the sweep alternates TSVD and Tikhonov over three
+        # mu; the first cutoff differs from the next two, eta never changes
+        sys_, products = _counting(small_preset_sys, "u")
+        g = np.random.default_rng(17).standard_normal(sys_.v.shape[0])
+        for n_cut in (2, 4, 4):
+            tsvd_reconstruct(sys_, g, n_cut)
+            tikhonov_reconstruct(sys_, g, 1e-6)
+        assert len(products) == 3
+
+    def test_hit_makes_its_entry_most_recent(self, small_preset_sys):
+        sys_, products = _counting(small_preset_sys, "u")
+        a, b, c = np.random.default_rng(19).standard_normal((3, sys_.count))
+        for w in (a, b, a, c):   # c drops b, the least recently used
+            sys_.synthesize(w)
+        assert len(products) == 3
+        sys_.synthesize(a)
+        assert len(products) == 3
+        sys_.synthesize(b)
+        assert len(products) == 4
+
+    def test_weights_changed_in_place_synthesized_again(self, small_preset_sys):
+        sys_, products = _counting(small_preset_sys, "u")
+        w = np.random.default_rng(18).standard_normal(sys_.count)
+        first = sys_.synthesize(w)
+        assert sys_.synthesize(w) is first and len(products) == 1
+        w[0] += 1.0
+        second = sys_.synthesize(w)
+        assert len(products) == 2
+        assert second.tobytes() == (small_preset_sys.u @ w).tobytes()
+        assert first.tobytes() != second.tobytes()
 
     def test_cold_and_warm_bitwise_equal(self, small_preset_op, small_preset_sys):
         # every remembered estimate is the cold system's, byte for byte
