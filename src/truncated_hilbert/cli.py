@@ -269,8 +269,10 @@ def _cmd_reconstruct(cfg, outdir) -> None:
     op, sys_ = _spectral_setup(cfg, outdir)
     g_ex = apply_forward(op, f_true)
     # a delta at or below the rounding of the exact data leaves the estimate
-    # limited by that rounding, amplified by 1/sigma_n, which no bound sees
-    rounding = sys.float_info.epsilon * weighted_norm(g_ex, op.step)
+    # limited by that rounding, amplified by 1/sigma_n, which no bound sees.
+    # The FFT product errs normwise in f (|H| <= 1): up to 1.2 eps |f|
+    # measured, but 7 eps |g| for a bump near a4, where |g| is |f|/8
+    rounding = 2 * sys.float_info.epsilon * norm_true
     mu = float(cfg.mu_list[0])
     consts = calibrate_constants(sys_, geom, mu)
     mask = roi_mask(geom, object_grid, mu)

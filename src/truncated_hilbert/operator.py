@@ -11,6 +11,14 @@ is finite, and the principal value needs no further regularization.  For
 the reference geometry (0, 450, 1350, 1725) at step 1 this yields the
 1351 x 1276 matrix used by all large-scale experiments.
 
+Both grids share one step, so y_j - x_i depends only on j - i: the
+operator is a Toeplitz section of a discrete convolution, fixed by its
+first column and first row.  apply_forward and apply_adjoint multiply by
+FFT from those m + n - 1 kernel values and never form the m x n matrix.
+Away from integer nodes, rounding takes the formed matrix off Toeplitz
+form by up to about 6e-14 relative; the products follow its first column
+and row.
+
 Discrete inner products carry the weight `step` on both grids so vector
 norms approximate L2 norms of the sampled functions.
 """
@@ -33,8 +41,8 @@ class SampledGrid:
     count: int
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise GridError(f"step must be positive, got {self.step}")
+        if not 0 < self.step < np.inf:
+            raise GridError(f"step must be finite and positive, got {self.step}")
         if self.count < 1:
             raise GridError(f"count must be >= 1, got {self.count}")
 
@@ -56,8 +64,11 @@ def kernel_rows(x: np.ndarray, y: np.ndarray, step: float) -> np.ndarray:
 class DiscreteOperator:
     """The sampled operator, defined by its grids; rows = data, cols = object.
 
-    The dense kernel matrix is formed on first access to `matrix` and kept;
-    the structured decomposition and its reconstruction check never need it.
+    H[i, j] depends only on j - i, so `kernel_spectrum` keeps the m + n - 1
+    kernel values as one spectrum, which apply_forward and apply_adjoint
+    multiply by.  The dense kernel matrix is formed on first access to
+    `matrix` and kept; no command reads it: only compute_svd(method="lapack")
+    and the checks of the tests and the benchmark do.
     """
 
     data_grid: SampledGrid
@@ -73,6 +84,24 @@ class DiscreteOperator:
     def matrix(self) -> np.ndarray:
         return kernel_rows(self.data_grid.points, self.object_grid.points, self.step)
 
+    @property
+    def fft_size(self) -> int:
+        """The power of two >= m + n - 1 at which a product wraps no term around."""
+        m, n = self.shape
+        return 1 << (m + n - 2).bit_length()
+
+    @cached_property
+    def kernel_spectrum(self) -> np.ndarray:
+        """rfft of the kernel laid out cyclically by i - j.
+
+        H[i, 0] sits at i and H[0, j] at fft_size - j.
+        """
+        x, y = self.data_grid.points, self.object_grid.points
+        kern = np.zeros(self.fft_size)
+        kern[:x.size] = kernel_rows(x, y[:1], self.step)[:, 0]
+        kern[kern.size - y.size + 1:] = kernel_rows(x[:1], y[:0:-1], self.step)[0]
+        return np.fft.rfft(kern)
+
 
 def sample_grids(geom: Geometry, step: float = 1.0,
                  shift: float = 0.5) -> tuple[SampledGrid, SampledGrid]:
@@ -85,8 +114,8 @@ def sample_grids(geom: Geometry, step: float = 1.0,
     sample, where the kernel would be singular: at breakpoints too large
     for the step to resolve, or at a shift that close to 0 or 1.
     """
-    if step <= 0:
-        raise GridError(f"step must be positive, got {step}")
+    if not 0 < step < np.inf:
+        raise GridError(f"step must be finite and positive, got {step}")
     if not (0.0 < shift < 1.0):
         raise GridError(f"shift must lie strictly in (0, 1), got {shift}")
     a1, a2, a3, a4 = geom.points
@@ -121,21 +150,33 @@ def build_operator(geom: Geometry, step: float = 1.0, shift: float = 0.5) -> Dis
 
 
 def apply_forward(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
-    """Forward transform: sampled principal-value integral of f."""
+    """Forward transform: sampled principal-value integral of f.
+
+    A cyclic convolution of f with the kernel, zero-padded to fft_size.
+    """
     f = np.asarray(f, dtype=float)
     if f.shape != (op.shape[1],):
         raise ValueError(f"expected object vector of length {op.shape[1]}, "
                          f"got shape {f.shape}")
-    return op.matrix @ f
+    size = op.fft_size
+    spec = np.fft.rfft(f, size)
+    spec *= op.kernel_spectrum
+    return np.fft.irfft(spec, size)[:op.shape[0]]
 
 
 def apply_adjoint(op: DiscreteOperator, g: np.ndarray) -> np.ndarray:
-    """Adjoint in the step-weighted inner products (plain transpose)."""
+    """Adjoint in the step-weighted inner products (plain transpose).
+
+    The cyclic correlation of g with the kernel: the conjugate spectrum.
+    """
     g = np.asarray(g, dtype=float)
     if g.shape != (op.shape[0],):
         raise ValueError(f"expected data vector of length {op.shape[0]}, "
                          f"got shape {g.shape}")
-    return op.matrix.T @ g
+    size = op.fft_size
+    spec = np.fft.rfft(g, size)
+    spec *= op.kernel_spectrum.conj()
+    return np.fft.irfft(spec, size)[:op.shape[1]]
 
 
 def weighted_norm(v: np.ndarray, step: float) -> float:

@@ -32,6 +32,14 @@ from .report import write_csv, write_json
 from .spectral import SingularSystem
 
 
+def _finite_double(name: str, x) -> float:
+    """float(x) of a real that compared finite; ValueError for an int past the double range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite: an int past the double range") from None
+
+
 @dataclass(frozen=True)
 class NoisyData:
     """Data vector g, at the step-weighted distance delta add_noise was given."""
@@ -53,10 +61,12 @@ def add_noise(g_ex: np.ndarray, delta: float, seed: int, step: float = 1.0) -> N
     """Perturb g_ex by a seeded Gaussian vector rescaled to weighted norm delta.
 
     Raises ValueError unless delta is finite and nonnegative and seed is
-    an integer >= 0 (a bool is not).
+    an integer >= 0 (a bool is not); an int past the double range is not
+    finite.
     """
     if not 0 <= delta < np.inf:
         raise ValueError(f"delta must be finite and nonnegative, got {delta}")
+    delta = _finite_double("delta", delta)
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     g_ex = np.asarray(g_ex, dtype=float)
@@ -125,11 +135,12 @@ def tikhonov_reconstruct(sys: SingularSystem, g: np.ndarray, eta: float) -> Reco
     """Spectral-filter minimizer of |Hf - g|^2 + eta |f|^2 on the retained span.
 
     Raises ValueError unless eta is a finite positive real (a bool is
-    not); the result records it as a Python float.
+    not, nor an int past the double range); the result records it as a
+    Python float.
     """
     if isinstance(eta, bool) or not isinstance(eta, Real) or not 0 < eta < np.inf:
         raise ValueError(f"eta must be a finite positive real, got {eta!r}")
-    eta = float(eta)
+    eta = _finite_double("eta", eta)
     w = sys.coefficients(g) * sys.sigmas / (sys.sigmas ** 2 + eta)
     return ReconstructionResult(f=sys.synthesize(w), method="tikhonov", eta=eta)
 

@@ -320,7 +320,7 @@ class TestCliExitCodes:
         assert not (tmp_path / "o" / "bounds.csv").exists()
 
     def test_reconstruct_below_data_rounding_has_no_bound(self, tmp_path):
-        # eps |g_ex| = 8.4e-16 is far above delta; sigma_9 ~ 1e-20 amplifies
+        # 2 eps |f_true| = 1.8e-15 is far above delta; sigma_9 ~ 1e-20 amplifies
         # that rounding to a ROI error of 7.8e-3, which the bound (3.9e-5)
         # does not describe
         cfg = tmp_path / "cfg.json"

@@ -47,7 +47,8 @@ class TestAddNoise:
         assert not np.array_equal(a.g, c.g)
 
     def test_negative_delta_rejected(self):
-        for delta in (-1.0, float("nan"), float("inf")):
+        # 10**400 ended in a bare OverflowError from the rescaling
+        for delta in (-1.0, float("nan"), float("inf"), 10 ** 400):
             with pytest.raises(ValueError):
                 add_noise(np.zeros(3), delta, seed=0)
 
@@ -221,7 +222,8 @@ class TestTikhonov:
         assert weighted_norm(big.f, tiny_sys.step) < 1e-10
 
     def test_eta_validation(self, tiny_sys):
-        for eta in (0.0, float("nan")):
+        # 10**400 ended in a bare OverflowError from float(eta)
+        for eta in (0.0, float("nan"), 10 ** 400):
             with pytest.raises(ValueError):
                 tikhonov_reconstruct(tiny_sys, np.zeros(7), eta)
 
