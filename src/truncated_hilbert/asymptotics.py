@@ -35,18 +35,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, real
 from .geometry import (Geometry, alpha, beta_mu_exact, k_minus, near_one_rate,
                        poly_P, w3)
 
 
 def sigma_model_pos(geom: Geometry, n: int) -> float:
-    """Tail model 2 exp(-alpha n); meaningful for n >= 1."""
+    """Tail model 2 exp(-alpha n); meaningful for n >= 1, defined for integers n >= 0."""
+    n = real("n", n, 0, closed=True, integer=True, error=DomainError)
     return 2.0 * np.exp(-alpha(geom) * n)
 
 
 def sigma_model_neg(geom: Geometry, n_abs: int) -> float:
-    """Near-one model 1 - 2 exp(-2 |n| pi K-/K+)."""
+    """Near-one model 1 - 2 exp(-2 |n| pi K-/K+) for integers |n| >= 1."""
+    n_abs = real("n_abs", n_abs, 1, closed=True, integer=True, error=DomainError)
     return 1.0 - 2.0 * np.exp(-near_one_rate(geom) * n_abs)
 
 
@@ -56,18 +58,19 @@ def near_one_model_valid(geom: Geometry) -> bool:
 
 
 def roi_norm_model(geom: Geometry, mu, n: int) -> float:
-    """ROI-norm model exp(-beta_mu n) / sqrt(n pi) for n >= 1."""
-    if n < 1:
-        raise DomainError(f"model index must be >= 1, got {n}")
+    """ROI-norm model exp(-beta_mu n) / sqrt(n pi) for integers n >= 1."""
+    n = real("n", n, 1, closed=True, integer=True, error=DomainError)
     beta = beta_mu_exact(geom, mu)
     return np.exp(-beta * n) / np.sqrt(n * np.pi)
 
 
 def wkb_epsilon(geom: Geometry, n: int) -> float:
-    """Small parameter eps = K- / (n pi) of the profile at tail index n."""
-    if n < 1:
-        raise DomainError(f"profile index must be >= 1, got {n}")
-    return k_minus(geom) / (n * np.pi)
+    """Small parameter eps = K- / (n pi) of the profile at tail index n >= 1.
+
+    DomainError where eps underflows to 0: n pi past the double range.
+    """
+    n = real("n", n, 1, closed=True, integer=True, error=DomainError)
+    return real("eps = K-/(n pi)", k_minus(geom) / (n * np.pi), 0, error=DomainError)
 
 
 @dataclass(frozen=True)
@@ -101,9 +104,7 @@ class WkbProfile:
         if lo >= hi:
             raise DomainError(
                 f"validity interval empty for n={self.n} on {self.geom.points}")
-        if not (lo < x < hi):
-            raise DomainError(f"x={x} outside validity interval ({lo}, {hi})")
-        return self.evaluate_raw(x)
+        return self.evaluate_raw(real("x", x, lo, hi, error=DomainError))
 
 
 def wkb_profile(geom: Geometry, n: int) -> WkbProfile:
@@ -127,8 +128,7 @@ def wkb_roi_norm_quadrature(geom: Geometry, mu, n: int) -> float:
     docstring), so the norm is exp(-n beta_mu) sqrt((1 - exp(-2 n (alpha
     - beta_mu))) / (n pi)); roi_norm_model is the leading factor.
     """
-    if n < 1:
-        raise DomainError(f"profile index must be >= 1, got {n}")
+    n = real("n", n, 1, closed=True, integer=True, error=DomainError)
     beta = beta_mu_exact(geom, mu)
     a = alpha(geom)
     return float(np.exp(-n * beta) * np.sqrt(-np.expm1(-2.0 * n * (a - beta))

@@ -39,7 +39,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import BoundNotApplicableError, SpectralError
+from .errors import BoundNotApplicableError, SpectralError, real
 from .geometry import Geometry, alpha as geom_alpha, beta_mu_exact, check_roi
 from .regularization import optimal_cutoff_l2
 from .report import write_csv
@@ -47,6 +47,9 @@ from .spectral import SingularSystem, roi_norm, tail_for_fit
 
 _CALIBRATION_MARGIN = 0.98   # A sits this factor below its measurement, c_tv above
 _LOG_MAX = math.log(sys.float_info.max)   # exp of anything below is finite
+# a subnormal beta_mu leaves e^(2 beta) - 1 subnormal and V_mu's quotient
+# overflows; N_mu, an index, is exact in a double
+_BETA_MIN, _N_MU_MAX = sys.float_info.min, 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -64,14 +67,12 @@ class AsymptoticConstants:
     n0: ClassVar[int] = 1
 
     def __post_init__(self):
-        if not (0.0 < self.A < 2.0):
-            raise SpectralError(f"A must lie in (0, 2), got {self.A}")
-        if not (self.alpha > self.beta_mu > 0.0):
-            raise SpectralError(f"need alpha > beta_mu > 0, got {self.alpha}, {self.beta_mu}")
-        if not self.n_mu > self.n0:
-            raise SpectralError(f"need N_mu > N_0 = {self.n0}, got N_mu={self.n_mu}")
-        if not self.c_tv > 0:
-            raise SpectralError(f"c_tv must be positive, got {self.c_tv}")
+        real("A", self.A, 0, 2, error=SpectralError)
+        real("beta_mu", self.beta_mu, _BETA_MIN,
+             real("alpha", self.alpha, error=SpectralError), closed=True,
+             error=SpectralError)
+        real("n_mu", self.n_mu, self.n0, _N_MU_MAX, integer=True, error=SpectralError)
+        real("c_tv", self.c_tv, 0, error=SpectralError)
         object.__setattr__(self, "b_mu", 1.0 / np.sqrt(self.n_mu * np.pi))
         object.__setattr__(self, "v_mu", v_mu(self.alpha, self.beta_mu))
         object.__setattr__(self, "w_mu", w_mu(self.alpha, self.beta_mu, self.c_tv, self.n_mu))
@@ -79,23 +80,26 @@ class AsymptoticConstants:
 
 def v_mu(alpha: float, beta_mu: float) -> float:
     """Constant (beta/(alpha-beta)) sqrt((1-e^(-2(alpha-beta)))/(e^(2 beta)-1))."""
-    if not alpha > beta_mu > 0:
-        raise BoundNotApplicableError(
-            f"v_mu needs alpha > beta_mu > 0, got {alpha}, {beta_mu}")
+    alpha = real("alpha", alpha, error=BoundNotApplicableError)
+    beta_mu = real("beta_mu", beta_mu, _BETA_MIN, alpha, closed=True,
+                   error=BoundNotApplicableError)
     gap = alpha - beta_mu
-    return beta_mu / gap * np.sqrt(-np.expm1(-2.0 * gap) / np.expm1(2.0 * beta_mu))
+    with np.errstate(over="ignore"):   # e^(2 beta) = inf past beta = 355: V_mu is 0
+        return beta_mu / gap * np.sqrt(-np.expm1(-2.0 * gap) / np.expm1(2.0 * beta_mu))
 
 
 def w_mu(alpha: float, beta_mu: float, c_tv: float, n_mu: int) -> float:
     """Constant (beta/(alpha-beta)) sqrt(1-e^(-2(alpha-beta))) c/(N_mu (e^beta - 1))."""
-    if not alpha > beta_mu > 0:
-        raise BoundNotApplicableError(
-            f"w_mu needs alpha > beta_mu > 0, got {alpha}, {beta_mu}")
-    if c_tv <= 0 or n_mu < 1:
-        raise BoundNotApplicableError("w_mu needs c_tv > 0 and N_mu >= 1")
+    alpha = real("alpha", alpha, error=BoundNotApplicableError)
+    beta_mu = real("beta_mu", beta_mu, _BETA_MIN, alpha, closed=True,
+                   error=BoundNotApplicableError)
+    c_tv = real("c_tv", c_tv, 0, error=BoundNotApplicableError)
+    n_mu = real("n_mu", n_mu, 1, _N_MU_MAX, closed=True, integer=True,
+                error=BoundNotApplicableError)
     gap = alpha - beta_mu
-    return (beta_mu / gap * np.sqrt(-np.expm1(-2.0 * gap))
-            * c_tv / (n_mu * (np.expm1(beta_mu))))
+    with np.errstate(over="ignore"):   # N_mu (e^beta - 1) = inf for large beta: W_mu is 0
+        return (beta_mu / gap * np.sqrt(-np.expm1(-2.0 * gap))
+                * c_tv / (n_mu * (np.expm1(beta_mu))))
 
 
 def calibrate_constants(sys: SingularSystem, geom: Geometry, mu,
@@ -195,13 +199,6 @@ def _log_tv_bound(delta: float, kappa: float, k: AsymptoticConstants) -> float:
     return float(np.logaddexp(log_head, log_tail))
 
 
-def _noise_ratio(delta: float, kappa: float) -> float:
-    """delta/kappa; ValueError unless delta is finite and >= 0, kappa finite and > 0."""
-    if not (0 <= delta < math.inf and 0 < kappa < math.inf):
-        raise ValueError(f"need a finite delta >= 0 and kappa > 0, got {delta}, {kappa}")
-    return delta / kappa
-
-
 def tv_validity(delta: float, kappa: float, k: AsymptoticConstants) -> bool:
     """Strict smallness condition delta/kappa < A W_mu e^(-alpha N_mu).
 
@@ -209,7 +206,8 @@ def tv_validity(delta: float, kappa: float, k: AsymptoticConstants) -> bool:
     whenever this holds roi_bound_tv returns a number.  Raises ValueError
     unless delta is finite and >= 0 and kappa finite and > 0.
     """
-    return bool(_noise_ratio(delta, kappa) < k.A * k.w_mu * np.exp(-k.alpha * k.n_mu)
+    delta, kappa = real("delta", delta, 0, closed=True), real("kappa", kappa, 0)
+    return bool(delta / kappa < k.A * k.w_mu * np.exp(-k.alpha * k.n_mu)
                 and _log_tv_bound(delta, kappa, k) < _LOG_MAX)
 
 
@@ -221,7 +219,7 @@ def roi_bound_tv(delta: float, kappa: float, k: AsymptoticConstants) -> float:
     """
     if not tv_validity(delta, kappa, k):
         raise BoundNotApplicableError(
-            f"variation bound not applicable at delta/kappa={delta / kappa:g}: needs "
+            f"variation bound not applicable at delta={delta:g}, kappa={kappa:g}: needs "
             f"delta/kappa < {k.A * k.w_mu * np.exp(-k.alpha * k.n_mu):g} and a finite bound")
     return math.exp(_log_tv_bound(delta, kappa, k))
 
@@ -231,8 +229,9 @@ def full_interval_validity(delta: float, kappa: float, k: AsymptoticConstants) -
 
     Raises ValueError unless delta is finite and >= 0 and kappa finite and > 0.
     """
+    delta, kappa = real("delta", delta, 0, closed=True), real("kappa", kappa, 0)
     thresh = k.A * k.c_tv / (2.0 * k.alpha) * np.exp(-(k.alpha + 1.5) * k.n0)
-    return bool(_noise_ratio(delta, kappa) < thresh)
+    return bool(delta / kappa < thresh)
 
 
 def full_interval_bound(delta: float, kappa: float, k: AsymptoticConstants) -> float:
@@ -241,16 +240,21 @@ def full_interval_bound(delta: float, kappa: float, k: AsymptoticConstants) -> f
     C and D are the explicit values produced by optimizing the split index
     under the variation prior: C = c (1/alpha + 2) sqrt(alpha + 3/2) and
     D = log(A c/(2 alpha)); the validity condition, strict, keeps the
-    bracket above alpha + 3/2.
+    bracket above alpha + 3/2.  Raises ValueError unless delta and kappa
+    are finite reals > 0, and BoundNotApplicableError where the validity
+    condition fails or kappa C or kappa/delta overflows.
     """
-    if delta <= 0 or kappa <= 0:
-        raise ValueError("delta and kappa must be positive")
+    delta, kappa = real("delta", delta, 0), real("kappa", kappa, 0)
     if not full_interval_validity(delta, kappa, k):
         raise BoundNotApplicableError(
             f"full-interval bound not applicable at delta/kappa={delta / kappa:g}")
-    C = k.c_tv * (1.0 / k.alpha + 2.0) * np.sqrt(k.alpha + 1.5)
+    C = float(k.c_tv * (1.0 / k.alpha + 2.0) * np.sqrt(k.alpha + 1.5))
     D = np.log(k.A * k.c_tv / (2.0 * k.alpha))
-    return kappa * C / np.sqrt(np.log(kappa / delta) + D)
+    scaled, ratio = kappa * C, kappa / delta
+    if not (scaled < math.inf and ratio < math.inf):
+        raise BoundNotApplicableError(f"kappa C = {scaled:g} or kappa/delta = {ratio:g} "
+                                      "overflows in the full-interval bound")
+    return scaled / np.sqrt(np.log(ratio) + D)
 
 
 def write_bounds_csv(path, deltas, k: AsymptoticConstants, E: float,

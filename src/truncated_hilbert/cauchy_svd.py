@@ -72,7 +72,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SpectralError
+from .errors import SpectralError, real
 
 
 @dataclass
@@ -115,13 +115,14 @@ def gecp_cauchy(x_nodes, y_nodes, scale: float, floor_rel: float = PIVOT_FLOOR) 
     exact node differences, never additive.  Raises SpectralError for
     non-finite nodes or scale, on which the rook search could cycle.
     """
+    scale = real("scale", scale, error=SpectralError)
     xa = np.array(x_nodes, dtype=float, copy=True)
     ya = np.array(y_nodes, dtype=float, copy=True)
-    if not (np.isfinite(scale) and np.isfinite(xa).all() and np.isfinite(ya).all()):
-        raise SpectralError("Cauchy nodes and scale must be finite")
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise SpectralError("Cauchy nodes must be finite")
     m, n = xa.size, ya.size
     r_max = min(m, n)
-    a = np.full(m, float(scale))
+    a = np.full(m, scale)
     b = np.ones(n)
     rperm = np.arange(m)
     cperm = np.arange(n)

@@ -1,13 +1,11 @@
 """Experiment configuration: JSON document, schema-checked, presets."""
 
 import json
-import numbers
 import os
-import sys
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
-from .errors import ConfigError, GeometryError, GridError
+from .errors import ConfigError, GeometryError, GridError, real
 from .geometry import Geometry
 from .operator import sample_grids
 from .regularization import phantom_from_spec, tikhonov_eta
@@ -68,36 +66,25 @@ def default_config(small: bool = False) -> ExperimentConfig:
     return cfg
 
 
-def _check_real(name, val):
-    """Reject anything but a finite real number; JSON true/false are not numbers."""
-    # the bound also refuses ints too large for a float, which isfinite cannot
-    if (isinstance(val, bool) or not isinstance(val, numbers.Real)
-            or not abs(val) <= sys.float_info.max):
-        raise ConfigError(f"{name} must be a finite number, got {val!r}")
-
-
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    for name in ("step", "E", "kappa"):
-        _check_real(name, getattr(cfg, name))
+    # values stay as given: errors.real only decides whether each is usable,
+    # here or, for mu (check_roi) and phantom parameters, in the library
+    step, E, kappa = (real(name, getattr(cfg, name), 0, error=ConfigError)
+                      for name in ("step", "E", "kappa"))
     for name in ("mu_list", "delta_list"):
         values = getattr(cfg, name)
         if not isinstance(values, (list, tuple)):
             raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
-        for val in values:
-            _check_real(f"{name} entry", val)
-    if isinstance(cfg.seed, bool) or not isinstance(cfg.seed, int) or cfg.seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {cfg.seed!r}")
+    real("seed", cfg.seed, 0, closed=True, integer=True, error=ConfigError)
     if not isinstance(cfg.output_dir, str) or not _is_path(cfg.output_dir):
         raise ConfigError(f"output_dir must be a usable path string, got {cfg.output_dir!r}")
     if not isinstance(cfg.geometry, (list, tuple)) or len(cfg.geometry) != 4:
         raise ConfigError("geometry must list exactly four breakpoints")
     for val in cfg.geometry:
-        _check_real("geometry entry", val)
+        real("geometry entry", val, error=ConfigError)
     geom = cfg.geom()
-    if not cfg.step > 0:
-        raise ConfigError(f"step must be positive, got {cfg.step}")
-    entries = (((geom.a3 - geom.a1) / cfg.step + 1)
-               * ((geom.a4 - geom.a2) / cfg.step + 1))
+    entries = (((geom.a3 - geom.a1) / step + 1)
+               * ((geom.a4 - geom.a2) / step + 1))
     if not entries <= _MAX_MATRIX_ENTRIES:
         raise ConfigError(f"step {cfg.step} gives about {entries:.3g} matrix "
                           f"entries, more than the cap of {_MAX_MATRIX_ENTRIES:g}")
@@ -107,17 +94,11 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if not cfg.mu_list:
         raise ConfigError("mu_list must not be empty")
     for mu in cfg.mu_list:
-        if not roi_mask(geom, object_grid, float(mu)).any():
+        if not roi_mask(geom, object_grid, mu).any():
             raise ConfigError(f"region of interest (a2, a3 - mu) for mu={mu:g} "
                               f"contains no object grid points at step {cfg.step:g}")
-    if not cfg.E > 0:
-        raise ConfigError(f"E must be positive, got {cfg.E}")
-    if not cfg.kappa > 0:
-        raise ConfigError(f"kappa must be positive, got {cfg.kappa}")
     for d in cfg.delta_list:
-        if not d > 0:
-            raise ConfigError(f"delta values must be positive, got {d}")
-        _check_noise_level(float(d), cfg.E, cfg.kappa)
+        _check_noise_level(real("delta_list entry", d, 0, error=ConfigError), E, kappa)
     for name, label in (("mu_list", mu_label), ("delta_list", delta_label)):
         labels = [label(v) for v in getattr(cfg, name)]
         if len(set(labels)) < len(labels):
@@ -127,9 +108,6 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         if (not isinstance(cfg.phantom, dict)
                 or not isinstance(cfg.phantom.get("kind"), str)):
             raise ConfigError("phantom must be an object with a string 'kind'")
-        for key, val in cfg.phantom.items():
-            if key != "kind":
-                _check_real(f"phantom {key}", val)
     # the default phantom too may leave (a2, a4) on a short overlap
     phantom_from_spec(cfg.phantom, geom, object_grid)
     return cfg

@@ -42,12 +42,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import GeometryError, real
 
 
 @dataclass(frozen=True)
 class Geometry:
-    """Breakpoints a1 < a2 < a3 < a4 (strictly increasing)."""
+    """Breakpoints a1 < a2 < a3 < a4 (strictly increasing finite reals)."""
 
     a1: float
     a2: float
@@ -55,11 +55,9 @@ class Geometry:
     a4: float
 
     def __post_init__(self):
-        pts = (self.a1, self.a2, self.a3, self.a4)
-        if not all(np.isfinite(pts)):
-            raise GeometryError(f"non-finite breakpoints {pts}")
-        if not (self.a1 < self.a2 < self.a3 < self.a4):
-            raise GeometryError(f"breakpoints must satisfy a1 < a2 < a3 < a4, got {pts}")
+        lo = -math.inf
+        for name in ("a1", "a2", "a3", "a4"):
+            lo = real(name, getattr(self, name), lo, error=GeometryError)
 
     @property
     def points(self):
@@ -75,13 +73,10 @@ def check_roi(geom: Geometry, mu) -> float:
 
     Strict: values at or beyond the overlap width are rejected rather than
     clamped, since every estimate using mu is stated for fixed mu inside
-    the overlap.
+    the overlap.  GeometryError for anything else errors.real refuses,
+    a string or a bool included.
     """
-    m = float(mu)
-    if not (0.0 < m < geom.overlap_width):
-        raise GeometryError(
-            f"mu={m} outside (0, {geom.overlap_width}) for geometry {geom.points}")
-    return m
+    return real("mu", mu, 0, geom.overlap_width, error=GeometryError)
 
 
 def poly_P(geom: Geometry, x):
@@ -248,14 +243,14 @@ def _phase(geom: Geometry, below: float, above: float) -> float:
 
 # 1024 entries hold the ~900 overlap nodes of the paper grid; a sweep of
 # new geometries only misses, so a larger cache only grows the process
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=1024, typed=True)
 def w3(geom: Geometry, x: float) -> float:
     """Phase integral w3(x) = int_x^{a3} dt/sqrt(P(t)) for a2 < x <= a3.
 
-    w3(a3) = 0 and w3(x) -> K+ as x -> a2.
+    w3(a3) = 0 and w3(x) -> K+ as x -> a2.  Entries are typed, so a
+    bool misses the entry of its float and is refused.
     """
-    if not (geom.a2 < x <= geom.a3):
-        raise GeometryError(f"w3 requires a2 < x <= a3, got x={x}")
+    x = real("x", x, geom.a2, math.nextafter(geom.a3, math.inf), error=GeometryError)
     return _phase(geom, x - geom.a2, geom.a3 - x)
 
 
@@ -281,9 +276,7 @@ def beta_mu_approx(geom: Geometry, mu) -> float:
 
     Relative error against beta_mu_exact is O(mu).
     """
-    m = float(mu)
-    if m < 0:
-        raise GeometryError(f"mu must be nonnegative, got {m}")
+    m = real("mu", mu, 0, closed=True, error=GeometryError)
     dp = poly_P_prime_a3(geom)
     km = k_minus(geom)
     return 2.0 * np.pi / km * np.sqrt(m) / np.sqrt(-dp)

@@ -28,23 +28,26 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, real
 from .geometry import Geometry
 
 
 @dataclass(frozen=True)
 class SampledGrid:
-    """Uniform grid start + k*step for k = 0..count-1."""
+    """Uniform grid start + k*step for k = 0..count-1.
+
+    Raises GridError unless start is a finite real, step a finite real
+    > 0 and count an integer >= 1 (errors.real).
+    """
 
     start: float
     step: float
     count: int
 
     def __post_init__(self):
-        if not 0 < self.step < np.inf:
-            raise GridError(f"step must be finite and positive, got {self.step}")
-        if self.count < 1:
-            raise GridError(f"count must be >= 1, got {self.count}")
+        real("start", self.start, error=GridError)
+        real("step", self.step, 0, error=GridError)
+        real("count", self.count, 1, closed=True, integer=True, error=GridError)
 
     @property
     def points(self) -> np.ndarray:
@@ -110,22 +113,25 @@ def sample_grids(geom: Geometry, step: float = 1.0,
     shift is the offset of the object grid from the data lattice
     a1 + i*step, as a fraction of step in (0, 1), for any breakpoints.
     Breakpoints that are not multiples of step round the data count down.
-    Raises GridError if an object sample lands within 1e-12 step of a data
-    sample, where the kernel would be singular: at breakpoints too large
-    for the step to resolve, or at a shift that close to 0 or 1.
+    Raises GridError unless step is a finite real > 0, with (a3 - a1) / step
+    finite, and shift a real in (0, 1), or if an object sample lands within
+    1e-12 step of a data sample, where the kernel would be singular: at
+    breakpoints too large for the step to resolve, or at a shift that
+    close to 0 or 1.
     """
-    if not 0 < step < np.inf:
-        raise GridError(f"step must be finite and positive, got {step}")
-    if not (0.0 < shift < 1.0):
-        raise GridError(f"shift must lie strictly in (0, 1), got {shift}")
+    step = real("step", step, 0, error=GridError)
+    shift = real("shift", shift, 0, 1, error=GridError)
     a1, a2, a3, a4 = geom.points
 
-    n_data = int(np.floor((a3 - a1) / step + 1e-9)) + 1
+    span = real("(a3 - a1) / step", (a3 - a1) / step, error=GridError)
+    n_data = int(np.floor(span + 1e-9)) + 1
     x = a1 + step * np.arange(n_data)
 
-    # lattice indices around (a2 - step, a4) with spares; the rounded nodes decide
+    # lattice indices around (a2 - step, a4) with spares; the rounded nodes
+    # decide.  A step near the double range overflows only spares to +-inf
     k = np.arange(np.floor((a2 - a1) / step) - 2.0, np.ceil((a4 - a1) / step) + 1.0)
-    y_cand = a1 + step * (k + shift)
+    with np.errstate(over="ignore"):
+        y_cand = a1 + step * (k + shift)
     y = y_cand[(y_cand > a2 - step) & (y_cand < a4)]
     if y.size == 0:
         raise GridError("empty object grid; step too large for the geometry")
@@ -146,7 +152,7 @@ def build_operator(geom: Geometry, step: float = 1.0, shift: float = 0.5) -> Dis
     """The sampled operator on the grids of sample_grids; its matrix is not yet formed."""
     data_grid, object_grid = sample_grids(geom, step, shift)
     return DiscreteOperator(data_grid=data_grid, object_grid=object_grid,
-                            step=step, geom=geom)
+                            step=data_grid.step, geom=geom)
 
 
 def apply_forward(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
@@ -180,4 +186,5 @@ def apply_adjoint(op: DiscreteOperator, g: np.ndarray) -> np.ndarray:
 
 
 def weighted_norm(v: np.ndarray, step: float) -> float:
-    return float(np.sqrt(step) * np.linalg.norm(v))
+    """sqrt(step) |v|; ValueError unless step is a finite real > 0."""
+    return float(np.sqrt(real("step", step, 0)) * np.linalg.norm(v))

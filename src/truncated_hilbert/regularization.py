@@ -21,23 +21,14 @@ default parameter is tikhonov_eta(delta, E) = delta^2 / E^2.
 """
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import GeometryError, real
 from .geometry import Geometry
 from .operator import SampledGrid, weighted_norm
 from .report import write_csv, write_json
 from .spectral import SingularSystem
-
-
-def _finite_double(name: str, x) -> float:
-    """float(x) of a real that compared finite; ValueError for an int past the double range."""
-    try:
-        return float(x)
-    except OverflowError:
-        raise ValueError(f"{name} must be finite: an int past the double range") from None
 
 
 @dataclass(frozen=True)
@@ -60,15 +51,12 @@ class ReconstructionResult:
 def add_noise(g_ex: np.ndarray, delta: float, seed: int, step: float = 1.0) -> NoisyData:
     """Perturb g_ex by a seeded Gaussian vector rescaled to weighted norm delta.
 
-    Raises ValueError unless delta is finite and nonnegative and seed is
-    an integer >= 0 (a bool is not); an int past the double range is not
-    finite.
+    Raises ValueError unless delta is a finite real >= 0, seed an integer
+    >= 0 and step a finite real > 0, as errors.real decides.
     """
-    if not 0 <= delta < np.inf:
-        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
-    delta = _finite_double("delta", delta)
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    delta = real("delta", delta, 0, closed=True)
+    seed = real("seed", seed, 0, closed=True, integer=True)
+    step = real("step", step, 0)
     g_ex = np.asarray(g_ex, dtype=float)
     if delta == 0.0:
         return NoisyData(g=g_ex.copy())
@@ -92,9 +80,10 @@ def optimal_cutoff_l2(delta: float, E: float, consts) -> CutoffChoice:
 
     `valid` reports whether the unrounded index exceeds N_mu, i.e. whether
     the noise level is small enough for the accompanying error bound.
+    Raises ValueError unless delta and E are finite reals > 0.
     """
-    if not (0 < delta < np.inf and 0 < E < np.inf):
-        raise ValueError(f"delta and E must be finite and positive, got {delta}, {E}")
+    delta = real("delta", delta, 0)
+    E = real("E", E, 0)
     # a sum of logs: the product E A V_mu / delta overflows or underflows
     # at extreme finite delta and E, the log of each factor does not
     n_real = (np.log(E) + np.log(consts.A) + np.log(consts.v_mu)
@@ -114,10 +103,7 @@ def tsvd_reconstruct(sys: SingularSystem, g: np.ndarray, n_cut: int) -> Reconstr
     by their sigma, so a discarded value near 1e-21 cannot overflow.
     Raises ValueError unless n_cut is an integer >= 0 (a bool is not).
     """
-    if (isinstance(n_cut, bool) or not isinstance(n_cut, (int, np.integer))
-            or n_cut < 0):
-        raise ValueError(f"n_cut must be an integer >= 0, got {n_cut!r}")
-    n_cut = int(n_cut)
+    n_cut = real("n_cut", n_cut, 0, closed=True, integer=True)
     # tail index n sits at position tail.start + n - 1
     keep = sys.tail.start + min(n_cut, len(sys.tail))
     coeffs = sys.coefficients(g)
@@ -138,9 +124,7 @@ def tikhonov_reconstruct(sys: SingularSystem, g: np.ndarray, eta: float) -> Reco
     not, nor an int past the double range); the result records it as a
     Python float.
     """
-    if isinstance(eta, bool) or not isinstance(eta, Real) or not 0 < eta < np.inf:
-        raise ValueError(f"eta must be a finite positive real, got {eta!r}")
-    eta = _finite_double("eta", eta)
+    eta = real("eta", eta, 0)
     w = sys.coefficients(g) * sys.sigmas / (sys.sigmas ** 2 + eta)
     return ReconstructionResult(f=sys.synthesize(w), method="tikhonov", eta=eta)
 
@@ -184,7 +168,8 @@ def make_phantom(kind: str, geom: Geometry, grid: SampledGrid, /,
                 is 2 max |f| <= 2 |peak|, equal only with the centre on a
                 sample.
     Raises GeometryError for an unknown kind, a missing or unknown
-    parameter, or a support outside the open object interval (a2, a4).
+    parameter, a parameter that is not a finite real (errors.real), or a
+    support outside the open object interval (a2, a4).
     The hat and bump vanish at their support ends, so objects built from
     them vanish at a2 and a4 as the variation-based estimates require.
     """
@@ -197,7 +182,9 @@ def make_phantom(kind: str, geom: Geometry, grid: SampledGrid, /,
     unknown = sorted(set(params) - set(required) - set(optional))
     if unknown:
         raise GeometryError(f"{kind} phantom does not use {unknown}")
-    a, b = (float(params[k]) for k in required)
+    a, b = (real(k, params[k], error=GeometryError) for k in required)
+    scale = (real(optional[0], params.get(optional[0], 1.0), error=GeometryError)
+             if optional else 1.0)
     lo, hi = (a, b) if kind == "indicator" else (a - b, a + b)
     if not (geom.a2 < lo < hi < geom.a4):
         raise GeometryError(f"{kind} support ({lo}, {hi}) is not an interval "
@@ -210,11 +197,10 @@ def make_phantom(kind: str, geom: Geometry, grid: SampledGrid, /,
     with np.errstate(over="ignore"):
         t = np.abs(ys - a) / b
     if kind == "hat":
-        return float(params.get("peak", 1.0)) * np.maximum(0.0, 1.0 - t)
-    amp = float(params.get("amplitude", 1.0))
+        return scale * np.maximum(0.0, 1.0 - t)
     out = np.zeros_like(ys)
     core = t < 1.0
-    out[core] = amp * np.exp(1.0 - 1.0 / (1.0 - t[core] ** 2))
+    out[core] = scale * np.exp(1.0 - 1.0 / (1.0 - t[core] ** 2))
     return out
 
 

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .cauchy_svd import accurate_cauchy_svd
-from .errors import SpectralError
+from .errors import SpectralError, real
 from .geometry import Geometry, check_roi
 from .operator import DiscreteOperator, SampledGrid, kernel_rows, weighted_norm
 from .report import mu_label, write_csv
@@ -177,8 +177,8 @@ def compute_svd(op: DiscreteOperator, rank_tol: float | None = None,
     is "cauchy" or "lapack", or when the returned system fails the check,
     as a truncation coarse enough for the check to see does.
     """
-    if rank_tol is not None and not rank_tol > 0:
-        raise SpectralError(f"rank_tol must be positive, got {rank_tol}")
+    if rank_tol is not None:
+        rank_tol = real("rank_tol", rank_tol, 0, error=SpectralError)
     if not isinstance(method, str) or method not in _DEFAULT_RANK_TOL:
         raise SpectralError(f"unknown SVD method {method!r}")
     tol = _DEFAULT_RANK_TOL[method] if rank_tol is None else rank_tol
@@ -245,24 +245,33 @@ def tail_index_map(sys: SingularSystem, tail_len: int):
     smallest, so the map is strictly order-reversing in sigma.  This is
     the explicit-length view; the asymptotic tail is SingularSystem.tail.
     """
-    if tail_len < 1 or tail_len > sys.count:
-        raise SpectralError(f"tail_len={tail_len} outside 1..{sys.count}")
+    tail_len = real("tail_len", tail_len, 1, sys.count + 1, closed=True, integer=True,
+                    error=SpectralError)
     start = sys.count - tail_len
     return [(n, start + n - 1) for n in range(1, tail_len + 1)]
 
 
 def fit_exponential(points) -> TailFit:
-    """Least squares of log y against n for points (n, y) with y > 0."""
-    pts = [(int(n), float(y)) for n, y in points]
-    if len(pts) < 2:
-        raise SpectralError("need at least two points for an exponential fit")
-    if any(y <= 0 for _, y in pts):
-        raise SpectralError("exponential fit requires strictly positive values")
+    """Least squares of log y against n for points (n, y) with y > 0.
+
+    SpectralError unless every n is an integer below 2^26 in magnitude
+    (so n^2 is exact and the fit well posed), every y a finite real > 0,
+    and the points hold two distinct n, or if the amplitude, the model
+    at n = 0, leaves the double range.
+    """
+    pts = [(real("n", n, -2 ** 26, 2 ** 26, integer=True, error=SpectralError),
+            real("y", y, 0, error=SpectralError)) for n, y in points]
+    if len({n for n, _ in pts}) < 2:
+        raise SpectralError("need points at two distinct n for an exponential fit")
     ns = np.array([n for n, _ in pts], dtype=float)
     ly = np.log([y for _, y in pts])
     slope, intercept = np.polyfit(ns, ly, 1)
     resid = ly - (slope * ns + intercept)
-    return TailFit(amplitude=float(np.exp(intercept)), rate=float(-slope),
+    with np.errstate(over="ignore"):
+        amplitude = float(np.exp(intercept))
+    if amplitude == np.inf:
+        raise SpectralError(f"fitted amplitude e^{intercept:.6g} leaves the double range")
+    return TailFit(amplitude=amplitude, rate=float(-slope),
                    residual=float(np.sqrt(np.mean(resid ** 2))))
 
 
@@ -274,11 +283,16 @@ def roi_mask(geom: Geometry, grid: SampledGrid, mu) -> np.ndarray:
 
 
 def roi_norm(sys: SingularSystem, triple_index: int, mu) -> float:
-    """Step-weighted norm of u_k restricted to the region of interest."""
+    """Step-weighted norm of u_k restricted to the region of interest.
+
+    SpectralError unless triple_index is an integer in [0, sys.count).
+    """
+    k = real("triple_index", triple_index, 0, sys.count, closed=True, integer=True,
+             error=SpectralError)
     mask = roi_mask(sys.geom, sys.object_grid, mu)
     if not mask.any():
         raise SpectralError("region of interest contains no object grid points")
-    return weighted_norm(sys.u[mask, triple_index], sys.step)
+    return weighted_norm(sys.u[mask, k], sys.step)
 
 
 def tail_for_fit(sys: SingularSystem) -> range:
@@ -344,10 +358,13 @@ def check_monotone(sys: SingularSystem, triple_index: int) -> bool:
     excluded: their information content is below what any
     double-precision orthogonal assembly can represent, so strict
     comparisons there would measure rounding noise rather than shape.
+    SpectralError unless triple_index is an integer in [0, sys.count).
     """
+    k = real("triple_index", triple_index, 0, sys.count, closed=True, integer=True,
+             error=SpectralError)
     ys = sys.object_grid.points
     inside = (ys > sys.geom.a2) & (ys < sys.geom.a3)
-    seg = sys.u[inside, triple_index]
+    seg = sys.u[inside, k]
     if seg.size < 2:
         return False
     if seg[np.abs(seg).argmax()] < 0:
@@ -366,7 +383,7 @@ def sigma_counts(sys: SingularSystem):
 def export_spectrum_csv(sys: SingularSystem, path, mu_list) -> None:
     """Spectrum report: one row per retained triple, ROI norms per mu."""
     tail = sys.tail
-    mus = [float(m) for m in mu_list]
+    mus = [check_roi(sys.geom, m) for m in mu_list]
     masks = [roi_mask(sys.geom, sys.object_grid, m) for m in mus]
     write_csv(path, ["n_discrete", "n_asymptotic", "sigma"]
               + [f"roi_norm_mu{mu_label(m)}" for m in mus],

@@ -51,6 +51,12 @@ class TestClosedFormConstants:
     def test_w_mu_positive(self):
         assert w_mu(5.0, 0.3, 2.5, 3) > 0
 
+    def test_large_beta_underflows_without_warning(self):
+        # both constants lie near e^(-beta) < 1e-300; expm1 overflowed
+        # with a RuntimeWarning on the way to that 0
+        assert v_mu(1000.0, 800.0) == 0.0
+        assert w_mu(1000.0, 800.0, 1.0, 2) == 0.0
+
     @pytest.mark.parametrize("a, b", [
         (a, b) for a in (G.PAPER_ALPHA, 2.0)
         for b in (5e-21, 1e-16, 1e-12, 1e-6, 0.3, 1.0, a - 1e-2, a - 4e-4)])
@@ -379,7 +385,8 @@ class TestVariationPriorArguments:
         ids=["kappa0", "kappa_negative", "kappa_inf", "kappa_nan",
              "delta_negative", "delta_tiny_negative", "delta_inf", "delta_nan"])
     def test_refused(self, check, delta, kappa):
-        with pytest.raises(ValueError, match="finite delta >= 0 and kappa > 0"):
+        with pytest.raises(ValueError, match=("delta" if kappa == 1.0 else "kappa")
+                           + r" must be a finite real in [\[(]0\.0, inf\)"):
             check(delta, kappa, paper_constants())
 
     def test_zero_delta_keeps_its_answer(self):

@@ -19,6 +19,10 @@ class TestGridType:
                 SampledGrid(start=0.0, step=step, count=3)
         with pytest.raises(GridError):
             SampledGrid(start=0.0, step=1.0, count=0)
+        # each was accepted as a count
+        for count in (float("nan"), float("inf"), True, 10 ** 400):
+            with pytest.raises(GridError, match="count must be an integer"):
+                SampledGrid(start=0.0, step=1.0, count=count)
 
 
 class TestBuildOperator:
@@ -76,9 +80,13 @@ class TestBuildOperator:
         with pytest.raises(GridError):
             build_operator(TINY_GEOM, shift=1.0)
         # nan used to fail converting the data count to an int
-        for step in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(GridError, match="step must be finite and positive"):
+        # 10**400 ended in a bare OverflowError from (a3 - a1) / step
+        for step in (-1.0, float("nan"), float("inf"), 10 ** 400):
+            with pytest.raises(GridError, match=r"step must be a finite real in \(0\.0, inf\)"):
                 build_operator(TINY_GEOM, step=step)
+        # a subnormal step: the data count (a3 - a1) / step overflowed int()
+        with pytest.raises(GridError, match=r"\(a3 - a1\) / step must be a finite real"):
+            build_operator(TINY_GEOM, step=5e-324)
 
     def test_half_step_counts(self):
         op = build_operator(TINY_GEOM, step=0.5, shift=0.5)
