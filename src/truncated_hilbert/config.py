@@ -15,11 +15,6 @@ from .spectral import roi_mask
 PAPER_GEOMETRY = (0.0, 450.0, 1350.0, 1725.0)
 SMALL_GEOMETRY = (0.0, 30.0, 90.0, 115.0)   # paper geometry scaled by 1/15
 
-# Largest data x object sample count accepted: about 12x the paper's
-# 1351 x 1276 matrix.  The solver keeps a few dense copies of the matrix
-# and its factors, so larger grids would exhaust memory (or fail inside
-# numpy) long after the config was accepted.
-_MAX_MATRIX_ENTRIES = 2e7
 
 @dataclass
 class ExperimentConfig:
@@ -69,8 +64,8 @@ def default_config(small: bool = False) -> ExperimentConfig:
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     # values stay as given: errors.real only decides whether each is usable,
     # here or, for mu (check_roi) and phantom parameters, in the library
-    step, E, kappa = (real(name, getattr(cfg, name), 0, error=ConfigError)
-                      for name in ("step", "E", "kappa"))
+    _, E, kappa = (real(name, getattr(cfg, name), 0, error=ConfigError)
+                   for name in ("step", "E", "kappa"))
     for name in ("mu_list", "delta_list"):
         values = getattr(cfg, name)
         if not isinstance(values, (list, tuple)):
@@ -83,13 +78,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     for val in cfg.geometry:
         real("geometry entry", val, error=ConfigError)
     geom = cfg.geom()
-    entries = (((geom.a3 - geom.a1) / step + 1)
-               * ((geom.a4 - geom.a2) / step + 1))
-    if not entries <= _MAX_MATRIX_ENTRIES:
-        raise ConfigError(f"step {cfg.step} gives about {entries:.3g} matrix "
-                          f"entries, more than the cap of {_MAX_MATRIX_ENTRIES:g}")
-    # the grids every spectral command samples on, refused here rather
-    # than after the decomposition
+    # the grids every spectral command samples on, refused here (an empty,
+    # oversized or colliding grid) rather than after the decomposition
     _, object_grid = sample_grids(geom, cfg.step)
     if not cfg.mu_list:
         raise ConfigError("mu_list must not be empty")

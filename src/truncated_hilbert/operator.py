@@ -1,28 +1,37 @@
 """Sampled truncated Hilbert transform matrix and its application.
 
 Data samples live at x_i = a1 + i*step on [a1, a3]; object samples at
-y_k = a1 + (k + shift)*step for the integers k with a2 - step < y_k < a4.
-The default shift of half a step puts every object point midway between
-two data points, whatever the breakpoints, so every kernel entry
+y_j = a1 + (c + j)*step for the lattice offset c = k0 + shift, k0 the
+first index k with a2 - step < a1 + (k + shift)*step, and j counting up
+while y_j < a4.  In units of the step the kernel is
 
-    H[i, j] = (step / pi) / (y_j - x_i)
+    H[i, j] = 1 / (pi (c + j - i)),
 
-is finite, and the principal value needs no further regularization.  For
-the reference geometry (0, 450, 1350, 1725) at step 1 this yields the
-1351 x 1276 matrix used by all large-scale experiments.
+the sampled (1/pi) step / (y_j - x_i).  The default shift of half a step
+puts every object point midway between two data points, whatever the
+breakpoints, so every entry is finite and the principal value needs no
+further regularization.  For the reference geometry (0, 450, 1350, 1725)
+at step 1 this yields the 1351 x 1276 matrix used by all large-scale
+experiments.
 
-Both grids share one step, so y_j - x_i depends only on j - i: the
-operator is a Toeplitz section of a discrete convolution, fixed by its
-first column and first row.  apply_forward and apply_adjoint multiply by
-FFT from those m + n - 1 kernel values and never form the m x n matrix.
-Away from integer nodes, rounding takes the formed matrix off Toeplitz
-form by up to about 6e-14 relative; the products follow its first column
-and row.
+DiscreteOperator.nodes holds the nodes i and c + j.  The formed matrix,
+the FFT spectrum and the structured solver's input are all built from
+them, so they describe one operator at every step, whatever the size of
+the breakpoints: translating a geometry leaves them bit for bit the same.
+H[i, j] depends only on j - i, so the operator is a Toeplitz section of a
+discrete convolution, fixed by its first column and first row;
+apply_forward and apply_adjoint multiply by FFT from those m + n - 1
+kernel values and never form the m x n matrix.  At a dyadic shift such
+as the default, c + j - i is exact and the formed matrix exactly Toeplitz.
+
+sample_grids decides the grids in O(1) by index arithmetic, and refuses
+more than MAX_SAMPLES data x object samples before anything is allocated.
 
 Discrete inner products carry the weight `step` on both grids so vector
 norms approximate L2 norms of the sampled functions.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,19 +63,20 @@ class SampledGrid:
         return self.start + self.step * np.arange(self.count)
 
 
-def kernel_rows(x: np.ndarray, y: np.ndarray, step: float) -> np.ndarray:
-    """Kernel entries (step/pi) / (y_j - x_i) for data samples x, object samples y.
+def kernel_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Kernel entries 1 / (pi (y_j - x_i)) for data nodes x, object nodes y in steps.
 
     One (x.size, y.size) array, divided in place.
     """
     rows = np.subtract(y[None, :], x[:, None])
-    return np.divide(step / np.pi, rows, out=rows)
+    return np.divide(1 / np.pi, rows, out=rows)
 
 
 @dataclass(frozen=True)
 class DiscreteOperator:
     """The sampled operator, defined by its grids; rows = data, cols = object.
 
+    offset is c, the object grid's offset from the data lattice in steps.
     H[i, j] depends only on j - i, so `kernel_spectrum` keeps the m + n - 1
     kernel values as one spectrum, which apply_forward and apply_adjoint
     multiply by.  The dense kernel matrix is formed on first access to
@@ -78,14 +88,24 @@ class DiscreteOperator:
     object_grid: SampledGrid
     step: float
     geom: Geometry
+    offset: float
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.data_grid.count, self.object_grid.count
 
+    @property
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Data nodes i and object nodes offset + j: the kernel in step units.
+
+        On them the matrix is 1 / (pi (y_j - x_i)), a Cauchy matrix of scale 1/pi.
+        """
+        m, n = self.shape
+        return np.arange(float(m)), self.offset + np.arange(float(n))
+
     @cached_property
     def matrix(self) -> np.ndarray:
-        return kernel_rows(self.data_grid.points, self.object_grid.points, self.step)
+        return kernel_rows(*self.nodes)
 
     @property
     def fft_size(self) -> int:
@@ -99,60 +119,70 @@ class DiscreteOperator:
 
         H[i, 0] sits at i and H[0, j] at fft_size - j.
         """
-        x, y = self.data_grid.points, self.object_grid.points
+        x, y = self.nodes
         kern = np.zeros(self.fft_size)
-        kern[:x.size] = kernel_rows(x, y[:1], self.step)[:, 0]
-        kern[kern.size - y.size + 1:] = kernel_rows(x[:1], y[:0:-1], self.step)[0]
+        kern[:x.size] = kernel_rows(x, y[:1])[:, 0]
+        kern[kern.size - y.size + 1:] = kernel_rows(x[:1], y[:0:-1])[0]
         return np.fft.rfft(kern)
+
+
+# Largest data x object sample count of a grid: about 12x the paper's
+# 1351 x 1276.  The solver keeps a few dense m x n arrays, so a larger grid
+# would exhaust memory (or fail inside numpy) long after it was accepted.
+MAX_SAMPLES = 2e7
 
 
 def sample_grids(geom: Geometry, step: float = 1.0,
                  shift: float = 0.5) -> tuple[SampledGrid, SampledGrid]:
-    """Data and object grids of the sampled operator, in O(m + n).
+    """Data and object grids of the sampled operator, in O(1).
 
     shift is the offset of the object grid from the data lattice
     a1 + i*step, as a fraction of step in (0, 1), for any breakpoints.
     Breakpoints that are not multiples of step round the data count down.
     Raises GridError unless step is a finite real > 0, with (a3 - a1) / step
-    finite, and shift a real in (0, 1), or if an object sample lands within
-    1e-12 step of a data sample, where the kernel would be singular: at
-    breakpoints too large for the step to resolve, or at a shift that
-    close to 0 or 1.
+    finite, and shift a real in (0, 1); if the object grid is empty; if the
+    grids hold more than MAX_SAMPLES data x object samples; or if an object
+    sample may land within 1e-12 step of a data sample, where the kernel
+    would be singular: at breakpoints too large for the step to resolve,
+    or at a shift that close to 0 or 1.
     """
+    return _lattice(geom, step, shift)[:2]
+
+
+def _lattice(geom: Geometry, step, shift) -> tuple[SampledGrid, SampledGrid, float]:
+    """sample_grids' grids and the object grid's offset c = k0 + shift, in steps."""
     step = real("step", step, 0, error=GridError)
     shift = real("shift", shift, 0, 1, error=GridError)
     a1, a2, a3, a4 = geom.points
 
     span = real("(a3 - a1) / step", (a3 - a1) / step, error=GridError)
-    n_data = int(np.floor(span + 1e-9)) + 1
-    x = a1 + step * np.arange(n_data)
-
-    # lattice indices around (a2 - step, a4) with spares; the rounded nodes
-    # decide.  A step near the double range overflows only spares to +-inf
-    k = np.arange(np.floor((a2 - a1) / step) - 2.0, np.ceil((a4 - a1) / step) + 1.0)
-    with np.errstate(over="ignore"):
-        y_cand = a1 + step * (k + shift)
-    y = y_cand[(y_cand > a2 - step) & (y_cand < a4)]
-    if y.size == 0:
+    n_data = math.floor(span + 1e-9) + 1
+    # object nodes a1 + (k + shift)*step with a2 - step < node < a4; a count
+    # past the double range reads inf
+    k0 = math.floor((a2 - a1) / step - 1.0 - shift) + 1
+    n_object = float(np.ceil((a4 - a1) / step - shift)) - k0
+    if n_object < 1:
         raise GridError("empty object grid; step too large for the geometry")
+    if not n_data * n_object <= MAX_SAMPLES:
+        raise GridError(f"{n_data:g} x {n_object:g} samples exceed the cap of {MAX_SAMPLES:g}")
 
-    # x ascends, so the closest data sample to each y is one of its two
-    # neighbours in sorted order
-    i = np.searchsorted(x, y)
-    gap = np.minimum(np.abs(y - x[np.maximum(i - 1, 0)]),
-                     np.abs(y - x[np.minimum(i, n_data - 1)]))
-    if gap.min() < 1e-12 * step:
+    # a data and an object sample carry six roundings of half an ulp between
+    # them, each of a value below 2 max(|a1|, |a4|) + step in magnitude
+    offset = k0 + shift
+    slack = 3 * math.ulp(2 * max(abs(a1), abs(a4)) + step)
+    if abs(offset - round(offset)) * step - slack < 1e-12 * step:
         raise GridError("object and data grids collide: samples within 1e-12 step")
 
-    return (SampledGrid(start=float(x[0]), step=step, count=n_data),
-            SampledGrid(start=float(y[0]), step=step, count=int(y.size)))
+    return (SampledGrid(start=float(a1), step=step, count=n_data),
+            SampledGrid(start=float(a1 + step * offset), step=step, count=int(n_object)),
+            offset)
 
 
 def build_operator(geom: Geometry, step: float = 1.0, shift: float = 0.5) -> DiscreteOperator:
     """The sampled operator on the grids of sample_grids; its matrix is not yet formed."""
-    data_grid, object_grid = sample_grids(geom, step, shift)
+    data_grid, object_grid, offset = _lattice(geom, step, shift)
     return DiscreteOperator(data_grid=data_grid, object_grid=object_grid,
-                            step=data_grid.step, geom=geom)
+                            step=data_grid.step, geom=geom, offset=offset)
 
 
 def apply_forward(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:

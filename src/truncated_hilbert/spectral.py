@@ -185,8 +185,7 @@ def compute_svd(op: DiscreteOperator, rank_tol: float | None = None,
     if method == "cauchy":
         # the elimination stops at a pivot floor set by the truncation, and
         # the solver writes only the retained columns back to grid order
-        v, s, u = accurate_cauchy_svd(op.data_grid.points, op.object_grid.points,
-                                      op.step / np.pi, rank_tol=tol)
+        v, s, u = accurate_cauchy_svd(*op.nodes, 1 / np.pi, rank_tol=tol)
     else:
         v_all, s_all, u_all = np.linalg.svd(op.matrix, full_matrices=False)
         # compress copies once and, unlike a [:, keep] index, keeps C order
@@ -202,11 +201,11 @@ def compute_svd(op: DiscreteOperator, rank_tol: float | None = None,
     u *= scale
     v *= scale
 
-    # sign convention from the first object sample strictly inside (a2, a3)
-    ys = op.object_grid.points
-    inside = (ys > op.geom.a2) & (ys < op.geom.a3)
-    if inside.any():
-        first = int(np.argmax(inside))
+    # sign convention from the first object sample strictly inside (a2, a3):
+    # the object grid starts less than a step below a2
+    y0 = op.object_grid.start
+    first = int(not y0 > op.geom.a2)
+    if first < op.shape[1] and y0 + first * op.step < op.geom.a3:
         signs = np.sign(u[first, :])
         signs[signs == 0.0] = 1.0
         u *= signs[None, :]
@@ -219,15 +218,16 @@ def check_reconstruction(op: DiscreteOperator, v, s, u) -> None:
 
     The Frobenius error must be at most 1e-10 times the matrix norm.
     Squared norms accumulate over row blocks of kernel and product, so
-    neither the matrix nor an m x n product is ever formed.  A system of
-    op is checked as (v, sigmas * step, u): its weighted vectors
+    neither the matrix nor an m x n product is ever formed.  The kernel
+    rows are formed on op.nodes, in step units, as op.matrix is.  A system
+    of op is checked as (v, sigmas * step, u): its weighted vectors
     reconstruct the matrix divided by step, as SingularSystem.of checks it.
     """
-    x, y = op.data_grid.points, op.object_grid.points
+    x, y = op.nodes
     rows = max(-(-x.size // _CHECK_BLOCKS), -(-_CHECK_MIN_ENTRIES // y.size))
     err2 = norm2 = 0.0
     for i in range(0, x.size, rows):
-        kern = kernel_rows(x[i:i + rows], y, op.step).ravel()
+        kern = kernel_rows(x[i:i + rows], y).ravel()
         resid = ((v[i:i + rows] * s[None, :]) @ u.T).ravel()
         np.subtract(kern, resid, out=resid)
         err2 += resid @ resid

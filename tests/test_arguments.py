@@ -42,8 +42,7 @@ class Arg:
     call(ctx, x) calls the function with x in this parameter's place and
     legal values elsewhere; ok is a legal value for which it returns.  lo,
     hi and ok may be functions of ctx.  optional: None is legal too.
-    Legal draws start at draw_lo where lower values cost memory, not
-    correctness.  unhashable: why a 0-d array fails with TypeError instead.
+    unhashable: why a 0-d array fails with TypeError instead.
     """
 
     call: Callable[[Any, Any], Any]
@@ -53,7 +52,6 @@ class Arg:
     closed: bool = False
     integer: bool = False
     optional: bool = False
-    draw_lo: float = -math.inf
     unhashable: str = ""
 
 
@@ -125,10 +123,9 @@ TABLE = {
                      integer=True),
     },
     "build_operator": {
-        # a grid of step s on (0, 6) holds 6/s samples: below 1e-3 a draw
-        # would allocate millions of them
-        "step": Arg(lambda c, v: th.build_operator(TINY_GEOM, step=v), ok=1.0, lo=0.0,
-                    draw_lo=1e-3),
+        # a step fine enough to exceed the grid cap is refused before the
+        # grids are allocated, so draws span the whole legal range
+        "step": Arg(lambda c, v: th.build_operator(TINY_GEOM, step=v), ok=1.0, lo=0.0),
         "shift": Arg(lambda c, v: th.build_operator(TINY_GEOM, shift=v), ok=0.5,
                      lo=0.0, hi=1.0),
     },
@@ -339,8 +336,6 @@ def _hostile(arg: Arg, c) -> list:
 
 def _legal(arg: Arg, c):
     lo, hi, closed = _at(arg.lo, c), _at(arg.hi, c), arg.closed
-    if arg.draw_lo > lo:
-        lo, closed = arg.draw_lo, True
     if lo >= hi:
         values = st.nothing()
     elif arg.integer:

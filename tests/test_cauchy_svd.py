@@ -543,13 +543,13 @@ class TestBlasThreadCap:
 
 
 def reference_compute_svd(op, tol=1e-21):
-    """compute_svd's earlier route: scipy.linalg.qr and scipy.linalg.lapack's
-    dgejsv, a zeros_like scatter of all r columns, then a compress
-    truncation, the weighted scaling and the sign convention.  compute_svd
-    must return its sigmas, u and v bit for bit."""
+    """compute_svd's earlier route on the operator's step-unit nodes:
+    scipy.linalg.qr and scipy.linalg.lapack's dgejsv, a zeros_like scatter
+    of all r columns, then a compress truncation, the weighted scaling and
+    the sign convention.  compute_svd must return its sigmas, u and v bit
+    for bit."""
     import scipy.linalg as sla
-    rrd = gecp_cauchy(op.data_grid.points, op.object_grid.points, op.step / np.pi,
-                      floor_rel=min(1e-28, tol * 1e-7))
+    rrd = gecp_cauchy(*op.nodes, 1 / np.pi, floor_rel=min(1e-28, tol * 1e-7))
     Q = np.multiply(rrd.L, rrd.d, order="F")
     with cauchy_svd._blas_threads_for(rrd.rank):
         Q, R, piv = sla.qr(Q, mode="economic", pivoting=True, overwrite_a=True)

@@ -12,10 +12,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import PAPER_GEOM
+from conftest import PAPER_GEOM, TINY_GEOM
 from truncated_hilbert import apply_forward, build_operator, cli
 from truncated_hilbert.cauchy_svd import accurate_cauchy_svd, gecp_cauchy, svd_from_rrd
 from truncated_hilbert.config import load_config
+from truncated_hilbert.errors import GridError
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -43,11 +44,19 @@ def matrix_bytes(op):
 
 
 def test_build_operator_allocates_no_matrix():
-    # measured 0.016 matrices (0.005 at step 1): the grids and the
-    # candidate object samples
+    # measured 0.0008 matrices (1.2 kB): the grids are decided by index
+    # arithmetic and hold no arrays
     op, peak = traced_peak(build_operator, PAPER_GEOM, step=3.0, shift=0.5)
     assert "matrix" not in vars(op)
-    assert peak < 0.05 * matrix_bytes(op)
+    assert peak < 0.005 * matrix_bytes(op)
+
+
+def test_oversized_grid_refused_before_any_allocation():
+    # 6e15 x 6e15 samples, refused before any array of them is allocated
+    err, peak = traced_peak(pytest.raises, GridError, build_operator, TINY_GEOM,
+                            step=1e-15)
+    assert "exceed the cap of 2e+07" in str(err.value)
+    assert peak < 1e6
 
 
 def test_apply_forward_allocates_no_matrix(step3_op):
