@@ -10,9 +10,10 @@ stability bounds (Hoelder on a region of interest, logarithmic on the
 full support) with all constants calibrated from the computed spectrum.
 """
 
-from .asymptotics import (WkbProfile, near_one_model_valid, roi_norm_model,
-                          sigma_model_neg, sigma_model_pos, u_wkb, wkb_epsilon,
-                          wkb_profile, wkb_roi_norm_quadrature)
+from .asymptotics import (WkbProfile, log_roi_norm_model, log_sigma_model,
+                          near_one_model_valid, roi_norm_model, sigma_model_neg,
+                          sigma_model_pos, u_wkb, wkb_epsilon, wkb_profile,
+                          wkb_roi_norm_quadrature)
 from .bounds import (AsymptoticConstants, calibrate_constants,
                      full_interval_bound, full_interval_validity, l2_validity,
                      roi_bound_l2, roi_bound_tv, tv_validity, v_mu, w_mu,
@@ -28,7 +29,8 @@ from .operator import (DiscreteOperator, SampledGrid, apply_adjoint,
                        apply_forward, build_operator, weighted_norm)
 from .regularization import (CutoffChoice, NoisyData, ReconstructionResult,
                              add_noise, export_reconstruction, make_phantom,
-                             optimal_cutoff_l2, tikhonov_reconstruct,
+                             optimal_cutoff_l2, optimal_cutoff_tv,
+                             tikhonov_reconstruct,
                              tsvd_reconstruct)
 from .spectral import (SingularSystem, TailFit, check_monotone, compute_svd,
                        export_spectrum_csv, fit_exponential, fit_roi_decay,

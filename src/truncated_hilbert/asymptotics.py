@@ -1,6 +1,8 @@
 """Closed-form asymptotic laws for the singular system.
 
-Predictive models cross-checked against the computed decomposition:
+Predictive models cross-checked against the computed decomposition (the
+first and third are the exponentials of log_sigma_model and
+log_roi_norm_model, the log forms figure2 writes):
 
 * sigma_model_pos:  sigma_n ~ 2 exp(-n pi K+/K-) on the decaying tail;
 * sigma_model_neg:  sigma_{-n} ~ 1 - 2 exp(-2 n pi K-/K+) near one;
@@ -40,10 +42,15 @@ from .geometry import (Geometry, alpha, beta_mu_exact, k_minus, near_one_rate,
                        poly_P, w3)
 
 
+def log_sigma_model(geom: Geometry, n: int) -> float:
+    """Log of the tail model, log 2 - alpha n, for integers n >= 0 (meaningful from 1)."""
+    n = real("n", n, 0, closed=True, integer=True, error=DomainError)
+    return np.log(2.0) - alpha(geom) * n
+
+
 def sigma_model_pos(geom: Geometry, n: int) -> float:
     """Tail model 2 exp(-alpha n); meaningful for n >= 1, defined for integers n >= 0."""
-    n = real("n", n, 0, closed=True, integer=True, error=DomainError)
-    return 2.0 * np.exp(-alpha(geom) * n)
+    return np.exp(log_sigma_model(geom, n))
 
 
 def sigma_model_neg(geom: Geometry, n_abs: int) -> float:
@@ -57,11 +64,15 @@ def near_one_model_valid(geom: Geometry) -> bool:
     return sigma_model_neg(geom, 1) > 0.0
 
 
+def log_roi_norm_model(geom: Geometry, mu, n: int) -> float:
+    """Log of the ROI-norm model, -beta_mu n - log(n pi)/2, for integers n >= 1."""
+    n = real("n", n, 1, closed=True, integer=True, error=DomainError)
+    return -beta_mu_exact(geom, mu) * n - 0.5 * np.log(n * np.pi)
+
+
 def roi_norm_model(geom: Geometry, mu, n: int) -> float:
     """ROI-norm model exp(-beta_mu n) / sqrt(n pi) for integers n >= 1."""
-    n = real("n", n, 1, closed=True, integer=True, error=DomainError)
-    beta = beta_mu_exact(geom, mu)
-    return np.exp(-beta * n) / np.sqrt(n * np.pi)
+    return np.exp(log_roi_norm_model(geom, mu, n))
 
 
 def wkb_epsilon(geom: Geometry, n: int) -> float:
@@ -128,8 +139,5 @@ def wkb_roi_norm_quadrature(geom: Geometry, mu, n: int) -> float:
     docstring), so the norm is exp(-n beta_mu) sqrt((1 - exp(-2 n (alpha
     - beta_mu))) / (n pi)); roi_norm_model is the leading factor.
     """
-    n = real("n", n, 1, closed=True, integer=True, error=DomainError)
-    beta = beta_mu_exact(geom, mu)
-    a = alpha(geom)
-    return float(np.exp(-n * beta) * np.sqrt(-np.expm1(-2.0 * n * (a - beta))
-                                              / (n * np.pi)))
+    gap = alpha(geom) - beta_mu_exact(geom, mu)
+    return float(roi_norm_model(geom, mu, n) * np.sqrt(-np.expm1(-2.0 * n * gap)))

@@ -14,19 +14,21 @@ the closed-form combinations entering the quasi-optimal cutoff under the
 norm prior and the variation prior.  calibrate_constants measures A and
 c_tv from the tail and accepts no other value for either.
 
-The two-solution bound under the norm prior |f| <= E is
+Both restricted-interval bounds are Hoelder and share one form.  At the
+quasi-optimal index n* = log(X A C_mu/delta)/alpha of regularization
+(optimal_cutoff_l2, optimal_cutoff_tv) the bound is
 
-    2 delta e^(alpha N_mu)/A
-      + 2 E B_mu (delta/(A V_mu E))^(beta/alpha)
-          * alpha / ((alpha-beta) sqrt(e^(2 beta) - 1)),
+    s [ delta e^(alpha N_mu)/A + X K e^(-beta_mu n*) ],
 
-valid once the quasi-optimal index log(E A V_mu/delta)/alpha of
-regularization.optimal_cutoff_l2 exceeds N_mu; the truncated-SVD and
-Tikhonov estimates share its structure with coefficients 1 and
-(1+sqrt(2)) in place of 2.  Under a variation prior |f|_TV <= kappa
-(solutions vanishing at the support ends) the restricted bound is
-Hoelder as well, while on the full support only a logarithmic modulus
-survives:
+where X e^(-beta_mu n*) = X^((alpha-beta)/alpha) (delta/(A C_mu))^(beta/alpha).
+Under the norm prior |f| <= E: X = E, C_mu = V_mu and
+K = B_mu alpha / ((alpha-beta) sqrt(e^(2 beta) - 1)), with s = 2 for
+any two admissible solutions, 1 for the truncated-SVD estimate and
+1 + sqrt(2) for the Tikhonov one.  Under a variation prior
+|f|_TV <= kappa (solutions vanishing at the support ends): X = kappa,
+C_mu = W_mu, K = B_mu c_tv alpha / (N_mu (alpha-beta)(e^beta - 1)) and
+s = 2.  Either bound is valid once n* exceeds N_mu and the bound is a
+finite double.  On the full support only a logarithmic modulus survives:
 
     kappa C [log(kappa/delta) + D]^(-1/2),
     C = c (1/alpha + 2) sqrt(alpha + 3/2),   D = log(A c / (2 alpha)).
@@ -41,12 +43,16 @@ import numpy as np
 
 from .errors import BoundNotApplicableError, SpectralError, real
 from .geometry import Geometry, alpha as geom_alpha, beta_mu_exact, check_roi
-from .regularization import optimal_cutoff_l2
+from .regularization import _quasi_optimal_index
 from .report import write_csv
 from .spectral import SingularSystem, roi_norm, tail_for_fit
 
 _CALIBRATION_MARGIN = 0.98   # A sits this factor below its measurement, c_tv above
-_LOG_MAX = math.log(sys.float_info.max)   # exp of anything below is finite
+# the factors of the norm-prior bound: any two admissible solutions, the
+# truncated estimate, the Tikhonov estimate
+_L2_SCALES = {"pair": 2.0, "tsvd": 1.0, "tikhonov": 1.0 + math.sqrt(2.0)}
+# e^x for x below this is finite times any bound's factor, roi_bound_tv's 2 too
+_LOG_MAX = math.log(sys.float_info.max / _L2_SCALES["tikhonov"])
 # a subnormal beta_mu leaves e^(2 beta) - 1 subnormal and V_mu's quotient
 # overflows; N_mu, an index, is exact in a double
 _BETA_MIN, _N_MU_MAX = sys.float_info.min, 2 ** 53
@@ -75,7 +81,9 @@ class AsymptoticConstants:
         real("c_tv", self.c_tv, 0, error=SpectralError)
         object.__setattr__(self, "b_mu", 1.0 / np.sqrt(self.n_mu * np.pi))
         object.__setattr__(self, "v_mu", v_mu(self.alpha, self.beta_mu))
-        object.__setattr__(self, "w_mu", w_mu(self.alpha, self.beta_mu, self.c_tv, self.n_mu))
+        # W_mu overflows at a huge c_tv over a tiny beta_mu, and no bound reads inf
+        object.__setattr__(self, "w_mu", real("W_mu", w_mu(
+            self.alpha, self.beta_mu, self.c_tv, self.n_mu), error=SpectralError))
 
 
 def v_mu(alpha: float, beta_mu: float) -> float:
@@ -152,9 +160,58 @@ def calibrate_constants(sys: SingularSystem, geom: Geometry, mu,
     return AsymptoticConstants(A=A, alpha=a, beta_mu=beta, n_mu=n_mu, c_tv=c_tv)
 
 
+def _hoelder(delta: float, size: float, c_mu: float,
+             k: AsymptoticConstants) -> tuple[float, float]:
+    """Index n* and log(delta e^(alpha N_mu)/A + size K e^(-beta_mu n*)).
+
+    The one form of both Hoelder bounds, before their factor: size = E and
+    c_mu = V_mu under the norm prior, size = kappa and c_mu = W_mu under
+    the variation prior.  n* = log(size A c_mu / delta)/alpha is
+    regularization's quasi-optimal index, and the gain
+    K = c_mu b_mu alpha / (beta_mu sqrt(1 - e^(-2 gap))), gap = alpha - beta_mu,
+    equals b_mu alpha / (gap sqrt(e^(2 beta_mu) - 1)) and
+    b_mu c_tv alpha / (N_mu gap (e^beta_mu - 1)) in turn.  Formed in logs,
+    because e^(alpha N_mu), size and K can each leave the double range
+    where the bound does not.  The log is -inf at delta = 0, and nan
+    unless n* > N_mu.
+    """
+    n_real = _quasi_optimal_index(delta, size, c_mu, k)
+    if not n_real > k.n_mu:
+        return n_real, math.nan
+    log_delta = math.log(delta) if delta > 0 else -math.inf
+    log_gain = (math.log(c_mu) + math.log(k.b_mu) + math.log(k.alpha)
+                - math.log(k.beta_mu)
+                - 0.5 * math.log(-math.expm1(-2.0 * (k.alpha - k.beta_mu))))
+    return n_real, float(np.logaddexp(log_delta + k.alpha * k.n_mu - math.log(k.A),
+                                      math.log(size) + log_gain - k.beta_mu * n_real))
+
+
+def _l2(delta: float, E: float, k: AsymptoticConstants) -> tuple[float, float]:
+    return _hoelder(real("delta", delta, 0), real("E", E, 0), k.v_mu, k)
+
+
+def _tv(delta: float, kappa: float, k: AsymptoticConstants) -> tuple[float, float]:
+    return _hoelder(real("delta", delta, 0, closed=True), real("kappa", kappa, 0),
+                    k.w_mu, k)
+
+
+def _bound(scale: float, delta: float, n_real: float, log_b: float,
+           k: AsymptoticConstants) -> float:
+    """scale e^log_b at a _hoelder result; BoundNotApplicableError where not valid."""
+    if not log_b < _LOG_MAX:
+        raise BoundNotApplicableError(
+            f"bound not applicable at delta={delta:g}: " + (
+                f"quasi-optimal index {n_real:.3f} <= N_mu={k.n_mu}"
+                if not n_real > k.n_mu else "the bound leaves the double range"))
+    return scale * math.exp(log_b)
+
+
 def l2_validity(delta: float, E: float, k: AsymptoticConstants) -> bool:
-    """Whether the unrounded quasi-optimal index exceeds N_mu (optimal_cutoff_l2)."""
-    return optimal_cutoff_l2(delta, E, k).valid
+    """Whether the quasi-optimal index exceeds N_mu and roi_bound_l2 is finite.
+
+    Raises ValueError unless delta and E are finite reals > 0.
+    """
+    return _l2(delta, E, k)[1] < _LOG_MAX
 
 
 def roi_bound_l2(delta: float, E: float, k: AsymptoticConstants,
@@ -164,64 +221,32 @@ def roi_bound_l2(delta: float, E: float, k: AsymptoticConstants,
     flavor "pair" bounds the distance between any two admissible
     solutions; "tsvd" the truncated estimate at the quasi-optimal cutoff
     (exactly half the pair bound); "tikhonov" the filtered estimate at
-    eta = delta^2/E^2 ((1+sqrt 2) times "tsvd").
+    eta = delta^2/E^2 ((1+sqrt 2) times "tsvd").  Raises
+    BoundNotApplicableError where l2_validity does not hold.
     """
-    scales = {"pair": 2.0, "tsvd": 1.0, "tikhonov": 1.0 + np.sqrt(2.0)}
-    if flavor not in scales:
+    if flavor not in _L2_SCALES:
         raise ValueError(f"unknown flavor {flavor!r}")
-    cut = optimal_cutoff_l2(delta, E, k)
-    if not cut.valid:
-        raise BoundNotApplicableError(
-            f"bound not applicable at delta={delta:g}: quasi-optimal index "
-            f"{cut.n_real:.3f} <= N_mu={k.n_mu}")
-    head = delta * np.exp(k.alpha * k.n_mu) / k.A
-    gap = k.alpha - k.beta_mu
-    tail = (E * k.b_mu * (delta / (k.A * k.v_mu * E)) ** (k.beta_mu / k.alpha)
-            * k.alpha / (gap * np.sqrt(np.expm1(2.0 * k.beta_mu))))
-    return scales[flavor] * (head + tail)
-
-
-def _log_tv_bound(delta: float, kappa: float, k: AsymptoticConstants) -> float:
-    """Natural log of the roi_bound_tv value; -inf at delta = 0.
-
-    Formed in logs because e^(alpha N_mu), kappa^((alpha-beta)/alpha) and
-    1/expm1(beta_mu) can each leave the double range where the bound does
-    not; for tiny beta_mu the tail grows like kappa/beta_mu while the
-    smallness condition of tv_validity still holds.
-    """
-    gap = k.alpha - k.beta_mu
-    log_delta = math.log(delta) if delta > 0 else -math.inf
-    log_head = math.log(2.0 / k.A) + log_delta + k.alpha * k.n_mu
-    log_tail = (math.log(2.0 * k.b_mu / k.n_mu) + math.log(k.c_tv)
-                + gap / k.alpha * math.log(kappa)
-                + k.beta_mu / k.alpha * (log_delta - math.log(k.A) - math.log(k.w_mu))
-                + math.log(k.alpha / gap) - math.log(math.expm1(k.beta_mu)))
-    return float(np.logaddexp(log_head, log_tail))
+    return _bound(_L2_SCALES[flavor], delta, *_l2(delta, E, k), k)
 
 
 def tv_validity(delta: float, kappa: float, k: AsymptoticConstants) -> bool:
-    """Strict smallness condition delta/kappa < A W_mu e^(-alpha N_mu).
+    """Whether the quasi-optimal index exceeds N_mu and roi_bound_tv is finite.
 
-    Also requires the bound of roi_bound_tv to be a finite double, so that
-    whenever this holds roi_bound_tv returns a number.  Raises ValueError
-    unless delta is finite and >= 0 and kappa finite and > 0.
+    The index is regularization.optimal_cutoff_tv's, log(kappa A W_mu /
+    delta)/alpha, so this is the strict smallness condition
+    delta/kappa < A W_mu e^(-alpha N_mu), and it holds at delta = 0.
+    Raises ValueError unless delta is finite and >= 0 and kappa finite and > 0.
     """
-    delta, kappa = real("delta", delta, 0, closed=True), real("kappa", kappa, 0)
-    return bool(delta / kappa < k.A * k.w_mu * np.exp(-k.alpha * k.n_mu)
-                and _log_tv_bound(delta, kappa, k) < _LOG_MAX)
+    return _tv(delta, kappa, k)[1] < _LOG_MAX
 
 
 def roi_bound_tv(delta: float, kappa: float, k: AsymptoticConstants) -> float:
     """Restricted-interval bound under the variation prior |f|_TV <= kappa.
 
-    The bound at delta = 0 is 0.  Raises ValueError, through tv_validity,
-    unless delta is finite and >= 0 and kappa finite and > 0.
+    The bound at delta = 0 is 0.  Raises ValueError, as tv_validity does,
+    and BoundNotApplicableError where tv_validity does not hold.
     """
-    if not tv_validity(delta, kappa, k):
-        raise BoundNotApplicableError(
-            f"variation bound not applicable at delta={delta:g}, kappa={kappa:g}: needs "
-            f"delta/kappa < {k.A * k.w_mu * np.exp(-k.alpha * k.n_mu):g} and a finite bound")
-    return math.exp(_log_tv_bound(delta, kappa, k))
+    return _bound(2.0, delta, *_tv(delta, kappa, k), k)
 
 
 def full_interval_validity(delta: float, kappa: float, k: AsymptoticConstants) -> bool:

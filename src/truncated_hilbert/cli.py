@@ -27,7 +27,8 @@ import numpy as np
 
 from . import __version__
 from . import geometry as geo
-from .bounds import calibrate_constants, roi_bound_l2, write_bounds_csv
+from .asymptotics import log_roi_norm_model, log_sigma_model
+from .bounds import calibrate_constants, l2_validity, roi_bound_l2, write_bounds_csv
 from .config import load_config
 from .errors import ConfigError, SpectralError, TruncatedHilbertError
 from .operator import apply_forward, build_operator, sample_grids, weighted_norm
@@ -234,15 +235,13 @@ def _cmd_figure1(cfg, outdir) -> None:
 def _cmd_figure2(cfg, outdir) -> None:
     geom = cfg.geom()
     op, sys_ = _spectral_setup(cfg, outdir)
-    a = geo.alpha(geom)
 
     sig_path = os.path.join(outdir, "figure2_sigma.csv")
     write_csv(sig_path, ["n", "log_sigma", "log_model"],
-              [[n, np.log(sys_.sigmas[k]), np.log(2.0) - a * n]
+              [[n, np.log(sys_.sigmas[k]), log_sigma_model(geom, n)]
                for n, k in enumerate(sys_.tail, 1)])
 
     roi_path = os.path.join(outdir, "figure2_roi.csv")
-    betas = {mu: geo.beta_mu_exact(geom, mu) for mu in cfg.mu_list}
     header = ["n"]
     for mu in cfg.mu_list:
         header += [f"log_roi_mu{mu_label(mu)}", f"log_model_mu{mu_label(mu)}"]
@@ -250,8 +249,7 @@ def _cmd_figure2(cfg, outdir) -> None:
     for n, k in enumerate(sys_.tail, 1):
         row = [n]
         for mu in cfg.mu_list:
-            row += [np.log(roi_norm(sys_, k, mu)),
-                    -betas[mu] * n - 0.5 * np.log(n * np.pi)]
+            row += [np.log(roi_norm(sys_, k, mu)), log_roi_norm_model(geom, mu, n)]
         rows.append(row)
     write_csv(roi_path, header, rows)
     print(f"wrote {sig_path} and {roi_path}")
@@ -282,7 +280,7 @@ def _cmd_reconstruct(cfg, outdir) -> None:
         eta = tikhonov_eta(delta, cfg.E)   # a positive double: config checks it
         noisy = add_noise(g_ex, delta, cfg.seed, step=op.step)
         cut = optimal_cutoff_l2(delta, cfg.E, consts)
-        valid = cut.valid and delta > rounding
+        valid = l2_validity(delta, cfg.E, consts) and delta > rounding
         for rec in (tsvd_reconstruct(sys_, noisy.g, cut.n_cut),
                     tikhonov_reconstruct(sys_, noisy.g, eta)):
             err = weighted_norm((rec.f - f_true)[mask], op.step)

@@ -8,18 +8,21 @@ syntheses, so estimates of one data vector project it once, and TSVD
 and Tikhonov estimates alternating on it synthesize each set of weights
 once; every estimate f is read-only.  The truncated estimate inverts
 every retained component above the tail plus tail components up to a
-cutoff index; the quasi-optimal cutoff for noise level delta under the
-norm prior |f| <= E is
+cutoff index; the quasi-optimal cutoff for noise level delta is
 
-    N(delta) = round( log(E A V_mu / delta) / alpha ),
+    N(delta) = round( log(X A C_mu / delta) / alpha ),
 
-and optimal_cutoff_l2 is the one place that evaluates it: the bound
-validity of bounds.l2_validity reads the same unrounded index.
+with X = E and C_mu = V_mu under the norm prior |f| <= E
+(optimal_cutoff_l2), and X = kappa and C_mu = W_mu under the variation
+prior |f|_TV <= kappa (optimal_cutoff_tv).  This module is the one place
+that evaluates the index: the validity and the value of both Hoelder
+bounds in bounds read the same unrounded index.
 The Tikhonov estimate applies the spectral filter sigma/(sigma^2 + eta),
 equivalent to the normal-equations solve on the retained span; the
 default parameter is tikhonov_eta(delta, E) = delta^2 / E^2.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +78,27 @@ class CutoffChoice:
     valid: bool
 
 
+def _quasi_optimal_index(delta: float, size: float, c_mu: float, consts) -> float:
+    """Unrounded index log(size A c_mu / delta) / alpha, for checked arguments.
+
+    size is the prior's bound (E or kappa) and c_mu its constant (V_mu or
+    W_mu).  The index is +inf at delta = 0, and -inf where c_mu
+    underflowed to 0.  A sum of logs: the product size A c_mu / delta
+    overflows or underflows at extreme finite arguments, the log of each
+    factor does not.
+    """
+    if c_mu == 0 or delta == 0:   # a log of 0, which numpy warns about
+        return -math.inf if c_mu == 0 else math.inf
+    return float((np.log(size) + np.log(consts.A) + np.log(c_mu)
+                  - np.log(delta)) / consts.alpha)
+
+
+def _cutoff(delta: float, size: float, c_mu: float, consts) -> CutoffChoice:
+    n_real = _quasi_optimal_index(delta, size, c_mu, consts)
+    return CutoffChoice(n_cut=int(round(max(n_real, 0.0))), n_real=n_real,
+                        valid=n_real > consts.n_mu)
+
+
 def optimal_cutoff_l2(delta: float, E: float, consts) -> CutoffChoice:
     """Cutoff round(log(E A V_mu / delta) / alpha), clamped to >= 0.
 
@@ -82,15 +106,16 @@ def optimal_cutoff_l2(delta: float, E: float, consts) -> CutoffChoice:
     the noise level is small enough for the accompanying error bound.
     Raises ValueError unless delta and E are finite reals > 0.
     """
-    delta = real("delta", delta, 0)
-    E = real("E", E, 0)
-    # a sum of logs: the product E A V_mu / delta overflows or underflows
-    # at extreme finite delta and E, the log of each factor does not
-    n_real = (np.log(E) + np.log(consts.A) + np.log(consts.v_mu)
-              - np.log(delta)) / consts.alpha
-    n_cut = max(0, int(round(n_real)))
-    return CutoffChoice(n_cut=n_cut, n_real=float(n_real),
-                        valid=bool(n_real > consts.n_mu))
+    return _cutoff(real("delta", delta, 0), real("E", E, 0), consts.v_mu, consts)
+
+
+def optimal_cutoff_tv(delta: float, kappa: float, consts) -> CutoffChoice:
+    """Cutoff round(log(kappa A W_mu / delta) / alpha), clamped to >= 0.
+
+    The variation-prior counterpart of optimal_cutoff_l2, with the same
+    `valid`.  Raises ValueError unless delta and kappa are finite reals > 0.
+    """
+    return _cutoff(real("delta", delta, 0), real("kappa", kappa, 0), consts.w_mu, consts)
 
 
 def tsvd_reconstruct(sys: SingularSystem, g: np.ndarray, n_cut: int) -> ReconstructionResult:

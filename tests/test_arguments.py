@@ -156,8 +156,11 @@ TABLE = {
     "export_spectrum_csv": {"mu_list entry": _mu(
         lambda c, v: th.export_spectrum_csv(c.sys, c.dir / "spectrum.csv", [v]))},
     # asymptotics
+    "log_sigma_model": {"n": _n(lambda c, v: th.log_sigma_model(SMALL, v), lo=0)},
     "sigma_model_pos": {"n": _n(lambda c, v: th.sigma_model_pos(SMALL, v), lo=0)},
     "sigma_model_neg": {"n_abs": _n(lambda c, v: th.sigma_model_neg(SMALL, v))},
+    "log_roi_norm_model": {"mu": _mu(lambda c, v: th.log_roi_norm_model(SMALL, v, 5)),
+                           "n": _n(lambda c, v: th.log_roi_norm_model(SMALL, MU, v))},
     "roi_norm_model": {"mu": _mu(lambda c, v: th.roi_norm_model(SMALL, v, 5)),
                        "n": _n(lambda c, v: th.roi_norm_model(SMALL, MU, v))},
     "wkb_epsilon": {"n": _n(lambda c, v: th.wkb_epsilon(SMALL, v))},
@@ -182,6 +185,10 @@ TABLE = {
     "optimal_cutoff_l2": {
         "delta": Arg(lambda c, v: th.optimal_cutoff_l2(v, 50.0, c.k), ok=1e-6, lo=0.0),
         "E": Arg(lambda c, v: th.optimal_cutoff_l2(1e-6, v, c.k), ok=50.0, lo=0.0),
+    },
+    "optimal_cutoff_tv": {
+        "delta": Arg(lambda c, v: th.optimal_cutoff_tv(v, 1.0, c.k), ok=1e-6, lo=0.0),
+        "kappa": Arg(lambda c, v: th.optimal_cutoff_tv(1e-6, v, c.k), ok=1.0, lo=0.0),
     },
     "tsvd_reconstruct": {"n_cut": Arg(
         lambda c, v: th.tsvd_reconstruct(c.sys, c.g, v), ok=3, lo=0, closed=True,
@@ -290,7 +297,7 @@ UNCHECKED = {
     "DiscreteOperator": "build_operator checks step and shift",
     "SingularSystem": "SingularSystem.of checks the factors against the operator",
     "TailFit": "a result of fit_exponential",
-    "CutoffChoice": "a result of optimal_cutoff_l2",
+    "CutoffChoice": "a result of optimal_cutoff_l2 or optimal_cutoff_tv",
     "NoisyData": "a result of add_noise",
     "ReconstructionResult": "a result of tsvd_reconstruct or tikhonov_reconstruct",
     "WkbProfile": "wkb_profile checks n; its call checks x",

@@ -5,6 +5,7 @@ from scipy.integrate import quad
 import goldens as G
 from conftest import PAPER_GEOM, UNIT_GEOM
 from truncated_hilbert import (alpha, beta_mu_exact, k_minus, k_plus,
+                               log_roi_norm_model, log_sigma_model,
                                near_one_model_valid, near_one_rate,
                                roi_norm_model, sigma_model_neg,
                                sigma_model_pos, tail_index_map, u_wkb, w3,
@@ -19,6 +20,15 @@ class TestSigmaModels:
         assert sigma_model_pos(UNIT_GEOM, 0) == pytest.approx(2.0, rel=1e-12)
         assert sigma_model_pos(UNIT_GEOM, 3) == pytest.approx(
             2.0 * np.exp(-3 * a), rel=1e-10)
+
+    def test_log_form(self):
+        # the expression figure2 wrote inline, and the model its exponential
+        a = alpha(PAPER_GEOM)
+        for n in (0, 1, 9, 40):
+            assert log_sigma_model(PAPER_GEOM, n) == np.log(2.0) - a * n
+            assert sigma_model_pos(PAPER_GEOM, n) == np.exp(log_sigma_model(PAPER_GEOM, n))
+        with pytest.raises(DomainError):
+            log_sigma_model(PAPER_GEOM, -1)
 
     def test_pos_ratio_exact(self):
         a = alpha(UNIT_GEOM)
@@ -53,6 +63,17 @@ class TestRoiNormModel:
     def test_index_validation(self):
         with pytest.raises(DomainError):
             roi_norm_model(UNIT_GEOM, 0.05, 0)
+        with pytest.raises(DomainError):
+            log_roi_norm_model(UNIT_GEOM, 0.05, 0)
+
+    def test_log_form(self):
+        # the expression figure2 wrote inline, and the model its exponential
+        for mu in (5.0, 20.0, 100.0):
+            beta = beta_mu_exact(PAPER_GEOM, mu)
+            for n in (1, 9, 40):
+                log_model = log_roi_norm_model(PAPER_GEOM, mu, n)
+                assert log_model == -beta * n - 0.5 * np.log(n * np.pi)
+                assert roi_norm_model(PAPER_GEOM, mu, n) == np.exp(log_model)
 
     def test_monotone_in_mu(self):
         for n in (1, 5):

@@ -1,16 +1,20 @@
+import math
 from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goldens as G
 from conftest import PAPER_GEOM, SMALL_PRESET_GEOM, UNIT_GEOM
 from truncated_hilbert import (AsymptoticConstants, SampledGrid,
                                calibrate_constants, full_interval_bound,
                                full_interval_validity, l2_validity, make_phantom,
-                               roi_bound_l2, roi_bound_tv, tv_validity, v_mu,
-                               w_mu, write_bounds_csv)
+                               optimal_cutoff_l2, optimal_cutoff_tv, roi_bound_l2,
+                               roi_bound_tv, tv_validity, v_mu, w_mu,
+                               write_bounds_csv)
 from truncated_hilbert.config import load_config
 from truncated_hilbert.errors import BoundNotApplicableError, SpectralError
 from truncated_hilbert.geometry import Geometry, alpha, beta_mu_exact
@@ -56,6 +60,14 @@ class TestClosedFormConstants:
         # with a RuntimeWarning on the way to that 0
         assert v_mu(1000.0, 800.0) == 0.0
         assert w_mu(1000.0, 800.0, 1.0, 2) == 0.0
+        # no index exceeds N_mu then; the log of V_mu = 0 warned in the cutoff
+        k = AsymptoticConstants(A=1.0, alpha=1000.0, beta_mu=800.0, n_mu=2, c_tv=1.0)
+        for cutoff in (optimal_cutoff_l2, optimal_cutoff_tv):
+            cut = cutoff(1e-3, 1.0, k)
+            assert (cut.n_cut, cut.n_real, cut.valid) == (0, -math.inf, False)
+        assert not l2_validity(1e-3, 1.0, k) and not tv_validity(0.0, 1.0, k)
+        with pytest.raises(BoundNotApplicableError, match="-inf <= N_mu"):
+            roi_bound_l2(1e-3, 1.0, k)
 
     @pytest.mark.parametrize("a, b", [
         (a, b) for a in (G.PAPER_ALPHA, 2.0)
@@ -75,7 +87,9 @@ class TestClosedFormConstants:
 class TestConstantsType:
     def test_invariants_enforced(self):
         for bad in ({"A": 2.5}, {"A": 0.0}, {"beta_mu": 5.0}, {"beta_mu": 6.0},
-                    {"beta_mu": 0.0}, {"n_mu": 1}, {"c_tv": 0.0}, {"c_tv": -1.0}):
+                    {"beta_mu": 0.0}, {"n_mu": 1}, {"c_tv": 0.0}, {"c_tv": -1.0},
+                    # W_mu = inf, which tv_validity took for valid
+                    {"alpha": 0.01, "beta_mu": 1e-300, "c_tv": 1.7e308}):
             with pytest.raises(SpectralError):
                 AsymptoticConstants(**{"A": 1.5, "alpha": 5.0, "beta_mu": 1.0,
                                        "n_mu": 2, "c_tv": 1.0, **bad})
@@ -208,6 +222,17 @@ class TestCalibration:
         assert k.n_mu > k.n0
 
 
+def last_valid_delta(cutoff, size, k):
+    """The largest double delta at which cutoff(delta, size, k).n_real exceeds N_mu."""
+    lo, hi = 1e-300, 1e300          # the index decreases with delta
+    assert cutoff(lo, size, k).n_real > k.n_mu >= cutoff(hi, size, k).n_real
+    while math.nextafter(lo, math.inf) < hi:
+        mid = max(math.nextafter(lo, math.inf), min(math.sqrt(lo) * math.sqrt(hi),
+                                                    math.nextafter(hi, 0.0)))
+        lo, hi = (mid, hi) if cutoff(mid, size, k).n_real > k.n_mu else (lo, mid)
+    return lo
+
+
 class TestL2Bound:
     def test_flavor_relations_exact(self):
         k = paper_constants()
@@ -263,14 +288,32 @@ class TestL2Bound:
         target = k.beta_mu / k.alpha
         assert abs(s - target) / target < 0.01
 
+    def test_validity_threshold_strict(self):
+        # valid up to the last delta whose quasi-optimal index exceeds N_mu
+        k = paper_constants()
+        thresh = last_valid_delta(optimal_cutoff_l2, 1.0, k)
+        assert thresh == pytest.approx(k.A * k.v_mu * np.exp(-k.alpha * k.n_mu),
+                                       rel=1e-13)
+        assert l2_validity(0.99 * thresh, 1.0, k)
+        assert l2_validity(thresh, 1.0, k)
+        assert not l2_validity(math.nextafter(thresh, math.inf), 1.0, k)
+        assert not l2_validity(2.0 * thresh, 1.0, k)
+        roi_bound_l2(thresh, 1.0, k)
+        with pytest.raises(BoundNotApplicableError, match="<= N_mu"):
+            roi_bound_l2(math.nextafter(thresh, math.inf), 1.0, k)
+
 
 class TestTvBound:
     def test_validity_threshold_strict(self):
+        # valid up to the last delta whose quasi-optimal index exceeds N_mu
         k = paper_constants()
-        thresh = k.A * k.w_mu * np.exp(-k.alpha * k.n_mu)
+        thresh = last_valid_delta(optimal_cutoff_tv, 1.0, k)
+        assert thresh == pytest.approx(k.A * k.w_mu * np.exp(-k.alpha * k.n_mu),
+                                       rel=1e-13)
         assert tv_validity(0.0, 1.0, k)
         assert tv_validity(0.99 * thresh, 1.0, k)
-        assert not tv_validity(thresh, 1.0, k)     # strict inequality
+        assert tv_validity(thresh, 1.0, k)
+        assert not tv_validity(math.nextafter(thresh, math.inf), 1.0, k)
         assert not tv_validity(2.0 * thresh, 1.0, k)
 
     def test_golden_value(self):
@@ -333,6 +376,96 @@ class TestTvBound:
             if verdicts[-1]:
                 assert np.isfinite(roi_bound_tv(1e-3, kappa, k))
         assert True in verdicts and False in verdicts
+
+
+# N_mu = 2 and beta_mu = alpha - 1e-9: V_mu = 1507, and the power form
+# (delta/(A V_mu E))^(beta/alpha) of the tail underflows past E = 1e300
+NEAR_ALPHA = dict(A=1.0, alpha=5.0, beta_mu=5.0 - 1e-9, n_mu=2, c_tv=1.0)
+
+
+def mp_l2_bound(delta, E, k, dps=40):
+    """The two-solution bound under the norm prior, evaluated in mpmath."""
+    with mpmath.workdps(dps):
+        A, a, b, d, E = map(mpmath.mpf, (k.A, k.alpha, k.beta_mu, delta, E))
+        gap = a - b
+        V = b / gap * mpmath.sqrt(-mpmath.expm1(-2 * gap) / mpmath.expm1(2 * b))
+        B = 1 / mpmath.sqrt(k.n_mu * mpmath.pi)
+        return 2 * (d * mpmath.exp(a * k.n_mu) / A
+                    + E * B * (d / (A * V * E)) ** (b / a)
+                    * a / (gap * mpmath.sqrt(mpmath.expm1(2 * b))))
+
+
+def mp_tv_bound(delta, kappa, k, dps=40):
+    """The bound under the variation prior, evaluated in mpmath."""
+    with mpmath.workdps(dps):
+        A, a, b, c, d, kap = map(mpmath.mpf,
+                                 (k.A, k.alpha, k.beta_mu, k.c_tv, delta, kappa))
+        gap = a - b
+        W = (b / gap * mpmath.sqrt(-mpmath.expm1(-2 * gap)) * c
+             / (k.n_mu * mpmath.expm1(b)))
+        B = 1 / mpmath.sqrt(k.n_mu * mpmath.pi)
+        return 2 * (d * mpmath.exp(a * k.n_mu) / A
+                    + c / k.n_mu * B * kap ** (gap / a) * (d / (A * W)) ** (b / a)
+                    * a / (gap * mpmath.expm1(b)))
+
+
+class TestExtremePrior:
+    @pytest.mark.parametrize("E, want", [(1e306, 61.894174590450),
+                                         (1.7e308, 61.894174608776)])
+    def test_l2_bound_at_huge_E(self, E, want):
+        # the power form underflowed to 0 with a RuntimeWarning, leaving the
+        # head 44.05 alone, while l2_validity said valid
+        k = AsymptoticConstants(**NEAR_ALPHA)
+        assert l2_validity(1e-3, E, k)
+        got = roi_bound_l2(1e-3, E, k, "pair")
+        assert got == pytest.approx(float(mp_l2_bound(1e-3, E, k)), rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda t: 10.0 ** t)
+
+
+@st.composite
+def extreme_draws(draw):
+    """delta in [1e-300, 1], a prior size in [1e-300, 1.7e308], and constants
+    whose gap alpha - beta_mu runs from 1e-12 alpha to nearly alpha."""
+    delta = draw(_log_uniform(-300.0, 0.0))
+    size = draw(st.floats(1.0, 1.7)) * 10.0 ** draw(st.integers(-300, 308))
+    alpha = draw(_log_uniform(-1.0, math.log10(20.0)))
+    t = draw(st.floats(-12.0, 12.0))           # gap/alpha = 1/(1 + 10^-t)
+    k = AsymptoticConstants(A=draw(st.floats(0.01, 1.99)), alpha=alpha,
+                            beta_mu=alpha * (1.0 - 1.0 / (1.0 + 10.0 ** -t)),
+                            n_mu=draw(st.integers(2, 40)),
+                            c_tv=draw(_log_uniform(-1.0, 2.0)))
+    return delta, size, k
+
+
+class TestTwoExtremeArguments:
+    # the argument sweep varies one parameter at a time; here delta and the
+    # prior's size are extreme together, on constants near both ends of
+    # beta_mu in (0, alpha).  The suite turns every warning into an error.
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(extreme_draws())
+    def test_cutoffs_validity_and_bounds(self, case):
+        delta, size, k = case
+        for cutoff, validity, bound, mp_bound in (
+                (optimal_cutoff_l2, l2_validity, roi_bound_l2, mp_l2_bound),
+                (optimal_cutoff_tv, tv_validity, roi_bound_tv, mp_tv_bound)):
+            cut = cutoff(delta, size, k)
+            assert cut.n_cut >= 0 and math.isfinite(cut.n_real)
+            if not validity(delta, size, k):
+                with pytest.raises(BoundNotApplicableError):
+                    bound(delta, size, k)
+                continue
+            assert cut.valid
+            got = bound(delta, size, k)
+            assert math.isfinite(got)
+            with mpmath.workdps(30):
+                head = 2 * mpmath.mpf(delta) * mpmath.exp(mpmath.mpf(k.alpha) * k.n_mu) / k.A
+            # the head, up to the rounding of its log and exp
+            assert got >= float(head) * (1 - 1e-12)
+            assert got == pytest.approx(float(mp_bound(delta, size, k, dps=30)), rel=1e-10)
 
 
 class TestFullIntervalBound:

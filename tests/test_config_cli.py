@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SMALL_PRESET_GEOM
-from truncated_hilbert import calibrate_constants
+from truncated_hilbert import calibrate_constants, log_roi_norm_model, log_sigma_model
 from truncated_hilbert.cli import main
 from truncated_hilbert.config import ExperimentConfig, default_config, load_config
 from truncated_hilbert.errors import ConfigError
@@ -608,6 +608,13 @@ class TestCommands:
             for key, val in row.items():
                 if key.startswith("log_"):
                     assert float(val) < 0
+        # the model columns are the asymptotic laws' log forms, to the last digit
+        cfg = load_config(None, small=True)
+        for n, (sig, roi) in enumerate(zip(sig_rows, roi_rows), 1):
+            assert float(sig["log_model"]) == log_sigma_model(cfg.geom(), n)
+            for mu in cfg.mu_list:
+                assert (float(roi[f"log_model_mu{mu_label(mu)}"])
+                        == log_roi_norm_model(cfg.geom(), mu, n))
 
     def test_outputs_are_named_by_the_labels(self, tmp_path):
         # every column, key and file named after a mu or a delta reads

@@ -10,7 +10,7 @@ import goldens as G
 from conftest import TINY_GEOM, SMALL_PRESET_GEOM
 from truncated_hilbert import (AsymptoticConstants, Geometry, add_noise,
                                apply_forward, export_reconstruction, make_phantom,
-                               optimal_cutoff_l2, tail_index_map,
+                               optimal_cutoff_l2, optimal_cutoff_tv, tail_index_map,
                                tikhonov_reconstruct, tsvd_reconstruct,
                                weighted_norm)
 from truncated_hilbert.errors import GeometryError
@@ -97,6 +97,17 @@ class TestCutoffs:
         k = paper_constants()
         choice = optimal_cutoff_l2(delta, E, k)
         expected = (math.log(E) + math.log(k.A * k.v_mu) - math.log(delta)) / k.alpha
+        assert choice.n_real == pytest.approx(expected, rel=1e-14)
+        assert choice.n_cut == max(0, round(expected))
+        assert choice.valid == (expected > k.n_mu)
+
+    @pytest.mark.parametrize("delta, kappa", [(1e-6, 1.0), (1e-320, 1.0), (1e-300, 1e300),
+                                              (1e300, 1e-300)])
+    def test_variation_cutoff(self, delta, kappa):
+        # the index log(kappa A W_mu / delta)/alpha, finite at extreme finite inputs
+        k = paper_constants()
+        choice = optimal_cutoff_tv(delta, kappa, k)
+        expected = (math.log(kappa) + math.log(k.A * k.w_mu) - math.log(delta)) / k.alpha
         assert choice.n_real == pytest.approx(expected, rel=1e-14)
         assert choice.n_cut == max(0, round(expected))
         assert choice.valid == (expected > k.n_mu)
