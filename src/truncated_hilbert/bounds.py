@@ -27,11 +27,17 @@ any two admissible solutions, 1 for the truncated-SVD estimate and
 1 + sqrt(2) for the Tikhonov one.  Under a variation prior
 |f|_TV <= kappa (solutions vanishing at the support ends): X = kappa,
 C_mu = W_mu, K = B_mu c_tv alpha / (N_mu (alpha-beta)(e^beta - 1)) and
-s = 2.  Either bound is valid once n* exceeds N_mu and the bound is a
-finite double.  On the full support only a logarithmic modulus survives:
+s = 2.  On the full support only a logarithmic modulus survives:
 
     kappa C [log(kappa/delta) + D]^(-1/2),
     C = c (1/alpha + 2) sqrt(alpha + 3/2),   D = log(A c / (2 alpha)).
+
+This module alone decides validity, by one rule for all three bounds: a
+bound is valid where its regime's condition holds (n* > N_mu for either
+Hoelder bound, delta/kappa below the threshold of full_interval_validity
+for the logarithmic one) and the bound is a finite double.  Each bound
+raises BoundNotApplicableError exactly where its validity function says
+False.  Every function here takes delta in (0, inf).
 """
 
 import math
@@ -81,13 +87,21 @@ class AsymptoticConstants:
         real("c_tv", self.c_tv, 0, error=SpectralError)
         object.__setattr__(self, "b_mu", 1.0 / np.sqrt(self.n_mu * np.pi))
         object.__setattr__(self, "v_mu", v_mu(self.alpha, self.beta_mu))
-        # W_mu overflows at a huge c_tv over a tiny beta_mu, and no bound reads inf
-        object.__setattr__(self, "w_mu", real("W_mu", w_mu(
-            self.alpha, self.beta_mu, self.c_tv, self.n_mu), error=SpectralError))
+        try:   # W_mu overflows at a huge c_tv over a tiny beta_mu
+            w = w_mu(self.alpha, self.beta_mu, self.c_tv, self.n_mu)
+        except BoundNotApplicableError as exc:
+            raise SpectralError(str(exc)) from None
+        object.__setattr__(self, "w_mu", w)
 
 
 def v_mu(alpha: float, beta_mu: float) -> float:
-    """Constant (beta/(alpha-beta)) sqrt((1-e^(-2(alpha-beta)))/(e^(2 beta)-1))."""
+    """Constant (beta/(alpha-beta)) sqrt((1-e^(-2(alpha-beta)))/(e^(2 beta)-1)).
+
+    A finite double >= 0 for every alpha and beta_mu it accepts: beta/gap
+    is at most about 2^53, and large only where the root is small.  Raises
+    BoundNotApplicableError unless alpha is a finite real and beta_mu one
+    in [DBL_MIN, alpha).
+    """
     alpha = real("alpha", alpha, error=BoundNotApplicableError)
     beta_mu = real("beta_mu", beta_mu, _BETA_MIN, alpha, closed=True,
                    error=BoundNotApplicableError)
@@ -97,7 +111,14 @@ def v_mu(alpha: float, beta_mu: float) -> float:
 
 
 def w_mu(alpha: float, beta_mu: float, c_tv: float, n_mu: int) -> float:
-    """Constant (beta/(alpha-beta)) sqrt(1-e^(-2(alpha-beta))) c/(N_mu (e^beta - 1))."""
+    """Constant (beta/(alpha-beta)) sqrt(1-e^(-2(alpha-beta))) c/(N_mu (e^beta - 1)).
+
+    A finite double >= 0: 0 once N_mu (e^beta - 1) overflows and the
+    numerator does not.  Raises BoundNotApplicableError for arguments out
+    of v_mu's range, c_tv not a finite real > 0, N_mu not an integer in
+    [1, 2^53), and where the numerator overflows, so the quotient is inf
+    or nan.
+    """
     alpha = real("alpha", alpha, error=BoundNotApplicableError)
     beta_mu = real("beta_mu", beta_mu, _BETA_MIN, alpha, closed=True,
                    error=BoundNotApplicableError)
@@ -105,9 +126,10 @@ def w_mu(alpha: float, beta_mu: float, c_tv: float, n_mu: int) -> float:
     n_mu = real("n_mu", n_mu, 1, _N_MU_MAX, closed=True, integer=True,
                 error=BoundNotApplicableError)
     gap = alpha - beta_mu
-    with np.errstate(over="ignore"):   # N_mu (e^beta - 1) = inf for large beta: W_mu is 0
-        return (beta_mu / gap * np.sqrt(-np.expm1(-2.0 * gap))
-                * c_tv / (n_mu * (np.expm1(beta_mu))))
+    with np.errstate(over="ignore", invalid="ignore"):   # inf and nan refused below
+        value = (beta_mu / gap * np.sqrt(-np.expm1(-2.0 * gap))
+                 * c_tv / (n_mu * (np.expm1(beta_mu))))
+    return real("W_mu", value, 0, closed=True, error=BoundNotApplicableError)
 
 
 def calibrate_constants(sys: SingularSystem, geom: Geometry, mu,
@@ -160,39 +182,30 @@ def calibrate_constants(sys: SingularSystem, geom: Geometry, mu,
     return AsymptoticConstants(A=A, alpha=a, beta_mu=beta, n_mu=n_mu, c_tv=c_tv)
 
 
-def _hoelder(delta: float, size: float, c_mu: float,
+def _hoelder(delta: float, prior: str, size: float, c_mu: float,
              k: AsymptoticConstants) -> tuple[float, float]:
     """Index n* and log(delta e^(alpha N_mu)/A + size K e^(-beta_mu n*)).
 
-    The one form of both Hoelder bounds, before their factor: size = E and
-    c_mu = V_mu under the norm prior, size = kappa and c_mu = W_mu under
-    the variation prior.  n* = log(size A c_mu / delta)/alpha is
-    regularization's quasi-optimal index, and the gain
-    K = c_mu b_mu alpha / (beta_mu sqrt(1 - e^(-2 gap))), gap = alpha - beta_mu,
-    equals b_mu alpha / (gap sqrt(e^(2 beta_mu) - 1)) and
-    b_mu c_tv alpha / (N_mu gap (e^beta_mu - 1)) in turn.  Formed in logs,
-    because e^(alpha N_mu), size and K can each leave the double range
-    where the bound does not.  The log is -inf at delta = 0, and nan
-    unless n* > N_mu.
+    The one form of both Hoelder bounds, before their factor: prior "E",
+    size = E and c_mu = V_mu under the norm prior, prior "kappa", size =
+    kappa and c_mu = W_mu under the variation prior.  Raises ValueError
+    unless delta and size are finite reals > 0.
+    n* = log(size A c_mu / delta)/alpha is regularization's quasi-optimal
+    index, and the gain K = c_mu b_mu alpha / (beta_mu sqrt(1 - e^(-2 gap))),
+    gap = alpha - beta_mu, equals b_mu alpha / (gap sqrt(e^(2 beta_mu) - 1))
+    and b_mu c_tv alpha / (N_mu gap (e^beta_mu - 1)) in turn.  Formed in
+    logs, because e^(alpha N_mu), size and K can each leave the double
+    range where the bound does not.  The log is nan unless n* > N_mu.
     """
+    delta, size = real("delta", delta, 0), real(prior, size, 0)
     n_real = _quasi_optimal_index(delta, size, c_mu, k)
     if not n_real > k.n_mu:
         return n_real, math.nan
-    log_delta = math.log(delta) if delta > 0 else -math.inf
     log_gain = (math.log(c_mu) + math.log(k.b_mu) + math.log(k.alpha)
                 - math.log(k.beta_mu)
                 - 0.5 * math.log(-math.expm1(-2.0 * (k.alpha - k.beta_mu))))
-    return n_real, float(np.logaddexp(log_delta + k.alpha * k.n_mu - math.log(k.A),
+    return n_real, float(np.logaddexp(math.log(delta) + k.alpha * k.n_mu - math.log(k.A),
                                       math.log(size) + log_gain - k.beta_mu * n_real))
-
-
-def _l2(delta: float, E: float, k: AsymptoticConstants) -> tuple[float, float]:
-    return _hoelder(real("delta", delta, 0), real("E", E, 0), k.v_mu, k)
-
-
-def _tv(delta: float, kappa: float, k: AsymptoticConstants) -> tuple[float, float]:
-    return _hoelder(real("delta", delta, 0, closed=True), real("kappa", kappa, 0),
-                    k.w_mu, k)
 
 
 def _bound(scale: float, delta: float, n_real: float, log_b: float,
@@ -211,7 +224,7 @@ def l2_validity(delta: float, E: float, k: AsymptoticConstants) -> bool:
 
     Raises ValueError unless delta and E are finite reals > 0.
     """
-    return _l2(delta, E, k)[1] < _LOG_MAX
+    return _hoelder(delta, "E", E, k.v_mu, k)[1] < _LOG_MAX
 
 
 def roi_bound_l2(delta: float, E: float, k: AsymptoticConstants,
@@ -221,42 +234,57 @@ def roi_bound_l2(delta: float, E: float, k: AsymptoticConstants,
     flavor "pair" bounds the distance between any two admissible
     solutions; "tsvd" the truncated estimate at the quasi-optimal cutoff
     (exactly half the pair bound); "tikhonov" the filtered estimate at
-    eta = delta^2/E^2 ((1+sqrt 2) times "tsvd").  Raises
-    BoundNotApplicableError where l2_validity does not hold.
+    eta = delta^2/E^2 ((1+sqrt 2) times "tsvd").  Raises ValueError, as
+    l2_validity does, and BoundNotApplicableError where it does not hold.
     """
     if flavor not in _L2_SCALES:
         raise ValueError(f"unknown flavor {flavor!r}")
-    return _bound(_L2_SCALES[flavor], delta, *_l2(delta, E, k), k)
+    return _bound(_L2_SCALES[flavor], delta, *_hoelder(delta, "E", E, k.v_mu, k), k)
 
 
 def tv_validity(delta: float, kappa: float, k: AsymptoticConstants) -> bool:
     """Whether the quasi-optimal index exceeds N_mu and roi_bound_tv is finite.
 
     The index is regularization.optimal_cutoff_tv's, log(kappa A W_mu /
-    delta)/alpha, so this is the strict smallness condition
-    delta/kappa < A W_mu e^(-alpha N_mu), and it holds at delta = 0.
-    Raises ValueError unless delta is finite and >= 0 and kappa finite and > 0.
+    delta)/alpha, so the first half is the strict smallness condition
+    delta/kappa < A W_mu e^(-alpha N_mu).  Raises ValueError unless delta
+    and kappa are finite reals > 0.
     """
-    return _tv(delta, kappa, k)[1] < _LOG_MAX
+    return _hoelder(delta, "kappa", kappa, k.w_mu, k)[1] < _LOG_MAX
 
 
 def roi_bound_tv(delta: float, kappa: float, k: AsymptoticConstants) -> float:
     """Restricted-interval bound under the variation prior |f|_TV <= kappa.
 
-    The bound at delta = 0 is 0.  Raises ValueError, as tv_validity does,
-    and BoundNotApplicableError where tv_validity does not hold.
+    Raises ValueError, as tv_validity does, and BoundNotApplicableError
+    where tv_validity does not hold.
     """
-    return _bound(2.0, delta, *_tv(delta, kappa, k), k)
+    return _bound(2.0, delta, *_hoelder(delta, "kappa", kappa, k.w_mu, k), k)
+
+
+def _full_interval(delta: float, kappa: float,
+                   k: AsymptoticConstants) -> tuple[float, float] | None:
+    """kappa C and kappa/delta where the full-interval bound is valid, else None.
+
+    Raises ValueError unless delta and kappa are finite reals > 0.  The
+    threshold is formed only once kappa C is finite, so A c is too.
+    """
+    delta, kappa = real("delta", delta, 0), real("kappa", kappa, 0)
+    scaled = kappa * (k.c_tv * (1.0 / k.alpha + 2.0) * math.sqrt(k.alpha + 1.5))
+    ratio = kappa / delta
+    if scaled < math.inf and ratio < math.inf and delta / kappa < (
+            k.A * k.c_tv / (2.0 * k.alpha) * np.exp(-(k.alpha + 1.5) * k.n0)):
+        return scaled, ratio
+    return None
 
 
 def full_interval_validity(delta: float, kappa: float, k: AsymptoticConstants) -> bool:
-    """Sufficient condition delta/kappa < (A c/(2 alpha)) e^(-(alpha+3/2) N_0).
+    """Whether delta/kappa < (A c/(2 alpha)) e^(-(alpha+3/2) N_0) and the bound is finite.
 
-    Raises ValueError unless delta is finite and >= 0 and kappa finite and > 0.
+    full_interval_bound is finite where kappa C and kappa/delta are.
+    Raises ValueError unless delta and kappa are finite reals > 0.
     """
-    delta, kappa = real("delta", delta, 0, closed=True), real("kappa", kappa, 0)
-    thresh = k.A * k.c_tv / (2.0 * k.alpha) * np.exp(-(k.alpha + 1.5) * k.n0)
-    return bool(delta / kappa < thresh)
+    return _full_interval(delta, kappa, k) is not None
 
 
 def full_interval_bound(delta: float, kappa: float, k: AsymptoticConstants) -> float:
@@ -265,21 +293,16 @@ def full_interval_bound(delta: float, kappa: float, k: AsymptoticConstants) -> f
     C and D are the explicit values produced by optimizing the split index
     under the variation prior: C = c (1/alpha + 2) sqrt(alpha + 3/2) and
     D = log(A c/(2 alpha)); the validity condition, strict, keeps the
-    bracket above alpha + 3/2.  Raises ValueError unless delta and kappa
-    are finite reals > 0, and BoundNotApplicableError where the validity
-    condition fails or kappa C or kappa/delta overflows.
+    bracket above alpha + 3/2.  Raises ValueError, as
+    full_interval_validity does, and BoundNotApplicableError where it
+    does not hold.
     """
-    delta, kappa = real("delta", delta, 0), real("kappa", kappa, 0)
-    if not full_interval_validity(delta, kappa, k):
-        raise BoundNotApplicableError(
-            f"full-interval bound not applicable at delta/kappa={delta / kappa:g}")
-    C = float(k.c_tv * (1.0 / k.alpha + 2.0) * np.sqrt(k.alpha + 1.5))
-    D = np.log(k.A * k.c_tv / (2.0 * k.alpha))
-    scaled, ratio = kappa * C, kappa / delta
-    if not (scaled < math.inf and ratio < math.inf):
-        raise BoundNotApplicableError(f"kappa C = {scaled:g} or kappa/delta = {ratio:g} "
-                                      "overflows in the full-interval bound")
-    return scaled / np.sqrt(np.log(ratio) + D)
+    valid = _full_interval(delta, kappa, k)
+    if valid is None:
+        raise BoundNotApplicableError(f"full-interval bound not applicable at "
+                                      f"delta={delta:g}, kappa={kappa:g}")
+    scaled, ratio = valid
+    return scaled / np.sqrt(np.log(ratio) + np.log(k.A * k.c_tv / (2.0 * k.alpha)))
 
 
 def write_bounds_csv(path, deltas, k: AsymptoticConstants, E: float,

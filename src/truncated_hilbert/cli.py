@@ -31,7 +31,7 @@ from .asymptotics import log_roi_norm_model, log_sigma_model
 from .bounds import calibrate_constants, l2_validity, roi_bound_l2, write_bounds_csv
 from .config import load_config
 from .errors import ConfigError, SpectralError, TruncatedHilbertError
-from .operator import apply_forward, build_operator, sample_grids, weighted_norm
+from .operator import apply_forward, build_operator, weighted_norm
 from .regularization import (add_noise, export_reconstruction, optimal_cutoff_l2,
                              phantom_from_spec, tikhonov_eta, tikhonov_reconstruct,
                              tsvd_reconstruct)
@@ -154,13 +154,14 @@ def _save_system(path, key, sys_) -> None:
         raise
 
 
-def _spectral_setup(cfg, outdir):
+def _spectral_setup(cfg, outdir, op=None):
     """Operator and singular system, decomposed at most once per output directory.
 
+    op is the configured operator, built here unless the caller has it.
     A cached system passes the check of a fresh one, in SingularSystem.of;
     a cache that is unreadable, stale or fails it is replaced by a fresh solve.
     """
-    op = build_operator(cfg.geom(), step=cfg.step)
+    op = build_operator(cfg.geom(), step=cfg.step) if op is None else op
     path = os.path.join(outdir, SVD_CACHE)
     key = _svd_cache_key(cfg)
     sys_ = _load_system(path, key, op)
@@ -257,14 +258,14 @@ def _cmd_figure2(cfg, outdir) -> None:
 
 def _cmd_reconstruct(cfg, outdir) -> None:
     geom = cfg.geom()
-    _, object_grid = sample_grids(geom, cfg.step)
-    f_true = phantom_from_spec(cfg.phantom, geom, object_grid)
+    op = build_operator(geom, cfg.step)
+    f_true = phantom_from_spec(cfg.phantom, geom, op.object_grid)
     norm_true = weighted_norm(f_true, cfg.step)
     # the prior check needs only the object grid: refuse before decomposing
     if norm_true > cfg.E:
         raise ConfigError(f"phantom norm {norm_true:.6g} exceeds the prior bound "
                           f"E={cfg.E}; raise E or shrink the phantom")
-    op, sys_ = _spectral_setup(cfg, outdir)
+    op, sys_ = _spectral_setup(cfg, outdir, op)
     g_ex = apply_forward(op, f_true)
     # a delta at or below the rounding of the exact data leaves the estimate
     # limited by that rounding, amplified by 1/sigma_n, which no bound sees.
@@ -273,7 +274,7 @@ def _cmd_reconstruct(cfg, outdir) -> None:
     rounding = 2 * sys.float_info.epsilon * norm_true
     mu = float(cfg.mu_list[0])
     consts = calibrate_constants(sys_, geom, mu)
-    mask = roi_mask(geom, object_grid, mu)
+    mask = roi_mask(geom, op.object_grid, mu)
 
     rows = []
     for delta in map(float, cfg.delta_list):

@@ -7,7 +7,7 @@ from typing import ClassVar
 
 from .errors import ConfigError, GeometryError, GridError, real
 from .geometry import Geometry
-from .operator import sample_grids
+from .operator import build_operator
 from .regularization import phantom_from_spec, tikhonov_eta
 from .report import delta_label, mu_label
 from .spectral import roi_mask
@@ -64,8 +64,8 @@ def default_config(small: bool = False) -> ExperimentConfig:
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     # values stay as given: errors.real only decides whether each is usable,
     # here or, for mu (check_roi) and phantom parameters, in the library
-    _, E, kappa = (real(name, getattr(cfg, name), 0, error=ConfigError)
-                   for name in ("step", "E", "kappa"))
+    _, E, _ = (real(name, getattr(cfg, name), 0, error=ConfigError)
+               for name in ("step", "E", "kappa"))
     for name in ("mu_list", "delta_list"):
         values = getattr(cfg, name)
         if not isinstance(values, (list, tuple)):
@@ -80,7 +80,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     geom = cfg.geom()
     # the grids every spectral command samples on, refused here (an empty,
     # oversized or colliding grid) rather than after the decomposition
-    _, object_grid = sample_grids(geom, cfg.step)
+    object_grid = build_operator(geom, cfg.step).object_grid
     if not cfg.mu_list:
         raise ConfigError("mu_list must not be empty")
     for mu in cfg.mu_list:
@@ -88,7 +88,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"region of interest (a2, a3 - mu) for mu={mu:g} "
                               f"contains no object grid points at step {cfg.step:g}")
     for d in cfg.delta_list:
-        _check_noise_level(real("delta_list entry", d, 0, error=ConfigError), E, kappa)
+        _check_noise_level(real("delta_list entry", d, 0, error=ConfigError), E)
     for name, label in (("mu_list", mu_label), ("delta_list", delta_label)):
         labels = [label(v) for v in getattr(cfg, name)]
         if len(set(labels)) < len(labels):
@@ -111,11 +111,8 @@ def _is_path(name: str) -> bool:
         return False
 
 
-def _check_noise_level(delta: float, E, kappa) -> None:
-    """Refuse delta unless delta^2/E^2, delta/kappa and kappa/delta are positive doubles.
-
-    Past that range the bounds come out wrong yet marked valid.
-    """
+def _check_noise_level(delta: float, E) -> None:
+    """Refuse delta unless delta^2/E^2, the Tikhonov parameter, is a positive double."""
     try:
         eta = tikhonov_eta(delta, E)
     except (OverflowError, ZeroDivisionError):   # E^2 may underflow to 0
@@ -123,10 +120,6 @@ def _check_noise_level(delta: float, E, kappa) -> None:
     if not 0.0 < eta < float("inf"):
         raise ConfigError(f"delta={delta:g} with E={E:g} gives the Tikhonov "
                           f"parameter delta^2/E^2 = {eta:g}, not a positive double")
-    for name, ratio in (("delta/kappa", delta / kappa), ("kappa/delta", kappa / delta)):
-        if not 0.0 < ratio < float("inf"):
-            raise ConfigError(f"delta={delta:g} with kappa={kappa:g} gives {name} "
-                              f"= {ratio:g}, not a positive double")
 
 
 def load_config(path, small: bool = False, overrides: dict | None = None) -> ExperimentConfig:

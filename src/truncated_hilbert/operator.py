@@ -24,7 +24,7 @@ apply_forward and apply_adjoint multiply by FFT from those m + n - 1
 kernel values and never form the m x n matrix.  At a dyadic shift such
 as the default, c + j - i is exact and the formed matrix exactly Toeplitz.
 
-sample_grids decides the grids in O(1) by index arithmetic, and refuses
+build_operator decides the grids in O(1) by index arithmetic, and refuses
 more than MAX_SAMPLES data x object samples before anything is allocated.
 
 Discrete inner products carry the weight `step` on both grids so vector
@@ -132,9 +132,8 @@ class DiscreteOperator:
 MAX_SAMPLES = 2e7
 
 
-def sample_grids(geom: Geometry, step: float = 1.0,
-                 shift: float = 0.5) -> tuple[SampledGrid, SampledGrid]:
-    """Data and object grids of the sampled operator, in O(1).
+def build_operator(geom: Geometry, step: float = 1.0, shift: float = 0.5) -> DiscreteOperator:
+    """The sampled operator, its grids decided in O(1); its matrix is not yet formed.
 
     shift is the offset of the object grid from the data lattice
     a1 + i*step, as a fraction of step in (0, 1), for any breakpoints.
@@ -146,11 +145,6 @@ def sample_grids(geom: Geometry, step: float = 1.0,
     would be singular: at breakpoints too large for the step to resolve,
     or at a shift that close to 0 or 1.
     """
-    return _lattice(geom, step, shift)[:2]
-
-
-def _lattice(geom: Geometry, step, shift) -> tuple[SampledGrid, SampledGrid, float]:
-    """sample_grids' grids and the object grid's offset c = k0 + shift, in steps."""
     step = real("step", step, 0, error=GridError)
     shift = real("shift", shift, 0, 1, error=GridError)
     a1, a2, a3, a4 = geom.points
@@ -173,16 +167,11 @@ def _lattice(geom: Geometry, step, shift) -> tuple[SampledGrid, SampledGrid, flo
     if abs(offset - round(offset)) * step - slack < 1e-12 * step:
         raise GridError("object and data grids collide: samples within 1e-12 step")
 
-    return (SampledGrid(start=float(a1), step=step, count=n_data),
-            SampledGrid(start=float(a1 + step * offset), step=step, count=int(n_object)),
-            offset)
-
-
-def build_operator(geom: Geometry, step: float = 1.0, shift: float = 0.5) -> DiscreteOperator:
-    """The sampled operator on the grids of sample_grids; its matrix is not yet formed."""
-    data_grid, object_grid, offset = _lattice(geom, step, shift)
-    return DiscreteOperator(data_grid=data_grid, object_grid=object_grid,
-                            step=data_grid.step, geom=geom, offset=offset)
+    return DiscreteOperator(
+        data_grid=SampledGrid(start=float(a1), step=step, count=n_data),
+        object_grid=SampledGrid(start=float(a1 + step * offset), step=step,
+                                count=int(n_object)),
+        step=step, geom=geom, offset=offset)
 
 
 def apply_forward(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:

@@ -15,8 +15,8 @@ cutoff index; the quasi-optimal cutoff for noise level delta is
 with X = E and C_mu = V_mu under the norm prior |f| <= E
 (optimal_cutoff_l2), and X = kappa and C_mu = W_mu under the variation
 prior |f|_TV <= kappa (optimal_cutoff_tv).  This module is the one place
-that evaluates the index: the validity and the value of both Hoelder
-bounds in bounds read the same unrounded index.
+that evaluates the index: both Hoelder bounds in bounds, and their
+validity, read the same unrounded index.
 The Tikhonov estimate applies the spectral filter sigma/(sigma^2 + eta),
 equivalent to the normal-equations solve on the retained span; the
 default parameter is tikhonov_eta(delta, E) = delta^2 / E^2.
@@ -71,39 +71,38 @@ def add_noise(g_ex: np.ndarray, delta: float, seed: int, step: float = 1.0) -> N
 
 @dataclass(frozen=True)
 class CutoffChoice:
-    """Quasi-optimal truncation index and whether the bound regime holds."""
+    """Quasi-optimal truncation index, rounded and clamped, and unrounded.
+
+    Whether its bound's regime holds is bounds.l2_validity or tv_validity.
+    """
 
     n_cut: int
     n_real: float
-    valid: bool
 
 
 def _quasi_optimal_index(delta: float, size: float, c_mu: float, consts) -> float:
     """Unrounded index log(size A c_mu / delta) / alpha, for checked arguments.
 
     size is the prior's bound (E or kappa) and c_mu its constant (V_mu or
-    W_mu).  The index is +inf at delta = 0, and -inf where c_mu
-    underflowed to 0.  A sum of logs: the product size A c_mu / delta
+    W_mu); delta and size are finite and > 0.  The index is -inf where
+    c_mu underflowed to 0.  A sum of logs: the product size A c_mu / delta
     overflows or underflows at extreme finite arguments, the log of each
     factor does not.
     """
-    if c_mu == 0 or delta == 0:   # a log of 0, which numpy warns about
-        return -math.inf if c_mu == 0 else math.inf
+    if c_mu == 0:   # a log of 0, which numpy warns about
+        return -math.inf
     return float((np.log(size) + np.log(consts.A) + np.log(c_mu)
                   - np.log(delta)) / consts.alpha)
 
 
 def _cutoff(delta: float, size: float, c_mu: float, consts) -> CutoffChoice:
     n_real = _quasi_optimal_index(delta, size, c_mu, consts)
-    return CutoffChoice(n_cut=int(round(max(n_real, 0.0))), n_real=n_real,
-                        valid=n_real > consts.n_mu)
+    return CutoffChoice(n_cut=int(round(max(n_real, 0.0))), n_real=n_real)
 
 
 def optimal_cutoff_l2(delta: float, E: float, consts) -> CutoffChoice:
     """Cutoff round(log(E A V_mu / delta) / alpha), clamped to >= 0.
 
-    `valid` reports whether the unrounded index exceeds N_mu, i.e. whether
-    the noise level is small enough for the accompanying error bound.
     Raises ValueError unless delta and E are finite reals > 0.
     """
     return _cutoff(real("delta", delta, 0), real("E", E, 0), consts.v_mu, consts)
@@ -112,8 +111,8 @@ def optimal_cutoff_l2(delta: float, E: float, consts) -> CutoffChoice:
 def optimal_cutoff_tv(delta: float, kappa: float, consts) -> CutoffChoice:
     """Cutoff round(log(kappa A W_mu / delta) / alpha), clamped to >= 0.
 
-    The variation-prior counterpart of optimal_cutoff_l2, with the same
-    `valid`.  Raises ValueError unless delta and kappa are finite reals > 0.
+    The variation-prior counterpart of optimal_cutoff_l2.  Raises
+    ValueError unless delta and kappa are finite reals > 0.
     """
     return _cutoff(real("delta", delta, 0), real("kappa", kappa, 0), consts.w_mu, consts)
 

@@ -17,7 +17,7 @@ from truncated_hilbert import (Geometry, alpha, apply_forward, beta_mu_approx,
                                beta_mu_exact, build_operator,
                                calibrate_constants, check_monotone,
                                compute_svd, fit_roi_decay, fit_tail_decay,
-                               holder_exponent, make_phantom,
+                               holder_exponent, l2_validity, make_phantom,
                                near_one_tail_fit, near_one_rate,
                                optimal_cutoff_l2, roi_bound_l2, roi_mask,
                                sigma_counts, tail_index_map,
@@ -145,7 +145,7 @@ def test_criterion_09_bound_dominance_and_rate(paper_op, paper_sys):
         for delta in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
             noisy = add_noise(g_ex, delta, seed, step=paper_op.step)
             cut = optimal_cutoff_l2(delta, E, consts)
-            assert cut.valid, f"cutoff invalid at delta={delta}"
+            assert l2_validity(delta, E, consts), f"bound invalid at delta={delta}"
             bound = roi_bound_l2(delta, E, consts, "pair")
             for rec in (tsvd_reconstruct(paper_sys, noisy.g, cut.n_cut),
                         tikhonov_reconstruct(paper_sys, noisy.g,

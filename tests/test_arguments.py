@@ -249,18 +249,16 @@ TABLE = {
         "E": Arg(lambda c, v: th.roi_bound_l2(1e-6, v, c.k), ok=50.0, lo=0.0),
     },
     "tv_validity": {
-        "delta": Arg(lambda c, v: th.tv_validity(v, 1.0, c.k), ok=1e-6, lo=0.0,
-                     closed=True),
+        "delta": Arg(lambda c, v: th.tv_validity(v, 1.0, c.k), ok=1e-6, lo=0.0),
         "kappa": Arg(lambda c, v: th.tv_validity(1e-6, v, c.k), ok=1.0, lo=0.0),
     },
     "roi_bound_tv": {
-        "delta": Arg(lambda c, v: th.roi_bound_tv(v, 1.0, c.k), ok=1e-6, lo=0.0,
-                     closed=True),
+        "delta": Arg(lambda c, v: th.roi_bound_tv(v, 1.0, c.k), ok=1e-6, lo=0.0),
         "kappa": Arg(lambda c, v: th.roi_bound_tv(1e-6, v, c.k), ok=1.0, lo=0.0),
     },
     "full_interval_validity": {
         "delta": Arg(lambda c, v: th.full_interval_validity(v, 1.0, c.k), ok=1e-6,
-                     lo=0.0, closed=True),
+                     lo=0.0),
         "kappa": Arg(lambda c, v: th.full_interval_validity(1e-6, v, c.k), ok=1.0,
                      lo=0.0),
     },

@@ -3,7 +3,7 @@
 bench/tracing.py wraps the functions in its TARGETS table by name, and
 bench/worker.py reads the hit counts of the w3 cache; renaming or removing
 one of them breaks `bench/run.py --trace 1`.  bench/oracle.py rebuilds the
-sampling nodes on its own, so they must equal those of sample_grids.  This
+sampling nodes on its own, so they must equal those of build_operator.  This
 module only reads bench/.
 """
 
@@ -13,8 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from truncated_hilbert import Geometry, geometry
-from truncated_hilbert.operator import sample_grids
+from truncated_hilbert import Geometry, build_operator, geometry
 
 _TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -111,7 +110,7 @@ def test_sample_grids_match_the_oracle_nodes(monkeypatch):
     workloads = importlib.import_module("workloads")
     geometries = [g for seed in (1, 2, 3) for g in workloads.random_geometries(seed)]
     for g in [*workloads.oracle.FIXED_GEOMETRIES, *geometries]:
-        data, obj = sample_grids(Geometry(*g), 1.0, 0.5)
+        op = build_operator(Geometry(*g), 1.0, 0.5)
         x, y = workloads.oracle.nodes(g)
-        assert data.points.tobytes() == np.array(x).tobytes(), g
-        assert obj.points.tobytes() == np.array(y).tobytes(), g
+        assert op.data_grid.points.tobytes() == np.array(x).tobytes(), g
+        assert op.object_grid.points.tobytes() == np.array(y).tobytes(), g

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -62,10 +63,11 @@ class TestClosedFormConstants:
         assert w_mu(1000.0, 800.0, 1.0, 2) == 0.0
         # no index exceeds N_mu then; the log of V_mu = 0 warned in the cutoff
         k = AsymptoticConstants(A=1.0, alpha=1000.0, beta_mu=800.0, n_mu=2, c_tv=1.0)
-        for cutoff in (optimal_cutoff_l2, optimal_cutoff_tv):
+        for cutoff, validity in ((optimal_cutoff_l2, l2_validity),
+                                 (optimal_cutoff_tv, tv_validity)):
             cut = cutoff(1e-3, 1.0, k)
-            assert (cut.n_cut, cut.n_real, cut.valid) == (0, -math.inf, False)
-        assert not l2_validity(1e-3, 1.0, k) and not tv_validity(0.0, 1.0, k)
+            assert (cut.n_cut, cut.n_real) == (0, -math.inf)
+            assert not validity(1e-3, 1.0, k)
         with pytest.raises(BoundNotApplicableError, match="-inf <= N_mu"):
             roi_bound_l2(1e-3, 1.0, k)
 
@@ -82,6 +84,13 @@ class TestClosedFormConstants:
             w_ref = bm / (am - bm) * root * 1.5 / (3 * mpmath.expm1(bm))
             assert abs(v_mu(a, b) / v_ref - 1) <= 1e-15
             assert abs(w_mu(a, b, 1.5, 3) / w_ref - 1) <= 1e-15
+
+    @pytest.mark.parametrize("args", [(0.01, 1e-300, 1.7e308, 2),
+                                      (1e10, 9999999999.999998, 1.7e308, 1)])
+    def test_w_mu_past_the_double_range_refused(self, args):
+        # the first returned inf, the second nan after an invalid-value warning
+        with pytest.raises(BoundNotApplicableError, match="W_mu"):
+            w_mu(*args)
 
 
 class TestConstantsType:
@@ -310,7 +319,6 @@ class TestTvBound:
         thresh = last_valid_delta(optimal_cutoff_tv, 1.0, k)
         assert thresh == pytest.approx(k.A * k.w_mu * np.exp(-k.alpha * k.n_mu),
                                        rel=1e-13)
-        assert tv_validity(0.0, 1.0, k)
         assert tv_validity(0.99 * thresh, 1.0, k)
         assert tv_validity(thresh, 1.0, k)
         assert not tv_validity(math.nextafter(thresh, math.inf), 1.0, k)
@@ -458,7 +466,7 @@ class TestTwoExtremeArguments:
                 with pytest.raises(BoundNotApplicableError):
                     bound(delta, size, k)
                 continue
-            assert cut.valid
+            assert cut.n_real > k.n_mu
             got = bound(delta, size, k)
             assert math.isfinite(got)
             with mpmath.workdps(30):
@@ -466,6 +474,61 @@ class TestTwoExtremeArguments:
             # the head, up to the rounding of its log and exp
             assert got >= float(head) * (1 - 1e-12)
             assert got == pytest.approx(float(mp_bound(delta, size, k, dps=30)), rel=1e-10)
+
+
+@st.composite
+def bound_arguments(draw):
+    """Every numeric argument of v_mu, w_mu, the three validity functions and
+    the three bounds together: delta, E and kappa in [1e-300, 1e300]; alpha
+    in [1e-2, 1e3] with the gap alpha - beta_mu from 1e-12 alpha to nearly
+    alpha; A in [0.01, 1.99]; N_mu from 2 to 2^53 - 1; c_tv up to 1.7e308."""
+    delta, E, kappa = [draw(_log_uniform(-300.0, 300.0)) for _ in range(3)]
+    alpha = draw(_log_uniform(-2.0, 3.0))
+    t = draw(st.floats(-12.0, 12.0))           # gap/alpha = 1/(1 + 10^-t)
+    beta = alpha * (1.0 - 1.0 / (1.0 + 10.0 ** -t))
+    n_mu = draw(st.integers(2, 40) | st.integers(41, 2 ** 53 - 1))
+    c_tv = draw(st.floats(1.0, 1.7)) * 10.0 ** draw(st.integers(-300, 308))
+    return delta, E, kappa, draw(st.floats(0.01, 1.99)), alpha, beta, n_mu, c_tv
+
+
+class TestOneValidityRule:
+    # valid means the regime's condition holds and the bound is a finite
+    # double, for all three bounds; the suite turns every warning into an error
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(bound_arguments())
+    def test_valid_means_a_finite_positive_bound(self, case):
+        delta, E, kappa, A, alpha, beta, n_mu, c_tv = case
+        assert 0.0 <= v_mu(alpha, beta) < math.inf
+        try:
+            w = w_mu(alpha, beta, c_tv, n_mu)
+        except BoundNotApplicableError:
+            with pytest.raises(SpectralError):
+                AsymptoticConstants(A=A, alpha=alpha, beta_mu=beta, n_mu=n_mu, c_tv=c_tv)
+            return
+        assert 0.0 <= w < math.inf
+        k = AsymptoticConstants(A=A, alpha=alpha, beta_mu=beta, n_mu=n_mu, c_tv=c_tv)
+        for validity, size, bounds in (
+                (l2_validity, E, [partial(roi_bound_l2, flavor=f)
+                                  for f in ("pair", "tsvd", "tikhonov")]),
+                (tv_validity, kappa, [roi_bound_tv]),
+                (full_interval_validity, kappa, [full_interval_bound])):
+            valid = validity(delta, size, k)
+            assert type(valid) is bool
+            for bound in bounds:
+                if valid:
+                    assert 0.0 < bound(delta, size, k) < math.inf
+                else:
+                    with pytest.raises(BoundNotApplicableError):
+                        bound(delta, size, k)
+
+    def test_full_interval_ratio_past_the_double_range(self, small_preset_sys):
+        # kappa/delta = 1e310: full_interval_validity said True, and
+        # full_interval_bound then raised
+        k = calibrate_constants(small_preset_sys, SMALL_PRESET_GEOM, 8.0)
+        assert not full_interval_validity(1e-10, 1e300, k)
+        with pytest.raises(BoundNotApplicableError):
+            full_interval_bound(1e-10, 1e300, k)
+        assert l2_validity(1e-10, 1e300, k) and tv_validity(1e-10, 1e300, k)
 
 
 class TestFullIntervalBound:
@@ -519,16 +582,17 @@ class TestVariationPriorArguments:
              "delta_negative", "delta_tiny_negative", "delta_inf", "delta_nan"])
     def test_refused(self, check, delta, kappa):
         with pytest.raises(ValueError, match=("delta" if kappa == 1.0 else "kappa")
-                           + r" must be a finite real in [\[(]0\.0, inf\)"):
+                           + r" must be a finite real in \(0\.0, inf\)"):
             check(delta, kappa, paper_constants())
 
-    def test_zero_delta_keeps_its_answer(self):
+    def test_zero_delta_refused(self):
+        # every bound-side function takes delta in (0, inf): tv_validity and
+        # full_interval_validity said True at 0, and roi_bound_tv returned 0
         k = paper_constants()
-        assert tv_validity(0.0, 1.0, k)
-        assert full_interval_validity(0.0, 1.0, k)
-        with pytest.raises(ValueError):
-            full_interval_bound(0.0, 1.0, k)
-        assert roi_bound_tv(0.0, 1.0, k) == 0.0
+        for check in (tv_validity, roi_bound_tv, full_interval_validity,
+                      full_interval_bound, l2_validity, roi_bound_l2):
+            with pytest.raises(ValueError, match=r"delta must be a finite real in \(0\.0"):
+                check(0.0, 1.0, k)
 
 
 def test_bounds_csv(tmp_path):

@@ -5,7 +5,7 @@ below eps * sigma_max, so it is checked against multiprecision references
 (frozen 50-digit values for the preset geometry, live 40-digit runs on
 smaller instances, two of them slowly decaying, and on randomly drawn
 geometries, integer ones at step 1 and non-integer ones on the grids of
-sample_grids) rather than against a double-precision SVD only.
+build_operator) rather than against a double-precision SVD only.
 On one live instance the singular vectors and their ROI norms are
 checked as well.  The elimination is pinned bit for bit to a reference
 copy of its earlier loop.  Then the one-BLAS-thread cap on small solves: it
@@ -30,7 +30,6 @@ from truncated_hilbert import (Geometry, build_operator, compute_svd, roi_mask,
 from truncated_hilbert.cauchy_svd import (CauchyRRD, accurate_cauchy_svd,
                                           gecp_cauchy, svd_from_rrd)
 from truncated_hilbert.errors import SpectralError
-from truncated_hilbert.operator import sample_grids
 
 
 def cauchy_matrix(x, y, scale):
@@ -363,7 +362,7 @@ def integer_geometries(draw):
 
 @st.composite
 def sampled_nodes(draw):
-    """Nodes of sample_grids on non-integer breakpoints, at most 25 per side.
+    """Nodes of build_operator's grids on non-integer breakpoints, at most 25 per side.
 
     Steps lie in [0.3, 2.7], shifts in (0.05, 0.95) or 1e-6 or 1e-3 away
     from 0 or 1.  Object nodes sit shift steps off the data lattice for
@@ -379,8 +378,8 @@ def sampled_nodes(draw):
     a2 = a1 + step * head
     a3 = a2 + step * overlap
     a4 = a3 + step * draw(st.floats(0.5, 23.0 - overlap))
-    data, obj = sample_grids(Geometry(a1, a2, a3, a4), step, shift)
-    return data.points, obj.points
+    op = build_operator(Geometry(a1, a2, a3, a4), step, shift)
+    return op.data_grid.points, op.object_grid.points
 
 
 class TestRandomGeometriesAgainstMultiprecision:

@@ -16,7 +16,7 @@ from truncated_hilbert import calibrate_constants, log_roi_norm_model, log_sigma
 from truncated_hilbert.cli import main
 from truncated_hilbert.config import ExperimentConfig, default_config, load_config
 from truncated_hilbert.errors import ConfigError
-from truncated_hilbert.operator import build_operator, sample_grids
+from truncated_hilbert.operator import build_operator
 from truncated_hilbert.report import delta_label, mu_label
 from truncated_hilbert.spectral import compute_svd
 
@@ -43,8 +43,7 @@ class TestConfig:
         cfg = load_config(None)
         assert cfg.shift == 0.5 and cfg.rank_tol is None and cfg.svd_method == "cauchy"
         assert cfg.c_tv is None and cfg.A is None
-        for func in (sample_grids, build_operator):
-            assert inspect.signature(func).parameters["shift"].default == cfg.shift
+        assert inspect.signature(build_operator).parameters["shift"].default == cfg.shift
         params = inspect.signature(compute_svd).parameters
         assert params["rank_tol"].default is cfg.rank_tol
         assert params["method"].default == cfg.svd_method
@@ -304,20 +303,36 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("doc", [
         {"E": 1e300, "delta_list": [1e-300]},
         {"kappa": 1e300, "delta_list": [1e-300]},
-        {"kappa": 1e300, "delta_list": [1e-10]},
-        {"kappa": 1e-300, "delta_list": [1e10]},
     ])
     def test_noise_level_outside_double_range_exit_2(self, tmp_path, capsys, doc):
-        # delta/(A V_mu E) underflowing to 0, or kappa/delta overflowing to
-        # inf, used to write wrong bounds marked valid (bound_pair 6.8e-296
-        # where the formula gives about 1.9e145, bound_full 0.0)
+        # delta^2/E^2 underflows to 0, which tikhonov_reconstruct cannot take
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         rc = main(["bounds", "--small", "--config", str(cfg),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "not a positive double" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Tikhonov parameter" in err and "not a positive double" in err
         assert not (tmp_path / "o" / "bounds.csv").exists()
+
+    @pytest.mark.parametrize("doc, hoelder", [
+        ({"kappa": 1e300, "delta_list": [1e-10]}, "true"),
+        ({"kappa": 1e-300, "delta_list": [1e10]}, "false"),
+    ], ids=["kappa_over_delta", "delta_over_kappa"])
+    def test_ratio_outside_double_range_exit_0(self, tmp_path, small_preset_sys,
+                                               doc, hoelder):
+        # kappa/delta or delta/kappa past the double range, which the config
+        # used to refuse: the bounds decide their own validity, and
+        # bound_full is never valid there
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["bounds", "--small", "--config", str(cfg), "--out", str(out)]) == 0
+        [row] = _read_rows(out / "bounds.csv")
+        assert [row[f"valid_{b}"] for b in ("l2", "tv", "full")] == [hoelder, hoelder, "false"]
+        k = calibrate_constants(small_preset_sys, SMALL_PRESET_GEOM, 8.0)
+        cfg_obj = load_config(str(cfg), small=True)
+        _check_valid_bounds(out / "bounds.csv", k, cfg_obj.E, cfg_obj.kappa)
 
     def test_reconstruct_below_data_rounding_has_no_bound(self, tmp_path):
         # 2 eps |f_true| = 1.8e-15 is far above delta; sigma_9 ~ 1e-20 amplifies

@@ -8,7 +8,6 @@ from truncated_hilbert import (Geometry, SampledGrid, apply_adjoint,
                                apply_forward, build_operator, compute_svd,
                                make_phantom, weighted_norm)
 from truncated_hilbert.errors import GridError
-from truncated_hilbert.operator import sample_grids
 
 
 @st.composite
@@ -108,13 +107,13 @@ class TestBuildOperator:
         # the O(1) rule against a brute-force scan of the points returned
         geom, step, shift = case
         try:
-            data, obj = sample_grids(geom, step, shift)
+            op = build_operator(geom, step, shift)
         except GridError as exc:
             assert "collide" in str(exc)
             # only where the breakpoints are too large for the step
             assert abs(geom.a1) > 10.0
             return
-        gap = np.abs(obj.points[:, None] - data.points[None, :]).min()
+        gap = np.abs(op.object_grid.points[:, None] - op.data_grid.points[None, :]).min()
         assert gap >= 1e-12 * step
 
     @pytest.mark.parametrize("a2", [29.8, 30.5])

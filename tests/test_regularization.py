@@ -9,12 +9,12 @@ import pytest
 import goldens as G
 from conftest import TINY_GEOM, SMALL_PRESET_GEOM
 from truncated_hilbert import (AsymptoticConstants, Geometry, add_noise,
-                               apply_forward, export_reconstruction, make_phantom,
-                               optimal_cutoff_l2, optimal_cutoff_tv, tail_index_map,
+                               apply_forward, build_operator, export_reconstruction,
+                               l2_validity, make_phantom, optimal_cutoff_l2,
+                               optimal_cutoff_tv, tail_index_map, tv_validity,
                                tikhonov_reconstruct, tsvd_reconstruct,
                                weighted_norm)
 from truncated_hilbert.errors import GeometryError
-from truncated_hilbert.operator import sample_grids
 from truncated_hilbert.quadrature import integrate
 
 
@@ -99,7 +99,7 @@ class TestCutoffs:
         expected = (math.log(E) + math.log(k.A * k.v_mu) - math.log(delta)) / k.alpha
         assert choice.n_real == pytest.approx(expected, rel=1e-14)
         assert choice.n_cut == max(0, round(expected))
-        assert choice.valid == (expected > k.n_mu)
+        assert l2_validity(delta, E, k) == (expected > k.n_mu)
 
     @pytest.mark.parametrize("delta, kappa", [(1e-6, 1.0), (1e-320, 1.0), (1e-300, 1e300),
                                               (1e300, 1e-300)])
@@ -110,7 +110,7 @@ class TestCutoffs:
         expected = (math.log(kappa) + math.log(k.A * k.w_mu) - math.log(delta)) / k.alpha
         assert choice.n_real == pytest.approx(expected, rel=1e-14)
         assert choice.n_cut == max(0, round(expected))
-        assert choice.valid == (expected > k.n_mu)
+        assert tv_validity(delta, kappa, k) == (expected > k.n_mu)
 
     def test_paper_golden_composition(self):
         k = paper_constants()
@@ -118,7 +118,7 @@ class TestCutoffs:
         expected = np.log(1.0 * k.A * k.v_mu / 1e-6) / k.alpha
         assert choice.n_real == pytest.approx(expected, rel=1e-14)
         assert choice.n_cut == round(expected)
-        assert choice.valid == (expected > k.n_mu)
+        assert l2_validity(1e-6, 1.0, k) == (expected > k.n_mu)
 
     def test_cutoff_consistency_with_sigma_floor(self, paper_sys):
         # counting tail values above the singular-value floor
@@ -456,7 +456,7 @@ class TestPhantoms:
         # ~1e308 half-widths and beyond: no overflow warning, all zeros;
         # a negative scale flips the profile and leaves it 0 outside
         geom = Geometry(-3.0, -1.0, 1.0, 3.0)
-        _, grid = sample_grids(geom)
+        grid = build_operator(geom).object_grid
         width = "width" if kind == "bump" else "half_width"
         f = make_phantom(kind, geom, grid, center=0.0, **{width: 5e-324, scale: 2.0})
         assert not f.any()
