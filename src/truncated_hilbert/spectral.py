@@ -30,7 +30,8 @@ import numpy as np
 from .cauchy_svd import accurate_cauchy_svd
 from .errors import SpectralError, real
 from .geometry import Geometry, check_roi
-from .operator import DiscreteOperator, SampledGrid, kernel_rows, weighted_norm
+from .operator import (DiscreteOperator, SampledGrid, apply_adjoint, kernel_rows,
+                       weighted_norm)
 from .report import mu_label, write_csv
 
 DEFAULT_TAIL_LEN = 9
@@ -53,28 +54,25 @@ MONOTONE_NOISE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class SingularSystem:
-    """Retained singular triples (sigma_k, u_k, v_k), sigma descending.
+    """Retained singular triples (sigma_k, u_k, v_k) of op, sigma descending.
 
     u columns live on the object grid, v columns on the data grid; both
-    are orthonormal under the step-weighted inner product.  A system
-    built by `of` has passed its check, owns its sigmas, u and v and
-    marks them read-only, so neither the projections `coefficients`
-    remembers nor the syntheses `synthesize` remembers can go stale.
+    are orthonormal under the step-weighted inner product.  residual is
+    the Frobenius error of the reconstruction check, in the units of
+    sigma.  A system built by `of` has passed its check, owns its sigmas,
+    u and v and marks them read-only, so what `spectral_filter`
+    remembers cannot go stale.
     """
 
     sigmas: np.ndarray
     u: np.ndarray           # (n_object, count)
     v: np.ndarray           # (n_data, count)
-    object_grid: SampledGrid
-    step: float
-    geom: Geometry
-    # (bytes of the last data vector, its coefficients) and, most recent
-    # first, up to two (bytes of the weights, their synthesis); each slot
-    # is replaced whole, so a reader never pairs one input's key with
-    # another input's product
-    _projection: tuple | None = field(default=None, init=False, repr=False,
-                                      compare=False)
-    _syntheses: tuple = field(default=(), init=False, repr=False, compare=False)
+    op: DiscreteOperator
+    residual: float
+    # (bytes of the last data vector, its adjoint H^T g, its coefficients
+    # on the resolved triples), replaced whole, so a reader never pairs
+    # one vector's key with another vector's products
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, op: DiscreteOperator, sigmas, u, v) -> "SingularSystem":
@@ -82,17 +80,28 @@ class SingularSystem:
 
         Raises SpectralError unless u is (n_object, k) and v is (n_data, k)
         for k = sigmas.size, and (v, sigmas * step, u) passes
-        check_reconstruction.
+        check_reconstruction, whose residual the system keeps.
         """
         m, n = op.shape
         if u.shape != (n, sigmas.size) or v.shape != (m, sigmas.size):
             raise SpectralError(f"{sigmas.size} values with u {u.shape} and "
                                 f"v {v.shape} do not fit a {m} x {n} operator")
-        check_reconstruction(op, v, sigmas * op.step, u)
+        residual = check_reconstruction(op, v, sigmas * op.step, u)
         for arr in (sigmas, u, v):
             arr.flags.writeable = False
-        return cls(sigmas=sigmas, u=u, v=v, object_grid=op.object_grid,
-                   step=op.step, geom=op.geom)
+        return cls(sigmas=sigmas, u=u, v=v, op=op, residual=residual)
+
+    @property
+    def object_grid(self) -> SampledGrid:
+        return self.op.object_grid
+
+    @property
+    def step(self) -> float:
+        return self.op.step
+
+    @property
+    def geom(self) -> Geometry:
+        return self.op.geom
 
     @property
     def count(self) -> int:
@@ -110,48 +119,71 @@ class SingularSystem:
         t = int(np.argmax(np.minimum(s, 1.0 - s)))
         return range(t + 1, t + 1 + min(DEFAULT_TAIL_LEN, self.count - t - 1))
 
+    @cached_property
+    def resolved(self) -> np.ndarray:
+        """Positions S of the triples the system resolves from 1, ascending.
+
+        The others, C, sit before the tail with |1 - sigma| <= residual:
+        the reconstruction check cannot tell their values from 1.  Every
+        TSVD cutoff keeps all of C.  Read-only.
+        """
+        k = np.arange(self.count)
+        s = np.flatnonzero((k >= self.tail.start)
+                           | (np.abs(1.0 - self.sigmas) > self.residual))
+        s.flags.writeable = False
+        return s
+
+    @cached_property
+    def _resolved_factors(self) -> tuple:
+        """C-contiguous copies u[:, S] and, in np.longdouble, v[:, S].T."""
+        return (self.u.take(self.resolved, axis=1),
+                self.v.T[self.resolved].astype(np.longdouble))
+
     def coefficients(self, g) -> np.ndarray:
         """Read-only expansion coefficients step * (v.T @ g) of a data vector.
 
-        The last vector's coefficients are remembered, keyed by its bytes,
-        so estimators applied to one data vector project it once; a vector
-        changed in place is projected again.  Raises ValueError unless g
-        holds one value per data sample.
+        Raises ValueError unless g holds one value per data sample.
         """
-        g, key = _keyed(g, self.v.shape[0], "data vector")
-        last = self._projection
-        if last is not None and last[0] == key:
-            return last[1]
+        g = _data_vector(g, self.v.shape[0])
         coeffs = self.step * (self.v.T @ g)
         coeffs.flags.writeable = False
-        object.__setattr__(self, "_projection", (key, coeffs))
         return coeffs
 
-    def synthesize(self, w) -> np.ndarray:
-        """Read-only object vector u @ w of weights on the retained triples.
+    def spectral_filter(self, g, psi, at_one: float) -> np.ndarray:
+        """Estimate sum_k psi_k c_k u_k of a data vector g, c = coefficients(g).
 
-        The last two results are remembered, keyed by the bytes of w; a
-        hit makes its entry the most recent, so estimators that alternate
-        on one data vector synthesize each of their weights once.  Raises
-        ValueError unless w holds one value per retained triple.
+        psi holds the filter on the resolved triples, in the order of
+        `resolved`, and at_one is its value a at sigma = 1.  The estimate
+        is a H^T g + u_S ((psi - a sigma_S) c_S), with H^T g from
+        apply_adjoint, so it reads the filter as a sigma_k on C.  Against
+        the dense sum over every retained triple it differs by three
+        things: at most 2 residual |g|_w on C, for a filter within
+        2 |1 - sigma| of a sigma there, as both estimators' filters are;
+        at most residual |g|_w through the directions below rank_tol,
+        which H^T g holds and the residual contains; and rounding.  c_S
+        accumulates in np.longdouble: a tail coefficient is a sum far
+        smaller than its terms, and 1/sigma amplifies its rounding.
+        H^T g and c_S of the last data vector are remembered, keyed by
+        its bytes, so estimates of one vector apply the adjoint once.
+        Raises ValueError unless g holds one value per data sample.
         """
-        w, key = _keyed(w, self.count, "weights")
-        recent = self._syntheses
-        entry = next((e for e in recent if e[0] == key), None)
-        if entry is None:
-            entry = (key, self.u @ w)
-            entry[1].flags.writeable = False
-        older = [e for e in recent if e is not entry]
-        object.__setattr__(self, "_syntheses", (entry, *older[:1]))
-        return entry[1]
+        g = _data_vector(g, self.v.shape[0])
+        key = g.tobytes()
+        if self._memo is None or self._memo[0] != key:
+            coeffs = self.step * np.dot(self._resolved_factors[1], g.astype(np.longdouble))
+            object.__setattr__(self, "_memo", (key, apply_adjoint(self.op, g),
+                                               coeffs.astype(float)))
+        _, adjoint, coeffs = self._memo
+        w = (psi - at_one * self.sigmas[self.resolved]) * coeffs
+        return at_one * adjoint + self._resolved_factors[0] @ w
 
 
-def _keyed(x, size: int, name: str) -> tuple:
-    """x as a float vector and its bytes; ValueError unless it holds size values."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (size,):
-        raise ValueError(f"expected {name} of length {size}, got shape {x.shape}")
-    return x, x.tobytes()
+def _data_vector(g, size: int) -> np.ndarray:
+    """g as a float vector; ValueError unless it holds size values."""
+    g = np.asarray(g, dtype=float)
+    if g.shape != (size,):
+        raise ValueError(f"expected data vector of length {size}, got shape {g.shape}")
+    return g
 
 
 @dataclass(frozen=True)
@@ -213,10 +245,10 @@ def compute_svd(op: DiscreteOperator, rank_tol: float | None = None,
     return SingularSystem.of(op, s, u, v)
 
 
-def check_reconstruction(op: DiscreteOperator, v, s, u) -> None:
-    """Raise SpectralError unless v diag(s) u^T reconstructs op's matrix.
+def check_reconstruction(op: DiscreteOperator, v, s, u) -> float:
+    """The Frobenius error of v diag(s) u^T against op's matrix.
 
-    The Frobenius error must be at most 1e-10 times the matrix norm.
+    Raises SpectralError unless it is at most 1e-10 times the matrix norm.
     Squared norms accumulate over row blocks of kernel and product, so
     neither the matrix nor an m x n product is ever formed.  The kernel
     rows are formed on op.nodes, in step units, as op.matrix is.  A system
@@ -236,6 +268,7 @@ def check_reconstruction(op: DiscreteOperator, v, s, u) -> None:
     if not err <= 1e-10 * norm:
         raise SpectralError(f"SVD reconstruction error {err:.2e} too large "
                             f"for a matrix of norm {norm:.2e}")
+    return float(err)
 
 
 def tail_index_map(sys: SingularSystem, tail_len: int):

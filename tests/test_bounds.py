@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import goldens as G
 from conftest import PAPER_GEOM, SMALL_PRESET_GEOM, UNIT_GEOM
-from truncated_hilbert import (AsymptoticConstants, SampledGrid,
+from truncated_hilbert import (AsymptoticConstants, build_operator,
                                calibrate_constants, full_interval_bound,
                                full_interval_validity, l2_validity, make_phantom,
                                optimal_cutoff_l2, optimal_cutoff_tv, roi_bound_l2,
@@ -185,15 +185,14 @@ class TestCalibration:
         a = alpha(geom)
         count = 10
         sig = np.concatenate([[0.9], 2.0 * np.exp(-a * np.arange(1, count))])
-        grid = SampledGrid(start=-0.05, step=0.1, count=12)
-        ys = grid.points
-        u = np.zeros((12, count))
+        op = build_operator(geom, step=0.1)
+        ys = op.object_grid.points
+        u = np.zeros((ys.size, count))
         outside = np.where(ys > geom.a3)[0]
         for j in range(count):
-            u[outside[j % outside.size], j] = 1.0 / np.sqrt(grid.step)
-        synth = SingularSystem(sigmas=sig, u=u, v=np.zeros((5, count)),
-                               object_grid=grid,
-                               step=grid.step, geom=geom)
+            u[outside[j % outside.size], j] = 1.0 / np.sqrt(op.step)
+        synth = SingularSystem(sigmas=sig, u=u, v=np.zeros((op.shape[0], count)),
+                               op=op, residual=0.0)
         k = calibrate_constants(synth, geom, 0.05)
         assert k.A == pytest.approx(1.96, rel=1e-12)
         assert k.n0 == 1

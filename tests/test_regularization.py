@@ -9,13 +9,16 @@ import pytest
 import goldens as G
 from conftest import TINY_GEOM, SMALL_PRESET_GEOM
 from truncated_hilbert import (AsymptoticConstants, Geometry, add_noise,
-                               apply_forward, build_operator, export_reconstruction,
-                               l2_validity, make_phantom, optimal_cutoff_l2,
-                               optimal_cutoff_tv, tail_index_map, tv_validity,
+                               apply_adjoint, apply_forward, build_operator,
+                               compute_svd, export_reconstruction, l2_validity,
+                               make_phantom, optimal_cutoff_l2, optimal_cutoff_tv,
+                               spectral, tail_index_map, tv_validity,
                                tikhonov_reconstruct, tsvd_reconstruct,
                                weighted_norm)
+from truncated_hilbert.config import load_config
 from truncated_hilbert.errors import GeometryError
 from truncated_hilbert.quadrature import integrate
+from truncated_hilbert.regularization import phantom_from_spec, tikhonov_eta
 
 
 def paper_constants():
@@ -260,130 +263,85 @@ class TestTikhonov:
         assert rec.f.tobytes() == cold.f.tobytes()
 
 
-class _CountingArray(np.ndarray):
-    """An array that records each matrix product it enters, views included."""
+@pytest.fixture
+def adjoints(monkeypatch):
+    """Counts the adjoint products the estimators make."""
+    calls = []
+    real = spectral.apply_adjoint
 
-    def __array_finalize__(self, obj):
-        self.products = getattr(obj, "products", None)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
 
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            self.products.append(ufunc)
-        inputs = [np.asarray(x) for x in inputs]
-        return getattr(ufunc, method)(*inputs, **kwargs)
-
-
-def _counting(sys_, name):
-    """A cold copy of sys_ whose u or v records the products it enters."""
-    arr = getattr(sys_, name).view(_CountingArray)
-    arr.products = []
-    return replace(sys_, **{name: arr}), arr.products
+    monkeypatch.setattr(spectral, "apply_adjoint", counted)
+    return calls
 
 
 class TestSharedProjection:
-    def test_one_read_of_v_per_data_vector(self, small_preset_sys):
-        sys_, products = _counting(small_preset_sys, "v")
+    def test_one_adjoint_per_data_vector(self, small_preset_sys, adjoints):
+        sys_ = replace(small_preset_sys)
         rng = np.random.default_rng(12)
         g = rng.standard_normal(sys_.v.shape[0])
         tsvd_reconstruct(sys_, g, 3)
         tikhonov_reconstruct(sys_, g, 1e-6)
         tsvd_reconstruct(sys_, g.copy(), 5)
-        assert len(products) == 1
+        assert len(adjoints) == 1
+        g[0] += 1.0   # changed in place: a new vector
+        tikhonov_reconstruct(sys_, g, 1e-6)
+        assert len(adjoints) == 2
         tikhonov_reconstruct(sys_, rng.standard_normal(sys_.v.shape[0]), 1e-6)
-        assert len(products) == 2
+        assert len(adjoints) == 3
 
-    def test_one_synthesis_per_estimator_key(self, small_preset_sys):
-        sys_, products = _counting(small_preset_sys, "u")
-        g = np.random.default_rng(13).standard_normal(sys_.v.shape[0])
-        for _ in range(3):
-            tsvd_reconstruct(sys_, g, 4)
-            tikhonov_reconstruct(sys_, g.copy(), 1e-6)
-        assert len(products) == 2
-        # each change of key or of data vector makes exactly one more
-        tikhonov_reconstruct(sys_, g, 1e-8)
-        assert len(products) == 3
-        tsvd_reconstruct(sys_, g, 2)
-        assert len(products) == 4
-        g = np.random.default_rng(14).standard_normal(sys_.v.shape[0])
-        tsvd_reconstruct(sys_, g, 2)
-        assert len(products) == 5
-        g[0] += 1.0
-        tsvd_reconstruct(sys_, g, 2)
-        assert len(products) == 6
-        tikhonov_reconstruct(sys_, g, 1e-8)
-        tikhonov_reconstruct(sys_, g, 1e-8)
-        assert len(products) == 7
-
-    def test_clamped_cutoffs_share_one_estimate(self, small_preset_sys):
-        sys_, products = _counting(small_preset_sys, "u")
-        g = np.random.default_rng(15).standard_normal(sys_.v.shape[0])
-        tail_len = len(sys_.tail)
-        at, past = (tsvd_reconstruct(sys_, g, n) for n in (tail_len, tail_len + 7))
-        assert len(products) == 1
-        assert past.f is at.f
-        assert (at.cutoff_n, past.cutoff_n) == (tail_len, tail_len + 7)
-
-    def test_synthesize_is_u_times_w(self, small_preset_sys):
-        sys_ = replace(small_preset_sys)
-        w = np.random.default_rng(16).standard_normal(sys_.count)
-        f = sys_.synthesize(w)
-        assert f.tobytes() == (sys_.u @ w).tobytes()
-        assert not f.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            f[0] = 0.0
-        # a list of the same values is the same input, and an integer
-        # vector is converted to float
-        assert sys_.synthesize(list(w)) is f
-        ones = sys_.synthesize(np.ones(sys_.count, dtype=int))
-        assert ones.tobytes() == (sys_.u @ np.ones(sys_.count)).tobytes()
-
-    def test_synthesize_refuses_wrong_shape(self, small_preset_sys):
-        count = small_preset_sys.count
-        for shape in [(count - 1,), (count + 1,), (1, count), (), (0,)]:
-            msg = f"expected weights of length {count}, got shape {shape}"
-            with pytest.raises(ValueError, match=re.escape(msg)):
-                small_preset_sys.synthesize(np.zeros(shape))
-
-    def test_noise_sweep_pattern_makes_three_syntheses(self, small_preset_sys):
+    def test_noise_sweep_pattern_applies_the_adjoint_once(self, small_preset_sys,
+                                                          adjoints):
         # per noisy vector the sweep alternates TSVD and Tikhonov over three
         # mu; the first cutoff differs from the next two, eta never changes
-        sys_, products = _counting(small_preset_sys, "u")
-        g = np.random.default_rng(17).standard_normal(sys_.v.shape[0])
-        for n_cut in (2, 4, 4):
-            tsvd_reconstruct(sys_, g, n_cut)
-            tikhonov_reconstruct(sys_, g, 1e-6)
-        assert len(products) == 3
+        sys_ = replace(small_preset_sys)
+        for seed in (17, 18):
+            g = np.random.default_rng(seed).standard_normal(sys_.v.shape[0])
+            for n_cut in (2, 4, 4):
+                tsvd_reconstruct(sys_, g, n_cut)
+                tikhonov_reconstruct(sys_, g, 1e-6)
+        assert len(adjoints) == 2
 
-    def test_hit_makes_its_entry_most_recent(self, small_preset_sys):
-        sys_, products = _counting(small_preset_sys, "u")
-        a, b, c = np.random.default_rng(19).standard_normal((3, sys_.count))
-        for w in (a, b, a, c):   # c drops b, the least recently used
-            sys_.synthesize(w)
-        assert len(products) == 3
-        sys_.synthesize(a)
-        assert len(products) == 3
-        sys_.synthesize(b)
-        assert len(products) == 4
+    def test_clamped_cutoffs_share_one_estimate(self, small_preset_sys):
+        g = np.random.default_rng(15).standard_normal(small_preset_sys.v.shape[0])
+        tail_len = len(small_preset_sys.tail)
+        at, past = (tsvd_reconstruct(small_preset_sys, g, n)
+                    for n in (tail_len, tail_len + 7))
+        assert past.f.tobytes() == at.f.tobytes()
+        assert (at.cutoff_n, past.cutoff_n) == (tail_len, tail_len + 7)
 
-    def test_weights_changed_in_place_synthesized_again(self, small_preset_sys):
-        sys_, products = _counting(small_preset_sys, "u")
-        w = np.random.default_rng(18).standard_normal(sys_.count)
-        first = sys_.synthesize(w)
-        assert sys_.synthesize(w) is first and len(products) == 1
-        w[0] += 1.0
-        second = sys_.synthesize(w)
-        assert len(products) == 2
-        assert second.tobytes() == (small_preset_sys.u @ w).tobytes()
-        assert first.tobytes() != second.tobytes()
+    def test_spectral_filter_is_the_adjoint_plus_resolved_terms(self, small_preset_op,
+                                                                small_preset_sys):
+        # a H^T g + u_S ((psi - a sigma_S) c_S), with c_S summed in longdouble
+        sys_, op = small_preset_sys, small_preset_op
+        g = np.random.default_rng(16).standard_normal(op.shape[0])
+        ks = sys_.resolved
+        s = sys_.sigmas[ks]
+        psi = np.random.default_rng(20).standard_normal(ks.size)
+        c = op.step * (sys_.v[:, ks].T.astype(np.longdouble) @ g.astype(np.longdouble))
+        want = 0.5 * apply_adjoint(op, g) + sys_.u[:, ks] @ ((psi - 0.5 * s) * c.astype(float))
+        got = sys_.spectral_filter(g, psi, 0.5)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
+        # a list of the same values is the same data vector
+        assert sys_.spectral_filter(list(g), psi, 0.5).tobytes() == got.tobytes()
+
+    def test_spectral_filter_refuses_wrong_shape(self, small_preset_sys):
+        m = small_preset_sys.v.shape[0]
+        psi = np.zeros(small_preset_sys.resolved.size)
+        for shape in [(m - 1,), (m + 1,), (1, m), (), (0,)]:
+            msg = f"expected data vector of length {m}, got shape {shape}"
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                small_preset_sys.spectral_filter(np.zeros(shape), psi, 1.0)
 
     def test_cold_and_warm_bitwise_equal(self, small_preset_op, small_preset_sys):
-        # every remembered estimate is the cold system's, byte for byte
+        # every estimate from remembered products is the cold system's, byte for byte
         f_true = make_phantom("bump", SMALL_PRESET_GEOM, small_preset_op.object_grid,
                               center=60.0, width=17.0)
         g = add_noise(apply_forward(small_preset_op, f_true), 1e-4, seed=3,
                       step=small_preset_op.step).g
         warm = replace(small_preset_sys)
-        warm.coefficients(g)
         estimates = [lambda s: tsvd_reconstruct(s, g, 4),
                      lambda s: tikhonov_reconstruct(s, g, 4e-12),
                      lambda s: tsvd_reconstruct(s, g, 40),
@@ -392,9 +350,50 @@ class TestSharedProjection:
             for estimate in estimates:
                 f = estimate(warm).f
                 assert f.tobytes() == estimate(replace(small_preset_sys)).f.tobytes()
-                assert not f.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    f[0] = 0.0
+
+
+class TestAccuracy:
+    """Each estimate against a longdouble evaluation of its filter on the same system.
+
+    The estimate through the adjoint may differ from the dense sum over
+    every retained triple by 3 residual |g|_w (spectral_filter); beyond
+    that it may err by at most 4 times the dense sum's own rounding.
+    """
+
+    @pytest.mark.parametrize("case", ["paper", "small_preset", "live_oracle_37x35"])
+    def test_within_the_dense_route_and_the_residual(self, request, case):
+        # the presets' configs, and the benchmark's two fixed geometry_sweep
+        # members: the small preset and (0, 12, 36, 46) under its config
+        cfg = load_config(None, small=case != "paper")
+        if case == "live_oracle_37x35":
+            op = build_operator(Geometry(0.0, 12.0, 36.0, 46.0))
+            sys_ = compute_svd(op)
+        else:
+            op, sys_ = (request.getfixturevalue(f"{case}_{x}") for x in ("op", "sys"))
+        f_true = phantom_from_spec(cfg.phantom, op.geom, op.object_grid)
+        u, v, s = (x.astype(np.longdouble) for x in (sys_.u, sys_.v, sys_.sigmas))
+        for delta in cfg.delta_list:
+            g = add_noise(apply_forward(op, f_true), delta, cfg.seed, step=op.step).g
+            exact = op.step * (v.T @ g.astype(np.longdouble))
+            coeffs = sys_.coefficients(g)
+            rows = []
+            for n in range(len(sys_.tail) + 1):
+                keep = sys_.tail.start + n
+                psi = np.zeros(sys_.count, dtype=np.longdouble)
+                psi[:keep] = 1 / s[:keep]
+                w = np.zeros(sys_.count)
+                w[:keep] = coeffs[:keep] / sys_.sigmas[:keep]
+                rows.append((f"tsvd n_cut={n}", tsvd_reconstruct(sys_, g, n).f, w, psi))
+            eta = tikhonov_eta(delta, cfg.E)
+            rows.append(("tikhonov", tikhonov_reconstruct(sys_, g, eta).f,
+                         coeffs * sys_.sigmas / (sys_.sigmas ** 2 + eta),
+                         s / (s ** 2 + np.longdouble(eta))))
+            slack = 3 * sys_.residual * weighted_norm(g, op.step)
+            for name, f, w, psi in rows:
+                ref = u @ (psi * exact)
+                new, dense = (weighted_norm((x - ref).astype(float), op.step)
+                              for x in (f, sys_.u @ w))
+                assert new <= 4 * dense + slack, f"delta={delta:g} {name}"
 
 
 class TestPhantoms:

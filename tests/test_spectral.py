@@ -1,12 +1,11 @@
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import goldens as G
 from conftest import PAPER_GEOM, SMALL_PRESET_GEOM, TINY_GEOM
-from truncated_hilbert import (Geometry, SampledGrid, build_operator,
+from truncated_hilbert import (Geometry, build_operator,
                                calibrate_constants, check_monotone,
                                compute_svd, export_spectrum_csv,
                                fit_exponential, fit_roi_decay, fit_tail_decay,
@@ -115,12 +114,12 @@ class TestComputeSvd:
 
 class TestCoefficients:
     def test_bitwise_equal_to_direct_projection(self, tiny_sys):
-        sys_ = replace(tiny_sys)   # a system of its own: empty projection slot
+        sys_ = tiny_sys
         rng = np.random.default_rng(11)
         g = rng.standard_normal(7)
         direct = sys_.step * (sys_.v.T @ g)
         assert sys_.coefficients(g).tobytes() == direct.tobytes()
-        g[3] += 1.0   # changed in place: projected again
+        g[3] += 1.0
         changed = sys_.coefficients(g)
         assert changed.tobytes() == (sys_.step * (sys_.v.T @ g)).tobytes()
         assert changed.tobytes() != direct.tobytes()
@@ -273,8 +272,7 @@ class TestRoiNorm:
         u /= np.sqrt(paper_sys.step) * np.linalg.norm(u)
         synth = SingularSystem(sigmas=np.array([0.5]), u=u,
                                v=np.zeros((paper_sys.v.shape[0], 1)),
-                               object_grid=paper_sys.object_grid,
-                               step=paper_sys.step, geom=paper_sys.geom)
+                               op=paper_sys.op, residual=0.0)
         assert roi_norm(synth, 0, 100.0) == 0.0
         assert mask.sum() > 0
 
@@ -290,10 +288,10 @@ class TestRoiNorm:
 
 
 def _near_one_system(sig):
-    count = sig.size
-    return SingularSystem(sigmas=sig, u=np.zeros((4, count)), v=np.zeros((4, count)),
-                          object_grid=SampledGrid(0.25, 1.0, 4),
-                          step=1.0, geom=TINY_GEOM)
+    op = build_operator(TINY_GEOM)
+    m, n = op.shape
+    return SingularSystem(sigmas=sig, u=np.zeros((n, sig.size)), v=np.zeros((m, sig.size)),
+                          op=op, residual=0.0)
 
 
 class TestNearOneFit:
@@ -341,8 +339,7 @@ class TestMonotone:
         u = np.full((nobj, 1), 1.0 / np.sqrt(nobj))
         synth = SingularSystem(sigmas=np.array([0.5]), u=u,
                                v=np.zeros((paper_sys.v.shape[0], 1)),
-                               object_grid=paper_sys.object_grid,
-                               step=paper_sys.step, geom=paper_sys.geom)
+                               op=paper_sys.op, residual=0.0)
         assert not check_monotone(synth, 0)
 
     def test_strict_mode_breaks_only_at_noise_level(self, paper_sys):

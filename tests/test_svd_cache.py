@@ -88,6 +88,18 @@ def test_loaded_factors_write_the_same_files(tmp_path, solves, flags):
     assert len(solves) == 1 + len(SPECTRAL)
 
 
+@pytest.mark.parametrize("small", [True, False], ids=["small", "paper"])
+def test_loaded_system_keeps_residual_and_resolved(tmp_path, solves, small):
+    # the estimators read the check's residual and the resolved triples
+    # S it decides: a system read back has both, bit for bit
+    cfg = load_config(None, small=small)
+    _, cold = cli._spectral_setup(cfg, str(tmp_path))
+    _, warm = cli._spectral_setup(cfg, str(tmp_path))
+    assert len(solves) == 1 and warm is not cold
+    assert np.float64(warm.residual).tobytes() == np.float64(cold.residual).tobytes()
+    assert warm.resolved.tobytes() == cold.resolved.tobytes()
+
+
 def test_no_command_forms_the_matrix(tmp_path, built_ops):
     # a cold decomposition and the warm spectral commands work from the
     # grids alone; reconstruct applies the operator to its phantom by FFT
