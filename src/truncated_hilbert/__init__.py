@@ -24,7 +24,7 @@ from .errors import (BoundNotApplicableError, ConfigError, DomainError,
                      TruncatedHilbertError)
 from .geometry import (Geometry, alpha, beta_mu_approx, beta_mu_exact,
                        check_roi, holder_exponent, k_minus, k_plus,
-                       near_one_rate, poly_P, poly_P_prime_a3, w3)
+                       near_one_rate, poly_P, w3)
 from .operator import (DiscreteOperator, SampledGrid, apply_adjoint,
                        apply_forward, build_operator, weighted_norm)
 from .regularization import (CutoffChoice, NoisyData, ReconstructionResult,

@@ -113,11 +113,12 @@ def v_mu(alpha: float, beta_mu: float) -> float:
 def w_mu(alpha: float, beta_mu: float, c_tv: float, n_mu: int) -> float:
     """Constant (beta/(alpha-beta)) sqrt(1-e^(-2(alpha-beta))) c/(N_mu (e^beta - 1)).
 
-    A finite double >= 0: 0 once N_mu (e^beta - 1) overflows and the
-    numerator does not.  Raises BoundNotApplicableError for arguments out
-    of v_mu's range, c_tv not a finite real > 0, N_mu not an integer in
-    [1, 2^53), and where the numerator overflows, so the quotient is inf
-    or nan.
+    A finite double >= 0, and 0 where W_mu underflows.  Evaluated as that
+    product where each partial product is a normal double, and in logs
+    where one leaves the range before the quotient does.  Raises
+    BoundNotApplicableError for arguments out of v_mu's range, c_tv not a
+    finite real > 0, N_mu not an integer in [1, 2^53), and where W_mu
+    itself overflows.
     """
     alpha = real("alpha", alpha, error=BoundNotApplicableError)
     beta_mu = real("beta_mu", beta_mu, _BETA_MIN, alpha, closed=True,
@@ -126,9 +127,16 @@ def w_mu(alpha: float, beta_mu: float, c_tv: float, n_mu: int) -> float:
     n_mu = real("n_mu", n_mu, 1, _N_MU_MAX, closed=True, integer=True,
                 error=BoundNotApplicableError)
     gap = alpha - beta_mu
-    with np.errstate(over="ignore", invalid="ignore"):   # inf and nan refused below
-        value = (beta_mu / gap * np.sqrt(-np.expm1(-2.0 * gap))
-                 * c_tv / (n_mu * (np.expm1(beta_mu))))
+    with np.errstate(over="ignore", under="ignore"):   # an overflow is refused below
+        ratio = beta_mu / gap
+        lead = ratio * np.sqrt(-np.expm1(-2.0 * gap))
+        head, tail = lead * c_tv, n_mu * np.expm1(beta_mu)
+        if all(sys.float_info.min <= x < math.inf for x in (ratio, lead, head, tail)):
+            value = head / tail
+        else:
+            value = np.exp(math.log(beta_mu) - math.log(gap)
+                           + 0.5 * math.log(-math.expm1(-2.0 * gap)) + math.log(c_tv)
+                           - math.log(n_mu) - beta_mu - math.log(-math.expm1(-beta_mu)))
     return real("W_mu", value, 0, closed=True, error=BoundNotApplicableError)
 
 

@@ -114,12 +114,9 @@ def _is_path(name: str) -> bool:
 def _check_noise_level(delta: float, E) -> None:
     """Refuse delta unless delta^2/E^2, the Tikhonov parameter, is a positive double."""
     try:
-        eta = tikhonov_eta(delta, E)
-    except (OverflowError, ZeroDivisionError):   # E^2 may underflow to 0
-        eta = float("nan")
-    if not 0.0 < eta < float("inf"):
-        raise ConfigError(f"delta={delta:g} with E={E:g} gives the Tikhonov "
-                          f"parameter delta^2/E^2 = {eta:g}, not a positive double")
+        tikhonov_eta(delta, E)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path, small: bool = False, overrides: dict | None = None) -> ExperimentConfig:

@@ -19,20 +19,22 @@ for the attenuation of singular functions on the region of interest
 estimate downstream.
 
 P is a quartic, so all three are elliptic integrals of the first kind.
-In Legendre form, with the cross-ratio parameter and scale
+In overlap units, r = a3 - a2, p = (a2 - a1)/r and q = (a4 - a3)/r, their
+Legendre form has the cross-ratio parameter and scale
 
-    m = (a3 - a2)(a4 - a1) / ((a3 - a1)(a4 - a2)),
-    c = 2 / sqrt((a3 - a1)(a4 - a2)),
+    m = (1 + p + q) / ((1 + p)(1 + q)),    1 - m = (p / (1 + p)) (q / (1 + q)),
+    c = 2 / (r sqrt(1 + p) sqrt(1 + q)) = 2 / sqrt((a3 - a1)(a4 - a2)),
 
-K+ = c K(m) and K- = c K(1 - m).  They are evaluated in Carlson's
-symmetric form R_F (_rf below, by duplication), whose arguments are sums
-and products of positive breakpoint differences.  Neither m nor 1 - m is
-ever formed by subtraction, so the values keep close to full double
-precision however thin the overlap or the outer segments, endpoint
-singularities included.  The R_F arguments are scaled by a power of 4
-(_rf_of_products), which is exact, so segment ratios from 1e-300 to
-1e300 stay in range; a geometry whose ratios or arguments leave the
-normal double range raises GeometryError.
+and K+ = c K(m) = c R_F(0, 1 - m, 1), K- = c K(1 - m) = c R_F(0, m, 1), in
+Carlson's symmetric form R_F (_rf below, by duplication).  The phase
+integral behind beta_mu reduces the same way (_phase).  Every R_F
+argument is so normalised into (0, 1] and built from sums and ratios of
+positive terms: neither m nor 1 - m is ever formed by subtraction, and no
+product of breakpoint differences is formed at all.  The values keep
+close to full double precision however thin the overlap or the outer
+segments, endpoint singularities included, and segment ratios from
+1e-300 to 1e300 stay in range.  An R_F argument below the normal double
+range, or a constant outside it, raises GeometryError.
 """
 
 import functools
@@ -88,25 +90,24 @@ def poly_P(geom: Geometry, x):
     return (x - geom.a1) * (x - geom.a2) * (x - geom.a3) * (x - geom.a4)
 
 
-def poly_P_prime_a3(geom: Geometry) -> float:
-    """P'(a3) = (a3-a1)(a3-a2)(a3-a4); negative for valid geometries."""
-    return (geom.a3 - geom.a1) * (geom.a3 - geom.a2) * (geom.a3 - geom.a4)
-
-
 def _overlap_units(geom: Geometry):
-    """Overlap width r = a3 - a2 and the outer segments p, q in units of r.
+    """Overlap width r = a3 - a2, the outer segments p, q in units of r, and c.
 
-    p = (a2 - a1)/r and q = (a4 - a3)/r.  The constants scale as 1/r, so
-    working in overlap units keeps the products of differences below
-    inside the floating-point range at any scale of the breakpoints.
+    p = (a2 - a1)/r, q = (a4 - a3)/r and c = 2/(r sqrt(1+p) sqrt(1+q)),
+    the scale of the module docstring.  The constants scale as 1/r, so
+    everything else they read is a ratio of sums of p, q and 1, inside
+    the floating-point range at any scale of the breakpoints.  Raises
+    GeometryError unless r is a normal double and p, q are finite and
+    positive.
     """
     a1, a2, a3, a4 = map(float, geom.points)
     r = a3 - a2
     p, q = (a2 - a1) / r, (a4 - a3) / r
+    c = 2.0 / r / math.sqrt(1.0 + p) / math.sqrt(1.0 + q)
     if not (sys.float_info.min <= r < math.inf and 0.0 < p < math.inf and 0.0 < q < math.inf):
         raise GeometryError(f"overlap {r:g} or segment ratios {p:g}, {q:g} of {geom.points} "
                             "leave the double range")
-    return r, p, q
+    return r, p, q, c
 
 
 # duplication stops once the arguments agree to (3 eps)^(1/6) of their mean,
@@ -117,12 +118,18 @@ _RF_SPREAD = (3.0 * 2.0 ** -52) ** (1.0 / 6.0)
 def _rf(x: float, y: float, z: float) -> float:
     """Carlson's R_F(x, y, z) = (1/2) int_0^inf dt / sqrt((t+x)(t+y)(t+z)).
 
-    For x, y, z >= 0, at most one of them zero.  Duplication theorem until
-    the three arguments nearly agree, then the series of DLMF 19.36.1 to
-    fifth order (Carlson, Numer. Algorithms 10, 1995, Algorithm 1).  The
-    duplication steps only add and multiply nonnegative numbers; the
-    differences from the mean enter only the small series corrections.
+    Each argument 0 or a normal double, at most one of them 0;
+    GeometryError otherwise, since a subnormal argument has lost digits
+    and two zeros make R_F diverge.  Duplication theorem until the three
+    arguments nearly agree, then the series of DLMF 19.36.1 to fifth order
+    (Carlson, Numer. Algorithms 10, 1995, Algorithm 1).  The duplication
+    steps only add and multiply nonnegative numbers; the differences from
+    the mean enter only the small series corrections.
     """
+    lo, mid, hi = sorted((x, y, z))
+    if not ((lo == 0.0 or sys.float_info.min <= lo) and sys.float_info.min <= mid
+            and hi < math.inf):
+        raise GeometryError(f"R_F arguments {x!r}, {y!r}, {z!r} leave the normal double range")
     a0 = (x + y + z) / 3.0
     spread = max(abs(a0 - x), abs(a0 - y), abs(a0 - z)) / _RF_SPREAD
     xm, ym, zm, am = x, y, z, a0
@@ -145,54 +152,16 @@ def _rf(x: float, y: float, z: float) -> float:
             / math.sqrt(am))
 
 
-# products inside this range go to _rf as they are; scaling them would
-# change no bit, and skipping it keeps the frequent w3 calls cheap
-_RF_PLAIN_LO, _RF_PLAIN_HI = 2.0 ** -500, 2.0 ** 500
-
-
-def _rf_of_products(x: tuple, y: tuple, z: tuple) -> float:
-    """_rf of three arguments, each given as a tuple of nonnegative factors.
-
-    Products outside [2^-500, 2^500] are formed on frexp mantissas, so
-    none overflows or underflows on the way, and all three are scaled
-    by the one power of 4 that brings the largest into [1/2, 2).  R_F is
-    homogeneous of degree -1/2, so the scaling is exact in binary:
-    wherever the plain products and their R_F are normal doubles, it
-    returns _rf of them bit for bit.  Raises GeometryError when a
-    nonzero product is not finite or falls below the normal range after
-    scaling, i.e. when the arguments span more than about 2^1021 and
-    would lose precision.
-    """
-    xp, yp, zp = math.prod(x), math.prod(y), math.prod(z)
-    if _RF_PLAIN_LO <= min(xp, yp, zp) and max(xp, yp, zp) <= _RF_PLAIN_HI:
-        return _rf(xp, yp, zp)
-    parts = []
-    for factors in (x, y, z):
-        m, e = 1.0, 0
-        for f in factors:
-            fm, fe = math.frexp(f)
-            m *= fm
-            e += fe
-        fm, fe = math.frexp(m)
-        parts.append((fm, e + fe))
-    k = max(e for m, e in parts if m) // 2
-    vals = [math.ldexp(m, e - 2 * k) for m, e in parts]
-    if any(m and not sys.float_info.min <= v < math.inf for (m, _), v in zip(parts, vals)):
-        raise GeometryError("elliptic-integral arguments span more than the double range")
-    return math.ldexp(_rf(*vals), -k)
-
-
 @functools.lru_cache(maxsize=256)
 def _k_pair(geom: Geometry):
-    """(K-, K+) = (2/r) (R_F(0, 1 + p + q, d), R_F(0, p q, d)), d = (1+p)(1+q).
+    """(K-, K+) = c (R_F(m, 1, 0), R_F(1 - m, 1, 0)).
 
-    These are c K(1 - m) and c K(m) of the module docstring, by
-    K(m) = R_F(0, 1 - m, 1) and the homogeneity of R_F of degree -1/2.
+    R_F is symmetric, so these are the c K(1 - m) and c K(m) of the
+    module docstring.
     """
-    r, p, q = _overlap_units(geom)
-    d = (1.0 + p, 1.0 + q)
-    ks = (2.0 / r * _rf_of_products((0.0,), (1.0 + p + q,), d),
-          2.0 / r * _rf_of_products((0.0,), (p, q), d))
+    _, p, q, c = _overlap_units(geom)
+    ks = (c * _rf((1.0 + p + q) / (1.0 + p) / (1.0 + q), 1.0, 0.0),
+          c * _rf(p / (1.0 + p) * (q / (1.0 + q)), 1.0, 0.0))
     if not all(sys.float_info.min <= k < math.inf for k in ks):
         raise GeometryError(f"K-, K+ = {ks} of {geom.points} leave the normal double range")
     return ks
@@ -211,13 +180,13 @@ def k_plus(geom: Geometry) -> float:
 def alpha(geom: Geometry) -> float:
     """Decay rate pi K+ / K- of the small singular values."""
     km, kp = _k_pair(geom)
-    return np.pi * kp / km
+    return np.pi * (kp / km)   # a ratio first: pi K+ may overflow where alpha does not
 
 
 def near_one_rate(geom: Geometry) -> float:
     """Rate 2 pi K- / K+ at which 1 - sigma decays on the large-sigma branch."""
     km, kp = _k_pair(geom)
-    return 2.0 * np.pi * km / kp
+    return 2.0 * np.pi * (km / kp)
 
 
 def _phase(geom: Geometry, below: float, above: float) -> float:
@@ -225,19 +194,20 @@ def _phase(geom: Geometry, below: float, above: float) -> float:
 
     Carlson's reduction of an integral of 1/sqrt(quartic) (DLMF 19.29.4)
     with the upper limit at the root a3, in overlap units b = below/r and
-    e = above/r:
+    e = above/r, normalised like K- and K+ with s = q/(1+q):
 
-        (2/r) sqrt(e) R_F((1+p)(q+e), (p+b) q, (1+p) q b).
+        c sqrt(e) R_F((q+e)/(1+q), s (p+b)/(1+p), s b).
 
     The caller passes both distances of x to the overlap ends, so every
-    argument is a product of sums of positive terms and nothing cancels,
+    argument is a ratio of sums of positive terms and nothing cancels,
     however close x is to either end.
     """
-    r, p, q = _overlap_units(geom)
+    r, p, q, c = _overlap_units(geom)
     b, e = float(below) / r, float(above) / r
-    w = 2.0 / r * math.sqrt(e) * _rf_of_products((1.0 + p, q + e), (p + b, q), (1.0 + p, q, b))
-    if not w < math.inf:
-        raise GeometryError(f"phase integral of {geom.points} overflows")
+    s = q / (1.0 + q)
+    w = c * (math.sqrt(e) * _rf((q + e) / (1.0 + q), (p + b) / (1.0 + p) * s, b * s))
+    if not (sys.float_info.min <= w < math.inf or e == 0.0):
+        raise GeometryError(f"phase integral {w!r} of {geom.points} leaves the normal double range")
     return w
 
 
@@ -272,14 +242,19 @@ def _beta_mu(geom: Geometry, m: float) -> float:
 
 
 def beta_mu_approx(geom: Geometry, mu) -> float:
-    """Leading small-mu form (2 pi / K-) sqrt(mu) / sqrt(-P'(a3)).
+    """Leading small-mu form pi sqrt(mu/r) sqrt(1 + 1/q) / R_F(0, m, 1).
 
-    Relative error against beta_mu_exact is O(mu).
+    This is (2 pi / K-) sqrt(mu / -P'(a3)), -P'(a3) = r^3 (1+p) q, in the
+    overlap units of _k_pair, where R_F(0, m, 1) = K-/c, so no product of
+    breakpoint differences is formed.  Relative error against
+    beta_mu_exact is O(mu).  GeometryError where the value overflows.
     """
     m = real("mu", mu, 0, closed=True, error=GeometryError)
-    dp = poly_P_prime_a3(geom)
-    km = k_minus(geom)
-    return 2.0 * np.pi / km * np.sqrt(m) / np.sqrt(-dp)
+    r, _, q, c = _overlap_units(geom)
+    value = np.pi * math.sqrt(m / r) * math.sqrt(1.0 + 1.0 / q) / (k_minus(geom) / c)
+    if not value < math.inf:
+        raise GeometryError(f"beta_mu_approx of {geom.points} at mu={m!r} overflows")
+    return value
 
 
 def holder_exponent(geom: Geometry, mu) -> float:

@@ -141,8 +141,20 @@ def tsvd_reconstruct(sys: SingularSystem, g: np.ndarray, n_cut: int) -> Reconstr
 
 
 def tikhonov_eta(delta: float, E) -> float:
-    """The Tikhonov parameter delta^2 / E^2 of noise level delta under |f| <= E."""
-    return delta ** 2 / E ** 2
+    """The Tikhonov parameter delta^2 / E^2 of noise level delta under |f| <= E.
+
+    Raises ValueError unless delta and E are finite reals > 0 and
+    delta^2 / E^2 is a positive finite double.
+    """
+    delta, E = real("delta", delta, 0), real("E", E, 0)
+    try:
+        eta = delta ** 2 / E ** 2
+    except (OverflowError, ZeroDivisionError):   # a square overflows, or E^2 underflows to 0
+        eta = math.nan
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"delta={delta:g} with E={E:g} gives the Tikhonov parameter "
+                         f"delta^2/E^2 = {eta:g}, not a positive double")
+    return eta
 
 
 def tikhonov_reconstruct(sys: SingularSystem, g: np.ndarray, eta: float) -> ReconstructionResult:

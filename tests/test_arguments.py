@@ -104,7 +104,7 @@ TABLE = {
         "a4": Arg(lambda c, v: th.Geometry(0.0, 2.0, 6.0, v), ok=8.0, lo=6.0),
     },
     "alpha": {}, "k_minus": {}, "k_plus": {}, "near_one_rate": {},
-    "poly_P_prime_a3": {}, "near_one_model_valid": {},
+    "near_one_model_valid": {},
     "check_roi": {"mu": _mu(lambda c, v: th.check_roi(SMALL, v))},
     "beta_mu_exact": {"mu": _mu(lambda c, v: th.beta_mu_exact(SMALL, v))},
     "holder_exponent": {"mu": _mu(lambda c, v: th.holder_exponent(SMALL, v))},

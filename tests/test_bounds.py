@@ -86,11 +86,26 @@ class TestClosedFormConstants:
             assert abs(w_mu(a, b, 1.5, 3) / w_ref - 1) <= 1e-15
 
     @pytest.mark.parametrize("args", [(0.01, 1e-300, 1.7e308, 2),
-                                      (1e10, 9999999999.999998, 1.7e308, 1)])
+                                      (2.0, 1.9, 1.7e308, 1)])
     def test_w_mu_past_the_double_range_refused(self, args):
-        # the first returned inf, the second nan after an invalid-value warning
+        # W_mu is 1.2e309 and 2.4e308; the first returned inf
         with pytest.raises(BoundNotApplicableError, match="W_mu"):
             w_mu(*args)
+
+    @pytest.mark.parametrize("args", [(2.0, 1.5, 1.7e308, 10),
+                                      (1e10, 9999999999.999998, 1.7e308, 1)])
+    def test_w_mu_past_its_partial_products_against_multiprecision(self, args):
+        # c_tv times beta/gap overflows where W_mu does not: the first, about
+        # 1.165e307, was refused, and the second, which underflows to 0,
+        # raised on a nan after an invalid-value warning
+        a, b, c, n = args
+        with mpmath.workdps(50):
+            am, bm = mpmath.mpf(a), mpmath.mpf(b)
+            ref = float(bm / (am - bm) * mpmath.sqrt(-mpmath.expm1(-2 * (am - bm)))
+                        * c / (n * mpmath.expm1(bm)))
+        got = w_mu(*args)
+        # the log form errs by about eps times the log of c_tv, 710
+        assert got == ref == 0.0 or abs(got / ref - 1) <= 1e-12
 
 
 class TestConstantsType:

@@ -523,6 +523,23 @@ class TestCommands:
             h = float(row["holder_exponent"])
             assert 0.0 < h < 1.0
 
+    @pytest.mark.parametrize("doc", [
+        {"geometry": [0, 1e-170, 2e-170, 3e-170], "step": 1e-171, "mu_list": [2e-171]},
+        {"geometry": [0, 4.5e102, 1.35e103, 1.725e103], "step": 1e101, "mu_list": [5e101]},
+    ])
+    def test_beta_mu_approx_at_extreme_scales(self, tmp_path, capsys, doc):
+        # -P'(a3), a product of three breakpoint differences, leaves the
+        # double range at these scales; beta_mu_approx must not
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["constants", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+        (row,) = _read_rows(tmp_path / "o" / "constants.csv")
+        exact, approx = float(row["beta_mu_exact"]), float(row["beta_mu_approx"])
+        a2, a3 = doc["geometry"][1:3]
+        # relative error O(mu): mu / (a3 - a2) is 0.2 and 0.056 here
+        assert abs(approx / exact - 1) <= doc["mu_list"][0] / (a3 - a2)
+
     def test_constants_deterministic_rerun(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["constants", "--small", "--out", str(out1)]) == 0

@@ -1,13 +1,15 @@
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import goldens as G
 from conftest import PAPER_GEOM, SMALL_PRESET_GEOM, UNIT_GEOM
 from truncated_hilbert import (Geometry, alpha, beta_mu_approx, beta_mu_exact,
                                check_roi, holder_exponent, k_minus, k_plus,
-                               near_one_rate, poly_P, poly_P_prime_a3, w3)
+                               near_one_rate, poly_P, w3)
 from truncated_hilbert import geometry
 from truncated_hilbert.errors import GeometryError
 from truncated_hilbert.geometry import _rf
@@ -68,10 +70,6 @@ class TestPolyP:
         xs = np.linspace(-2.0, 2.0, 101) * PAPER_GEOM.a4
         for x, want in zip(xs, poly_P(PAPER_GEOM, xs)):
             assert poly_P(PAPER_GEOM, x) == want   # x an np.float64
-
-    def test_prime_at_a3_negative(self):
-        assert poly_P_prime_a3(UNIT_GEOM) < 0
-        assert poly_P_prime_a3(PAPER_GEOM) < 0
 
 
 class TestKIntegrals:
@@ -348,7 +346,8 @@ def extreme_reference(geom):
     K+ = c K(m) = c R_F(0, 1 - m, 1) and K- = c K(1 - m) = c R_F(0, m, 1),
     with m and 1 - m formed from exact breakpoint differences, so neither
     is a difference and no ratio leaves mpmath's exponent range.  beta is
-    the Carlson form of _phase, evaluated in the same arithmetic.
+    the Carlson form of _phase, evaluated in the same arithmetic, and
+    beta_mu_approx at mu = r/2 its closed form (2 pi/K-) sqrt(mu / -P'(a3)).
     """
     mp = pytest.importorskip("mpmath").mp
     with mp.workdps(40):
@@ -361,8 +360,10 @@ def extreme_reference(geom):
         p, q, half = P / r, Q / r, mp.mpf(0.5)
         w = 2 / r * mp.sqrt(half) * mp.elliprf((1 + p) * (q + half), (p + half) * q,
                                                (1 + p) * q * half)
+        approx = 2 * mp.pi / km * mp.sqrt(r / 2 / ((r + P) * r * Q))
         return {"K-": km, "K+": kp, "alpha": mp.pi * kp / km,
-                "near_one_rate": 2 * mp.pi * km / kp, "beta_mu": mp.pi / km * w}
+                "near_one_rate": 2 * mp.pi * km / kp, "beta_mu": mp.pi / km * w,
+                "beta_mu_approx": approx}
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -374,7 +375,8 @@ def test_constants_at_extreme_segment_ratios(log_p, log_q):
     assume(pts[0] < pts[1] < pts[2] < pts[3])
     geom = Geometry(*pts)
     fns = {"K-": k_minus, "K+": k_plus, "alpha": alpha, "near_one_rate": near_one_rate,
-           "beta_mu": lambda g: beta_mu_exact(g, g.overlap_width / 2)}
+           "beta_mu": lambda g: beta_mu_exact(g, g.overlap_width / 2),
+           "beta_mu_approx": lambda g: beta_mu_approx(g, g.overlap_width / 2)}
     ref = extreme_reference(geom)
     for name, fn in fns.items():
         try:
@@ -396,3 +398,73 @@ def test_unrepresentable_ratios_raise(pts):
     for fn in (k_minus, k_plus, alpha, near_one_rate):
         with pytest.raises(GeometryError):
             fn(geom)
+
+
+def test_rates_at_the_smallest_overlap():
+    # K+ and K- are near 1e308 here, so pi K+ and 2 pi K- overflowed and
+    # both rates were inf; the rates are those of (0, 1, 2, 3)
+    tiny, unit = Geometry(0.0, 2.5e-308, 5e-308, 7.5e-308), Geometry(0.0, 1.0, 2.0, 3.0)
+    for fn in (alpha, near_one_rate):
+        assert fn(tiny) == pytest.approx(fn(unit), rel=2e-15)
+
+
+def _constants_or_none(pts, mu):
+    """Each public interval constant of Geometry(*pts), or None where GeometryError refuses it.
+
+    The suite turns warnings into errors, so a warning fails the caller.
+    """
+    try:
+        geom = Geometry(*pts)
+    except GeometryError:
+        return None
+    fns = {"K-": lambda: k_minus(geom), "K+": lambda: k_plus(geom),
+           "alpha": lambda: alpha(geom), "near_one_rate": lambda: near_one_rate(geom),
+           "beta_mu_exact": lambda: beta_mu_exact(geom, mu),
+           "beta_mu_approx": lambda: beta_mu_approx(geom, mu),
+           "holder_exponent": lambda: holder_exponent(geom, mu),
+           "w3": lambda: w3(geom, (geom.a2 + geom.a3) / 2)}
+    out = {}
+    for name, fn in fns.items():
+        try:
+            out[name] = fn()
+        except GeometryError:
+            out[name] = None
+            continue
+        assert isinstance(out[name], float) and np.isfinite(out[name]), (name, pts, mu)
+    return out
+
+
+def _ratio_geometry(logs):
+    p, q = 10.0 ** logs[0], 10.0 ** logs[1]
+    return (-p, 0.0, 1.0, 1.0 + q) if p <= q else (-1.0 - p, -1.0, 0.0, q)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.one_of(st.sampled_from([PAPER_GEOM.points, SMALL_PRESET_GEOM.points]),
+                 st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
+                 .map(_ratio_geometry)),
+       st.sampled_from([1e-300, 1e-12, 0.01, 0.5, 0.99]), st.integers(-1000, 1000))
+# the phase at 2^k times these is below the normal range, or its factor
+# c sqrt(e) is while the phase is not
+@example(PAPER_GEOM.points, 1e-12, 994)
+@example((-2.0, -1.0, 0.0, 0.01), 1e-300, 525)
+def test_power_of_two_scaling_probe(pts, mu_fraction, k):
+    """Every constant is a finite double or refused, at any scale 2^k.
+
+    Scaling the breakpoints and mu by 2^k is exact where the scaled values
+    are normal doubles, so where both geometries return, the scale-free
+    constants agree bit for bit and K-, K+ scale by exactly 2^-k.
+    """
+    mu = mu_fraction * (pts[2] - pts[1])
+    base = _constants_or_none(pts, mu)
+    scaled = _constants_or_none(tuple(v * 2.0 ** k for v in pts), mu * 2.0 ** k)
+    exact = all(v == 0.0 or sys.float_info.min <= abs(v * 2.0 ** k) < np.inf
+                for v in (*pts, mu))
+    if base is None or scaled is None or not exact:
+        return
+    for name in ("alpha", "near_one_rate", "beta_mu_exact", "beta_mu_approx",
+                 "holder_exponent", "K-", "K+"):
+        if base[name] is None or scaled[name] is None:
+            continue
+        want = base[name] * 2.0 ** -k if name in ("K-", "K+") else base[name]
+        assert scaled[name] == want, (name, pts, mu, k)

@@ -263,6 +263,28 @@ class TestTikhonov:
         assert rec.f.tobytes() == cold.f.tobytes()
 
 
+class TestTikhonovEta:
+    @pytest.mark.parametrize("delta, E", [
+        (1e-200, 1e200),           # E^2 overflows
+        (1e-200, 1.0),             # delta^2 underflows to 0
+        (1e200, 1.0),              # delta^2 overflows
+        (1.0, 1e-200),             # E^2 underflows to 0
+        (1e150, 1e-150),           # the quotient overflows
+        (1.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (float("nan"), 1.0), (1.0, float("inf")),
+        (True, 1.0), (1.0, np.bool_(True)), ("1e-3", 1.0), (None, 1.0),
+    ])
+    def test_refused_with_value_error(self, delta, E):
+        # these raised a bare OverflowError, ZeroDivisionError or TypeError,
+        # or returned 0.0, inf, nan, or 1.0 for a bool or a negative delta
+        with pytest.raises(ValueError):
+            tikhonov_eta(delta, E)
+
+    def test_value_is_delta_squared_over_e_squared(self):
+        for delta, E in ((1e-3, 500.0), (1e-7, 50.0), (3, 7), (1e-150, 1e-150)):
+            eta = tikhonov_eta(delta, E)
+            assert type(eta) is float and eta == float(delta) ** 2 / float(E) ** 2
+
+
 @pytest.fixture
 def adjoints(monkeypatch):
     """Counts the adjoint products the estimators make."""
