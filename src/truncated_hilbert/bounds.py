@@ -11,7 +11,8 @@ calibrate_constants measures on a computed singular system:
 
 The bundle derives the rest: B_mu = 1/sqrt(N_mu pi), and V_mu, W_mu,
 the closed-form combinations entering the quasi-optimal cutoff under the
-norm prior and the variation prior.  calibrate_constants measures A and
+norm prior and the variation prior, with their logs, which the cutoffs
+and bounds read.  calibrate_constants measures A and
 c_tv from the tail and accepts no other value for either.
 
 Both restricted-interval bounds are Hoelder and share one form.  At the
@@ -35,9 +36,11 @@ s = 2.  On the full support only a logarithmic modulus survives:
 This module alone decides validity, by one rule for all three bounds: a
 bound is valid where its regime's condition holds (n* > N_mu for either
 Hoelder bound, delta/kappa below the threshold of full_interval_validity
-for the logarithmic one) and the bound is a finite double.  Each bound
-raises BoundNotApplicableError exactly where its validity function says
-False.  Every function here takes delta in (0, inf).
+for the logarithmic one) and the bound is a finite double.  Every bound
+and every regime is formed in logs, so the one finiteness test is on the
+logged bound, and no intermediate such as kappa/delta needs to be finite.
+Each bound raises BoundNotApplicableError exactly where its validity
+function says False.  Every function here takes delta in (0, inf).
 """
 
 import math
@@ -59,14 +62,18 @@ _CALIBRATION_MARGIN = 0.98   # A sits this factor below its measurement, c_tv ab
 _L2_SCALES = {"pair": 2.0, "tsvd": 1.0, "tikhonov": 1.0 + math.sqrt(2.0)}
 # e^x for x below this is finite times any bound's factor, roi_bound_tv's 2 too
 _LOG_MAX = math.log(sys.float_info.max / _L2_SCALES["tikhonov"])
-# a subnormal beta_mu leaves e^(2 beta) - 1 subnormal and V_mu's quotient
-# overflows; N_mu, an index, is exact in a double
+# the argument ranges of v_mu and w_mu: beta_mu a normal double, N_mu an
+# index exact in a double
 _BETA_MIN, _N_MU_MAX = sys.float_info.min, 2 ** 53
 
 
 @dataclass(frozen=True)
 class AsymptoticConstants:
-    """The five calibrated constants feeding every bound, and B_mu, V_mu, W_mu."""
+    """The five calibrated constants feeding every bound, and B_mu, V_mu, W_mu.
+
+    log_v_mu and log_w_mu are the logs the cutoffs and bounds read; they
+    stay finite where V_mu or W_mu underflows to 0.
+    """
 
     A: float
     alpha: float
@@ -76,68 +83,77 @@ class AsymptoticConstants:
     b_mu: float = field(init=False)
     v_mu: float = field(init=False)
     w_mu: float = field(init=False)
+    log_v_mu: float = field(init=False)
+    log_w_mu: float = field(init=False)
     n0: ClassVar[int] = 1
 
     def __post_init__(self):
         real("A", self.A, 0, 2, error=SpectralError)
-        real("beta_mu", self.beta_mu, _BETA_MIN,
-             real("alpha", self.alpha, error=SpectralError), closed=True,
-             error=SpectralError)
-        real("n_mu", self.n_mu, self.n0, _N_MU_MAX, integer=True, error=SpectralError)
-        real("c_tv", self.c_tv, 0, error=SpectralError)
-        object.__setattr__(self, "b_mu", 1.0 / np.sqrt(self.n_mu * np.pi))
-        object.__setattr__(self, "v_mu", v_mu(self.alpha, self.beta_mu))
-        try:   # W_mu overflows at a huge c_tv over a tiny beta_mu
-            w = w_mu(self.alpha, self.beta_mu, self.c_tv, self.n_mu)
-        except BoundNotApplicableError as exc:
-            raise SpectralError(str(exc)) from None
-        object.__setattr__(self, "w_mu", w)
+        alpha, beta = _rates(self.alpha, self.beta_mu, SpectralError)
+        n_mu = real("n_mu", self.n_mu, self.n0, _N_MU_MAX, integer=True, error=SpectralError)
+        v, w, log_v, log_w = _v_w(alpha, beta, real("c_tv", self.c_tv, 0, error=SpectralError),
+                                  n_mu, SpectralError)
+        # the rates as Python floats, which overflow to inf without a warning
+        for name, value in (("alpha", alpha), ("beta_mu", beta),
+                            ("b_mu", 1.0 / np.sqrt(n_mu * np.pi)), ("v_mu", v), ("w_mu", w),
+                            ("log_v_mu", log_v), ("log_w_mu", log_w)):
+            object.__setattr__(self, name, value)
+
+
+def _rates(alpha, beta_mu, error=BoundNotApplicableError) -> tuple[float, float]:
+    """alpha a finite real and beta_mu one in [DBL_MIN, alpha), as floats; else error."""
+    alpha = real("alpha", alpha, error=error)
+    return alpha, real("beta_mu", beta_mu, _BETA_MIN, alpha, closed=True, error=error)
+
+
+def _v_w(alpha: float, beta_mu: float, c_tv: float = 1.0, n_mu: int = 1,
+         error=BoundNotApplicableError) -> tuple[float, float, float, float]:
+    """V_mu, W_mu, log V_mu and log W_mu for checked arguments, from shared factors.
+
+    With gap = alpha - beta_mu, V_mu = head beta/sqrt(1 - e^(-2 beta))
+    e^(-beta) and W_mu = head beta/(1 - e^(-beta)) (c_tv/N_mu) e^(-beta),
+    head = sqrt(1 - e^(-2 gap))/gap.  head lies in [1/DBL_MAX, 2^538] and
+    the beta quotients in [2^-512, beta + 1], so every log is finite and
+    the product V_mu never overflows; it keeps a few ulps above 1e-298,
+    where e^(-beta) is a normal double, and reads 0 past beta = 745.
+    W_mu is e^(log W_mu), 0 where it underflows; error where it overflows.
+    """
+    gap = alpha - beta_mu
+    head = math.sqrt(-math.expm1(-2.0 * gap)) / gap
+    ratio = beta_mu / math.sqrt(-math.expm1(-2.0 * beta_mu))
+    log_head = math.log(head) - beta_mu
+    log_w = (log_head + math.log(beta_mu / -math.expm1(-beta_mu)) + math.log(c_tv)
+             - math.log(n_mu))
+    try:
+        w = math.exp(log_w)
+    except OverflowError:
+        raise error(f"W_mu = e^{log_w:.6g} leaves the double range") from None
+    return head * ratio * math.exp(-beta_mu), w, log_head + math.log(ratio), log_w
 
 
 def v_mu(alpha: float, beta_mu: float) -> float:
     """Constant (beta/(alpha-beta)) sqrt((1-e^(-2(alpha-beta)))/(e^(2 beta)-1)).
 
-    A finite double >= 0 for every alpha and beta_mu it accepts: beta/gap
-    is at most about 2^53, and large only where the root is small.  Raises
-    BoundNotApplicableError unless alpha is a finite real and beta_mu one
-    in [DBL_MIN, alpha).
+    A finite double >= 0 for every alpha and beta_mu it accepts, and 0
+    where V_mu underflows.  Raises BoundNotApplicableError unless alpha
+    is a finite real and beta_mu one in [DBL_MIN, alpha).
     """
-    alpha = real("alpha", alpha, error=BoundNotApplicableError)
-    beta_mu = real("beta_mu", beta_mu, _BETA_MIN, alpha, closed=True,
-                   error=BoundNotApplicableError)
-    gap = alpha - beta_mu
-    with np.errstate(over="ignore"):   # e^(2 beta) = inf past beta = 355: V_mu is 0
-        return beta_mu / gap * np.sqrt(-np.expm1(-2.0 * gap) / np.expm1(2.0 * beta_mu))
+    return _v_w(*_rates(alpha, beta_mu))[0]
 
 
 def w_mu(alpha: float, beta_mu: float, c_tv: float, n_mu: int) -> float:
     """Constant (beta/(alpha-beta)) sqrt(1-e^(-2(alpha-beta))) c/(N_mu (e^beta - 1)).
 
-    A finite double >= 0, and 0 where W_mu underflows.  Evaluated as that
-    product where each partial product is a normal double, and in logs
-    where one leaves the range before the quotient does.  Raises
-    BoundNotApplicableError for arguments out of v_mu's range, c_tv not a
-    finite real > 0, N_mu not an integer in [1, 2^53), and where W_mu
-    itself overflows.
+    A finite double >= 0, and 0 where W_mu underflows: e^(log W_mu).
+    Raises BoundNotApplicableError for arguments out of v_mu's range,
+    c_tv not a finite real > 0, N_mu not an integer in [1, 2^53), and
+    where W_mu itself overflows.
     """
-    alpha = real("alpha", alpha, error=BoundNotApplicableError)
-    beta_mu = real("beta_mu", beta_mu, _BETA_MIN, alpha, closed=True,
-                   error=BoundNotApplicableError)
+    alpha, beta_mu = _rates(alpha, beta_mu)
     c_tv = real("c_tv", c_tv, 0, error=BoundNotApplicableError)
     n_mu = real("n_mu", n_mu, 1, _N_MU_MAX, closed=True, integer=True,
                 error=BoundNotApplicableError)
-    gap = alpha - beta_mu
-    with np.errstate(over="ignore", under="ignore"):   # an overflow is refused below
-        ratio = beta_mu / gap
-        lead = ratio * np.sqrt(-np.expm1(-2.0 * gap))
-        head, tail = lead * c_tv, n_mu * np.expm1(beta_mu)
-        if all(sys.float_info.min <= x < math.inf for x in (ratio, lead, head, tail)):
-            value = head / tail
-        else:
-            value = np.exp(math.log(beta_mu) - math.log(gap)
-                           + 0.5 * math.log(-math.expm1(-2.0 * gap)) + math.log(c_tv)
-                           - math.log(n_mu) - beta_mu - math.log(-math.expm1(-beta_mu)))
-    return real("W_mu", value, 0, closed=True, error=BoundNotApplicableError)
+    return _v_w(alpha, beta_mu, c_tv, n_mu)[1]
 
 
 def calibrate_constants(sys: SingularSystem, geom: Geometry, mu,
@@ -190,14 +206,14 @@ def calibrate_constants(sys: SingularSystem, geom: Geometry, mu,
     return AsymptoticConstants(A=A, alpha=a, beta_mu=beta, n_mu=n_mu, c_tv=c_tv)
 
 
-def _hoelder(delta: float, prior: str, size: float, c_mu: float,
+def _hoelder(delta: float, prior: str, size: float, log_c_mu: float,
              k: AsymptoticConstants) -> tuple[float, float]:
     """Index n* and log(delta e^(alpha N_mu)/A + size K e^(-beta_mu n*)).
 
     The one form of both Hoelder bounds, before their factor: prior "E",
-    size = E and c_mu = V_mu under the norm prior, prior "kappa", size =
-    kappa and c_mu = W_mu under the variation prior.  Raises ValueError
-    unless delta and size are finite reals > 0.
+    size = E and log_c_mu = log V_mu under the norm prior, prior "kappa",
+    size = kappa and log_c_mu = log W_mu under the variation prior.
+    Raises ValueError unless delta and size are finite reals > 0.
     n* = log(size A c_mu / delta)/alpha is regularization's quasi-optimal
     index, and the gain K = c_mu b_mu alpha / (beta_mu sqrt(1 - e^(-2 gap))),
     gap = alpha - beta_mu, equals b_mu alpha / (gap sqrt(e^(2 beta_mu) - 1))
@@ -206,11 +222,10 @@ def _hoelder(delta: float, prior: str, size: float, c_mu: float,
     range where the bound does not.  The log is nan unless n* > N_mu.
     """
     delta, size = real("delta", delta, 0), real(prior, size, 0)
-    n_real = _quasi_optimal_index(delta, size, c_mu, k)
+    n_real = _quasi_optimal_index(delta, size, log_c_mu, k)
     if not n_real > k.n_mu:
         return n_real, math.nan
-    log_gain = (math.log(c_mu) + math.log(k.b_mu) + math.log(k.alpha)
-                - math.log(k.beta_mu)
+    log_gain = (log_c_mu + math.log(k.b_mu) + math.log(k.alpha) - math.log(k.beta_mu)
                 - 0.5 * math.log(-math.expm1(-2.0 * (k.alpha - k.beta_mu))))
     return n_real, float(np.logaddexp(math.log(delta) + k.alpha * k.n_mu - math.log(k.A),
                                       math.log(size) + log_gain - k.beta_mu * n_real))
@@ -232,7 +247,7 @@ def l2_validity(delta: float, E: float, k: AsymptoticConstants) -> bool:
 
     Raises ValueError unless delta and E are finite reals > 0.
     """
-    return _hoelder(delta, "E", E, k.v_mu, k)[1] < _LOG_MAX
+    return _hoelder(delta, "E", E, k.log_v_mu, k)[1] < _LOG_MAX
 
 
 def roi_bound_l2(delta: float, E: float, k: AsymptoticConstants,
@@ -247,7 +262,7 @@ def roi_bound_l2(delta: float, E: float, k: AsymptoticConstants,
     """
     if flavor not in _L2_SCALES:
         raise ValueError(f"unknown flavor {flavor!r}")
-    return _bound(_L2_SCALES[flavor], delta, *_hoelder(delta, "E", E, k.v_mu, k), k)
+    return _bound(_L2_SCALES[flavor], delta, *_hoelder(delta, "E", E, k.log_v_mu, k), k)
 
 
 def tv_validity(delta: float, kappa: float, k: AsymptoticConstants) -> bool:
@@ -258,7 +273,7 @@ def tv_validity(delta: float, kappa: float, k: AsymptoticConstants) -> bool:
     delta/kappa < A W_mu e^(-alpha N_mu).  Raises ValueError unless delta
     and kappa are finite reals > 0.
     """
-    return _hoelder(delta, "kappa", kappa, k.w_mu, k)[1] < _LOG_MAX
+    return _hoelder(delta, "kappa", kappa, k.log_w_mu, k)[1] < _LOG_MAX
 
 
 def roi_bound_tv(delta: float, kappa: float, k: AsymptoticConstants) -> float:
@@ -267,32 +282,32 @@ def roi_bound_tv(delta: float, kappa: float, k: AsymptoticConstants) -> float:
     Raises ValueError, as tv_validity does, and BoundNotApplicableError
     where tv_validity does not hold.
     """
-    return _bound(2.0, delta, *_hoelder(delta, "kappa", kappa, k.w_mu, k), k)
+    return _bound(2.0, delta, *_hoelder(delta, "kappa", kappa, k.log_w_mu, k), k)
 
 
-def _full_interval(delta: float, kappa: float,
-                   k: AsymptoticConstants) -> tuple[float, float] | None:
-    """kappa C and kappa/delta where the full-interval bound is valid, else None.
+def _full_interval(delta: float, kappa: float, k: AsymptoticConstants) -> float:
+    """log kappa + log C - log(log(kappa/delta) + D)/2 in its regime, else nan.
 
-    Raises ValueError unless delta and kappa are finite reals > 0.  The
-    threshold is formed only once kappa C is finite, so A c is too.
+    The regime is log delta - log kappa < D - (alpha + 3/2) N_0, which
+    keeps the bracket above alpha + 3/2.  Raises ValueError unless delta
+    and kappa are finite reals > 0.
     """
     delta, kappa = real("delta", delta, 0), real("kappa", kappa, 0)
-    scaled = kappa * (k.c_tv * (1.0 / k.alpha + 2.0) * math.sqrt(k.alpha + 1.5))
-    ratio = kappa / delta
-    if scaled < math.inf and ratio < math.inf and delta / kappa < (
-            k.A * k.c_tv / (2.0 * k.alpha) * np.exp(-(k.alpha + 1.5) * k.n0)):
-        return scaled, ratio
-    return None
+    log_ratio = math.log(kappa) - math.log(delta)
+    d = math.log(k.A) + math.log(k.c_tv) - math.log(2.0 * k.alpha)
+    if not log_ratio > (k.alpha + 1.5) * k.n0 - d:
+        return math.nan
+    log_c = math.log(k.c_tv) + math.log(1.0 / k.alpha + 2.0) + 0.5 * math.log(k.alpha + 1.5)
+    return math.log(kappa) + log_c - 0.5 * math.log(log_ratio + d)
 
 
 def full_interval_validity(delta: float, kappa: float, k: AsymptoticConstants) -> bool:
     """Whether delta/kappa < (A c/(2 alpha)) e^(-(alpha+3/2) N_0) and the bound is finite.
 
-    full_interval_bound is finite where kappa C and kappa/delta are.
-    Raises ValueError unless delta and kappa are finite reals > 0.
+    Both decided in logs.  Raises ValueError unless delta and kappa are
+    finite reals > 0.
     """
-    return _full_interval(delta, kappa, k) is not None
+    return _full_interval(delta, kappa, k) < _LOG_MAX
 
 
 def full_interval_bound(delta: float, kappa: float, k: AsymptoticConstants) -> float:
@@ -305,12 +320,11 @@ def full_interval_bound(delta: float, kappa: float, k: AsymptoticConstants) -> f
     full_interval_validity does, and BoundNotApplicableError where it
     does not hold.
     """
-    valid = _full_interval(delta, kappa, k)
-    if valid is None:
+    log_b = _full_interval(delta, kappa, k)
+    if not log_b < _LOG_MAX:
         raise BoundNotApplicableError(f"full-interval bound not applicable at "
                                       f"delta={delta:g}, kappa={kappa:g}")
-    scaled, ratio = valid
-    return scaled / np.sqrt(np.log(ratio) + np.log(k.A * k.c_tv / (2.0 * k.alpha)))
+    return math.exp(log_b)
 
 
 def write_bounds_csv(path, deltas, k: AsymptoticConstants, E: float,

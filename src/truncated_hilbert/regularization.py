@@ -57,7 +57,8 @@ def add_noise(g_ex: np.ndarray, delta: float, seed: int, step: float = 1.0) -> N
     """Perturb g_ex by a seeded Gaussian vector rescaled to weighted norm delta.
 
     Raises ValueError unless delta is a finite real >= 0, seed an integer
-    >= 0 and step a finite real > 0, as errors.real decides.
+    >= 0 and step a finite real > 0, as errors.real decides, and where an
+    entry of the noisy data would leave the double range.
     """
     delta = real("delta", delta, 0, closed=True)
     seed = real("seed", seed, 0, closed=True, integer=True)
@@ -67,8 +68,17 @@ def add_noise(g_ex: np.ndarray, delta: float, seed: int, step: float = 1.0) -> N
         return NoisyData(g=g_ex.copy())
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(g_ex.size)
-    noise *= delta / weighted_norm(noise, step)
-    return NoisyData(g=g_ex + noise)
+    return NoisyData(g=_in_range("the noisy data",
+                                 lambda: g_ex + noise * (delta / weighted_norm(noise, step))))
+
+
+def _in_range(name: str, compute) -> np.ndarray:
+    """compute(), or ValueError where an entry of it leaves the double range."""
+    with np.errstate(over="ignore", invalid="ignore"):   # inf - inf is nan: refused too
+        v = compute()
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} leaves the double range")
+    return v
 
 
 @dataclass(frozen=True)
@@ -82,23 +92,20 @@ class CutoffChoice:
     n_real: float
 
 
-def _quasi_optimal_index(delta: float, size: float, c_mu: float, consts) -> float:
+def _quasi_optimal_index(delta: float, size: float, log_c_mu: float, consts) -> float:
     """Unrounded index log(size A c_mu / delta) / alpha, for checked arguments.
 
-    size is the prior's bound (E or kappa) and c_mu its constant (V_mu or
-    W_mu); delta and size are finite and > 0.  The index is -inf where
-    c_mu underflowed to 0.  A sum of logs: the product size A c_mu / delta
-    overflows or underflows at extreme finite arguments, the log of each
-    factor does not.
+    size is the prior's bound (E or kappa) and log_c_mu the log of its
+    constant (AsymptoticConstants.log_v_mu or log_w_mu); delta and size
+    are finite and > 0.  A sum of logs: the product size A c_mu / delta
+    overflows or underflows at extreme finite arguments, and c_mu itself
+    underflows to 0 past beta_mu = 745; the log of each factor does not.
     """
-    if c_mu == 0:   # a log of 0, which numpy warns about
-        return -math.inf
-    return float((np.log(size) + np.log(consts.A) + np.log(c_mu)
-                  - np.log(delta)) / consts.alpha)
+    return (math.log(size) + math.log(consts.A) + log_c_mu - math.log(delta)) / consts.alpha
 
 
-def _cutoff(delta: float, size: float, c_mu: float, consts) -> CutoffChoice:
-    n_real = _quasi_optimal_index(delta, size, c_mu, consts)
+def _cutoff(delta: float, size: float, log_c_mu: float, consts) -> CutoffChoice:
+    n_real = _quasi_optimal_index(delta, size, log_c_mu, consts)
     return CutoffChoice(n_cut=int(round(max(n_real, 0.0))), n_real=n_real)
 
 
@@ -107,7 +114,7 @@ def optimal_cutoff_l2(delta: float, E: float, consts) -> CutoffChoice:
 
     Raises ValueError unless delta and E are finite reals > 0.
     """
-    return _cutoff(real("delta", delta, 0), real("E", E, 0), consts.v_mu, consts)
+    return _cutoff(real("delta", delta, 0), real("E", E, 0), consts.log_v_mu, consts)
 
 
 def optimal_cutoff_tv(delta: float, kappa: float, consts) -> CutoffChoice:
@@ -116,7 +123,7 @@ def optimal_cutoff_tv(delta: float, kappa: float, consts) -> CutoffChoice:
     The variation-prior counterpart of optimal_cutoff_l2.  Raises
     ValueError unless delta and kappa are finite reals > 0.
     """
-    return _cutoff(real("delta", delta, 0), real("kappa", kappa, 0), consts.w_mu, consts)
+    return _cutoff(real("delta", delta, 0), real("kappa", kappa, 0), consts.log_w_mu, consts)
 
 
 def tsvd_reconstruct(sys: SingularSystem, g: np.ndarray, n_cut: int) -> ReconstructionResult:
@@ -127,7 +134,8 @@ def tsvd_reconstruct(sys: SingularSystem, g: np.ndarray, n_cut: int) -> Reconstr
     plus tail components with asymptotic index n <= n_cut; values below
     the tail are never included.  Only included coefficients are divided
     by their sigma, so a discarded value near 1e-21 cannot overflow.
-    Raises ValueError unless n_cut is an integer >= 0 (a bool is not).
+    Raises ValueError unless n_cut is an integer >= 0 (a bool is not),
+    and where an entry of the estimate would leave the double range.
     """
     n_cut = real("n_cut", n_cut, 0, closed=True, integer=True)
     # tail index n sits at position tail.start + n - 1; every position
@@ -136,8 +144,8 @@ def tsvd_reconstruct(sys: SingularSystem, g: np.ndarray, n_cut: int) -> Reconstr
     ks = sys.resolved
     s = sys.sigmas[ks]
     psi = np.divide(1.0, s, out=np.zeros(ks.size), where=ks < keep)
-    return ReconstructionResult(f=sys.spectral_filter(g, psi, 1.0), method="tsvd",
-                                cutoff_n=n_cut)
+    f = _in_range("the estimate", lambda: sys.spectral_filter(g, psi, 1.0))
+    return ReconstructionResult(f=f, method="tsvd", cutoff_n=n_cut)
 
 
 def tikhonov_eta(delta: float, E) -> float:
@@ -161,12 +169,14 @@ def tikhonov_reconstruct(sys: SingularSystem, g: np.ndarray, eta: float) -> Reco
     """Spectral-filter minimizer of |Hf - g|^2 + eta |f|^2 on the retained span.
 
     Raises ValueError unless eta is a finite positive real (a bool is
-    not, nor an int past the double range); the result records it as a
+    not, nor an int past the double range), and where an entry of the
+    estimate would leave the double range; the result records eta as a
     Python float.
     """
     eta = real("eta", eta, 0)
     s = sys.sigmas[sys.resolved]
-    f = sys.spectral_filter(g, s / (s ** 2 + eta), 1.0 / (1.0 + eta))
+    f = _in_range("the estimate",
+                  lambda: sys.spectral_filter(g, s / (s ** 2 + eta), 1.0 / (1.0 + eta)))
     return ReconstructionResult(f=f, method="tikhonov", eta=eta)
 
 

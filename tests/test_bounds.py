@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 import goldens as G
 from conftest import PAPER_GEOM, SMALL_PRESET_GEOM, UNIT_GEOM
-from truncated_hilbert import (AsymptoticConstants, build_operator,
-                               calibrate_constants, full_interval_bound,
-                               full_interval_validity, l2_validity, make_phantom,
-                               optimal_cutoff_l2, optimal_cutoff_tv, roi_bound_l2,
-                               roi_bound_tv, tv_validity, v_mu, w_mu,
-                               write_bounds_csv)
+from truncated_hilbert import (AsymptoticConstants, add_noise, apply_forward,
+                               build_operator, calibrate_constants,
+                               full_interval_bound, full_interval_validity,
+                               l2_validity, make_phantom, optimal_cutoff_l2,
+                               optimal_cutoff_tv, roi_bound_l2, roi_bound_tv,
+                               roi_mask, tsvd_reconstruct, tv_validity, v_mu, w_mu,
+                               weighted_norm, write_bounds_csv)
 from truncated_hilbert.config import load_config
 from truncated_hilbert.errors import BoundNotApplicableError, SpectralError
 from truncated_hilbert.geometry import Geometry, alpha, beta_mu_exact
@@ -61,14 +62,24 @@ class TestClosedFormConstants:
         # with a RuntimeWarning on the way to that 0
         assert v_mu(1000.0, 800.0) == 0.0
         assert w_mu(1000.0, 800.0, 1.0, 2) == 0.0
-        # no index exceeds N_mu then; the log of V_mu = 0 warned in the cutoff
+        # the cutoffs read log V_mu and log W_mu, which stay finite: the
+        # index was -inf.  No index exceeds N_mu then
         k = AsymptoticConstants(A=1.0, alpha=1000.0, beta_mu=800.0, n_mu=2, c_tv=1.0)
-        for cutoff, validity in ((optimal_cutoff_l2, l2_validity),
-                                 (optimal_cutoff_tv, tv_validity)):
+        with mpmath.workdps(40):
+            gap = mpmath.mpf(200)
+            lead = mpmath.sqrt(-mpmath.expm1(-2 * gap)) / gap * 800 * mpmath.exp(-800)
+            log_v = mpmath.log(lead / mpmath.sqrt(-mpmath.expm1(-1600)))
+            log_w = mpmath.log(lead / (2 * -mpmath.expm1(-800)))
+        for cutoff, validity, log_c in ((optimal_cutoff_l2, l2_validity, log_v),
+                                        (optimal_cutoff_tv, tv_validity, log_w)):
             cut = cutoff(1e-3, 1.0, k)
-            assert (cut.n_cut, cut.n_real) == (0, -math.inf)
+            want = float((log_c - mpmath.log(mpmath.mpf(1e-3))) / 1000)
+            assert cut.n_cut == 0
+            assert cut.n_real == pytest.approx(want, rel=1e-14)
             assert not validity(1e-3, 1.0, k)
-        with pytest.raises(BoundNotApplicableError, match="-inf <= N_mu"):
+        assert optimal_cutoff_l2(1e-3, 1.0, k).n_real == pytest.approx(-0.79170595036,
+                                                                       rel=1e-10)
+        with pytest.raises(BoundNotApplicableError, match="-0.792 <= N_mu"):
             roi_bound_l2(1e-3, 1.0, k)
 
     @pytest.mark.parametrize("a, b", [
@@ -535,14 +546,64 @@ class TestOneValidityRule:
                     with pytest.raises(BoundNotApplicableError):
                         bound(delta, size, k)
 
+    def test_numpy_alpha_near_the_double_range(self):
+        # 2 alpha overflowed in numpy with a RuntimeWarning; the bundle keeps
+        # its rates as Python floats, so the threshold is just out of reach
+        k = AsymptoticConstants(A=1.0, alpha=np.float64(9e307), beta_mu=1.0, n_mu=2,
+                                c_tv=1.0)
+        assert type(k.alpha) is float and k.alpha == 9e307
+        for validity in (l2_validity, tv_validity, full_interval_validity):
+            assert not validity(1e-3, 1.0, k)
+
     def test_full_interval_ratio_past_the_double_range(self, small_preset_sys):
-        # kappa/delta = 1e310: full_interval_validity said True, and
-        # full_interval_bound then raised
+        # kappa/delta = 1e310 leaves the double range, its log does not: the
+        # regime holds and the bound is a finite double, so it is valid.  An
+        # overflow clause made it invalid; before that, validity said True
+        # and full_interval_bound raised
         k = calibrate_constants(small_preset_sys, SMALL_PRESET_GEOM, 8.0)
-        assert not full_interval_validity(1e-10, 1e300, k)
-        with pytest.raises(BoundNotApplicableError):
-            full_interval_bound(1e-10, 1e300, k)
+        with mpmath.workdps(40):
+            A, a, c, delta, kappa = map(mpmath.mpf, (k.A, k.alpha, k.c_tv, 1e-10, 1e300))
+            want = (kappa * c * (1 / a + 2) * mpmath.sqrt(a + 1.5)
+                    / mpmath.sqrt(mpmath.log(kappa / delta) + mpmath.log(A * c / (2 * a))))
+        assert full_interval_validity(1e-10, 1e300, k)
+        # e^(log bound) errs by about eps times that log, 690
+        assert full_interval_bound(1e-10, 1e300, k) == pytest.approx(float(want), rel=1e-12)
+        assert full_interval_bound(1e-10, 1e300, k) == pytest.approx(6.147e299, rel=1e-3)
         assert l2_validity(1e-10, 1e300, k) and tv_validity(1e-10, 1e300, k)
+
+
+@pytest.mark.parametrize("fixture, small, valid_rows", [
+    ("small_preset_sys", True, 240), ("paper_sys", False, 300)], ids=["small", "paper"])
+def test_tsvd_at_the_tv_cutoff_within_the_tv_bound(request, fixture, small, valid_rows):
+    # the variation prior's first empirical check: hats of peak 0.5 centred
+    # on an object sample have |f|_TV = 2 max |f| = kappa = 1 and vanish at
+    # a2 and a4.  Worst error / bound: 0.033 on the small preset, 0.059 on
+    # the paper grid
+    sys_ = request.getfixturevalue(fixture)
+    cfg = load_config(None, small=small)
+    geom, op, ys = sys_.geom, sys_.op, sys_.object_grid.points
+    hats = []
+    for centre in (0.5 * (geom.a2 + geom.a3), 0.5 * (geom.a3 + geom.a4)):
+        f = make_phantom("hat", geom, sys_.object_grid, center=ys[np.abs(ys - centre).argmin()],
+                         half_width=0.4 * (geom.a4 - geom.a3), peak=0.5)
+        assert np.abs(np.diff(np.concatenate([[0.0], f, [0.0]]))).sum() == pytest.approx(1.0)
+        hats.append((f, apply_forward(op, f)))
+    rows, worst = 0, 0.0
+    for mu in cfg.mu_list:
+        k = calibrate_constants(sys_, geom, mu)
+        mask = roi_mask(geom, sys_.object_grid, mu)
+        for delta in np.logspace(-2, -9, 15):
+            if not tv_validity(delta, 1.0, k):
+                continue
+            bound = roi_bound_tv(delta, 1.0, k)
+            n_cut = optimal_cutoff_tv(delta, 1.0, k).n_cut
+            for f, g in hats:
+                for seed in range(5):
+                    rec = tsvd_reconstruct(sys_, add_noise(g, delta, seed, step=op.step).g, n_cut)
+                    worst = max(worst, weighted_norm((rec.f - f)[mask], op.step) / bound)
+                    rows += 1
+    assert rows == valid_rows
+    assert worst <= 1.0, worst
 
 
 class TestFullIntervalBound:

@@ -5,12 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import goldens as G
 from conftest import TINY_GEOM, SMALL_PRESET_GEOM
 from truncated_hilbert import (AsymptoticConstants, Geometry, add_noise,
                                apply_adjoint, apply_forward, build_operator,
-                               compute_svd, export_reconstruction, l2_validity,
+                               calibrate_constants, compute_svd, export_reconstruction, l2_validity,
                                make_phantom, optimal_cutoff_l2, optimal_cutoff_tv,
                                spectral, tail_index_map, tv_validity,
                                tikhonov_reconstruct, tsvd_reconstruct,
@@ -283,6 +285,58 @@ class TestTikhonovEta:
         for delta, E in ((1e-3, 500.0), (1e-7, 50.0), (3, 7), (1e-150, 1e-150)):
             eta = tikhonov_eta(delta, E)
             assert type(eta) is float and eta == float(delta) ** 2 / float(E) ** 2
+
+
+def _doubles(lo_exp, hi_exp):
+    """Mantissa in [1, 1.79) times 10^k, k in [lo_exp, hi_exp]: the whole double range."""
+    return st.builds(lambda m, k: m * 10.0 ** k, st.floats(1.0, 1.79),
+                     st.integers(lo_exp, hi_exp))
+
+
+@st.composite
+def regularization_arguments(draw):
+    """Every numeric argument of add_noise, tikhonov_eta, both cutoffs and both
+    estimators together, with the data scale 10^[-300, 300]."""
+    return (10.0 ** draw(st.floats(-300.0, 300.0)), draw(_doubles(-323, 307)),
+            draw(st.integers(0, 2 ** 64)), draw(_doubles(-323, 307)),
+            draw(_doubles(-323, 307)), draw(_doubles(-323, 307)),
+            draw(st.integers(0, 40) | st.integers(0, 2 ** 64)), draw(_doubles(-323, 307)))
+
+
+class TestExtremeArguments:
+    # the argument sweep varies one parameter at a time; here all of them
+    # are extreme together.  The suite turns every warning into an error.
+    # The explicit examples returned all-inf data or an inf estimate, after
+    # an overflow warning for the estimates
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(regularization_arguments())
+    @example((1.0, 1e300, 3, 1e-300, 1.0, 1.0, 5, 1.0))
+    @example((1.0, 1.7976931348623157e308, 3, 1e-3, 1.0, 1.0, 5, 1.0))
+    @example((1.0, 1e200, 3, 1e-250, 1.0, 1.0, 5, 1.0))
+    @example((1e300, 1e-3, 3, 1.0, 1.0, 1.0, 5, 1e-20))
+    def test_finite_or_refused(self, small_preset_sys, case):
+        scale, delta, seed, step, E, kappa, n_cut, eta = case
+        sys_ = small_preset_sys
+        k = calibrate_constants(sys_, SMALL_PRESET_GEOM, 8.0)
+        g = scale * np.random.default_rng(0).standard_normal(sys_.v.shape[0])
+        try:
+            g = add_noise(g, delta, seed, step=step).g
+            assert np.isfinite(g).all()
+        except ValueError as exc:
+            assert "noisy data" in str(exc)
+        try:
+            assert 0.0 < tikhonov_eta(delta, E) < math.inf
+        except ValueError as exc:
+            assert "Tikhonov parameter" in str(exc)
+        for cutoff, size in ((optimal_cutoff_l2, E), (optimal_cutoff_tv, kappa)):
+            cut = cutoff(delta, size, k)
+            assert type(cut.n_cut) is int and cut.n_cut >= 0 and math.isfinite(cut.n_real)
+        for rec in (lambda: tsvd_reconstruct(sys_, g, n_cut),
+                    lambda: tikhonov_reconstruct(sys_, g, eta)):
+            try:
+                assert np.isfinite(rec().f).all()
+            except ValueError as exc:
+                assert "estimate" in str(exc)
 
 
 @pytest.fixture
