@@ -34,13 +34,14 @@ s = 2.  On the full support only a logarithmic modulus survives:
     C = c (1/alpha + 2) sqrt(alpha + 3/2),   D = log(A c / (2 alpha)).
 
 This module alone decides validity, by one rule for all three bounds: a
-bound is valid where its regime's condition holds (n* > N_mu for either
-Hoelder bound, delta/kappa below the threshold of full_interval_validity
-for the logarithmic one) and the bound is a finite double.  Every bound
-and every regime is formed in logs, so the one finiteness test is on the
-logged bound, and no intermediate such as kappa/delta needs to be finite.
-Each bound raises BoundNotApplicableError exactly where its validity
-function says False.  Every function here takes delta in (0, inf).
+bound is valid where its regime's condition holds (a finite n* > N_mu
+for either Hoelder bound, delta/kappa below the threshold of
+full_interval_validity for the logarithmic one) and the bound is a
+finite double.  Every bound and every regime is formed in logs, so the
+one finiteness test is on the logged bound, and no intermediate such as
+kappa/delta needs to be finite.  Each bound raises
+BoundNotApplicableError exactly where its validity function says False.
+Every function here takes delta in (0, inf).
 """
 
 import math
@@ -219,11 +220,12 @@ def _hoelder(delta: float, prior: str, size: float, log_c_mu: float,
     gap = alpha - beta_mu, equals b_mu alpha / (gap sqrt(e^(2 beta_mu) - 1))
     and b_mu c_tv alpha / (N_mu gap (e^beta_mu - 1)) in turn.  Formed in
     logs, because e^(alpha N_mu), size and K can each leave the double
-    range where the bound does not.  The log is nan unless n* > N_mu.
+    range where the bound does not.  The log is nan unless n* > N_mu and
+    n* is finite: an infinite n* would drop the second term.
     """
     delta, size = real("delta", delta, 0), real(prior, size, 0)
     n_real = _quasi_optimal_index(delta, size, log_c_mu, k)
-    if not n_real > k.n_mu:
+    if not k.n_mu < n_real < math.inf:
         return n_real, math.nan
     log_gain = (log_c_mu + math.log(k.b_mu) + math.log(k.alpha) - math.log(k.beta_mu)
                 - 0.5 * math.log(-math.expm1(-2.0 * (k.alpha - k.beta_mu))))
@@ -235,15 +237,18 @@ def _bound(scale: float, delta: float, n_real: float, log_b: float,
            k: AsymptoticConstants) -> float:
     """scale e^log_b at a _hoelder result; BoundNotApplicableError where not valid."""
     if not log_b < _LOG_MAX:
-        raise BoundNotApplicableError(
-            f"bound not applicable at delta={delta:g}: " + (
-                f"quasi-optimal index {n_real:.3f} <= N_mu={k.n_mu}"
-                if not n_real > k.n_mu else "the bound leaves the double range"))
+        if not n_real > k.n_mu:
+            why = f"quasi-optimal index {n_real:.3f} <= N_mu={k.n_mu}"
+        elif n_real == math.inf:
+            why = "the quasi-optimal index leaves the double range"
+        else:
+            why = "the bound leaves the double range"
+        raise BoundNotApplicableError(f"bound not applicable at delta={delta:g}: {why}")
     return scale * math.exp(log_b)
 
 
 def l2_validity(delta: float, E: float, k: AsymptoticConstants) -> bool:
-    """Whether the quasi-optimal index exceeds N_mu and roi_bound_l2 is finite.
+    """Whether the quasi-optimal index is finite and above N_mu, and roi_bound_l2 finite.
 
     Raises ValueError unless delta and E are finite reals > 0.
     """
@@ -266,7 +271,7 @@ def roi_bound_l2(delta: float, E: float, k: AsymptoticConstants,
 
 
 def tv_validity(delta: float, kappa: float, k: AsymptoticConstants) -> bool:
-    """Whether the quasi-optimal index exceeds N_mu and roi_bound_tv is finite.
+    """Whether the quasi-optimal index is finite and above N_mu, and roi_bound_tv finite.
 
     The index is regularization.optimal_cutoff_tv's, log(kappa A W_mu /
     delta)/alpha, so the first half is the strict smallness condition

@@ -31,8 +31,8 @@ additive cancellation:
    formed in Fortran order and L is released; LAPACK's dgeqp3 factors it
    in place and dorgqr turns the same buffer into Q.  Both come from
    scipy's compiled LAPACK module, scipy.linalg._flapack, loaded on its
-   own from beside the installed scipy, so the scipy.linalg package is
-   never imported.  U is released once P^T U is formed, R and P^T U once
+   own from beside the installed scipy, so no scipy package __init__
+   runs, neither scipy's nor scipy.linalg's.  U is released once P^T U is formed, R and P^T U once
    W is.
 
 3. One-sided Jacobi SVD of W^T, whose columns are therefore scaled but
@@ -67,7 +67,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from pathlib import Path
 
 import numpy as np
@@ -196,9 +196,11 @@ SMALL_RANK = 800
 
 
 def _scipy_dir() -> Path:
-    """The directory of the installed scipy package; imports scipy's top level only."""
-    import scipy
-    return Path(scipy.__file__).parent
+    """The directory of the installed scipy package, found without importing it."""
+    spec = find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed")
+    return Path(spec.origin).parent
 
 
 @functools.cache

@@ -11,14 +11,15 @@ svd-report, figure2, reconstruct and bounds share one decomposition per
 output directory: the first of them to run decomposes through compute_svd
 and writes the singular system to svd_cache.npy there; the others read
 it back, and SingularSystem.of checks it as it checks a fresh one.
-Only a command that decomposes loads scipy, and of it only the top-level
-package and the compiled LAPACK module scipy.linalg._flapack, never the
-scipy.linalg package; validate, constants and figure1 load no scipy.
+Only a command that decomposes loads scipy, and of it only the compiled
+LAPACK module scipy.linalg._flapack, never a scipy package __init__;
+validate, constants and figure1 load no scipy.  No command but
+reconstruct, whose noise generator imports hashlib, loads OpenSSL: the
+cache key is the JSON document itself, not a digest of it.
 """
 
 import argparse
 import contextlib
-import hashlib
 import json
 import os
 import sys
@@ -103,9 +104,12 @@ def _cmd_constants(cfg, outdir) -> None:
 
 
 def _svd_cache_key(cfg) -> str:
-    """Digest of everything the cached system depends on, and of its layout."""
-    doc = [[float(v) for v in cfg.geometry], float(cfg.step), __version__, "system"]
-    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    """JSON of everything the cached system depends on, and of its layout.
+
+    Compared exactly, so no digest is needed.
+    """
+    return json.dumps([[float(v) for v in cfg.geometry], float(cfg.step), __version__,
+                       "system"])
 
 
 def _read_record(fh, dtype, max_shape):

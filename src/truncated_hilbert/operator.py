@@ -157,6 +157,9 @@ def build_operator(geom: Geometry, step: float = 1.0, shift: float = 0.5) -> Dis
     n_object = float(np.ceil((a4 - a1) / step - shift)) - k0
     if n_object < 1:
         raise GridError("empty object grid; step too large for the geometry")
+    if n_object == math.inf:
+        raise GridError(f"the object span (a4 - a1) / step leaves the double range, "
+                        f"so the samples exceed the cap of {MAX_SAMPLES:g}")
     if not n_data * n_object <= MAX_SAMPLES:
         raise GridError(f"{n_data:g} x {n_object:g} samples exceed the cap of {MAX_SAMPLES:g}")
 
@@ -178,6 +181,9 @@ def apply_forward(op: DiscreteOperator, f: np.ndarray) -> np.ndarray:
     """Forward transform: sampled principal-value integral of f.
 
     A cyclic convolution of f with the kernel, zero-padded to fft_size.
+    Its unnormalised sums reach about fft_size max |f|, so entries within
+    that factor of the largest double overflow: from about 1e306 on the
+    small preset, whose fft_size is 256.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (op.shape[1],):

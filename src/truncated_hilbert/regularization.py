@@ -1,7 +1,7 @@
 """Regularized inversion: truncated-SVD and Tikhonov estimates, noise, phantoms.
 
 Both estimators are spectral filters psi of one singular system, sum_k
-psi(sigma_k) c_k u_k with c = SingularSystem.coefficients(g), and both
+psi(sigma_k) c_k u_k with the coefficients c = step * (v.T @ g), and both
 equal a = psi(1) within the system's residual on the triples it does not
 resolve from 1: 894 of the 911 on the paper grid.  So each estimate is
 SingularSystem.spectral_filter, a H^T g + u_S ((psi(sigma_S) - a sigma_S)
@@ -100,19 +100,24 @@ def _quasi_optimal_index(delta: float, size: float, log_c_mu: float, consts) -> 
     are finite and > 0.  A sum of logs: the product size A c_mu / delta
     overflows or underflows at extreme finite arguments, and c_mu itself
     underflows to 0 past beta_mu = 745; the log of each factor does not.
+    The quotient by alpha is +-inf where the index leaves the double
+    range, as it can for an alpha near 1e-307.
     """
     return (math.log(size) + math.log(consts.A) + log_c_mu - math.log(delta)) / consts.alpha
 
 
 def _cutoff(delta: float, size: float, log_c_mu: float, consts) -> CutoffChoice:
     n_real = _quasi_optimal_index(delta, size, log_c_mu, consts)
+    if n_real == math.inf:
+        raise ValueError(f"the quasi-optimal index at delta={delta:g} leaves the double range")
     return CutoffChoice(n_cut=int(round(max(n_real, 0.0))), n_real=n_real)
 
 
 def optimal_cutoff_l2(delta: float, E: float, consts) -> CutoffChoice:
     """Cutoff round(log(E A V_mu / delta) / alpha), clamped to >= 0.
 
-    Raises ValueError unless delta and E are finite reals > 0.
+    Raises ValueError unless delta and E are finite reals > 0, and where
+    the unrounded index leaves the double range.
     """
     return _cutoff(real("delta", delta, 0), real("E", E, 0), consts.log_v_mu, consts)
 
@@ -121,7 +126,8 @@ def optimal_cutoff_tv(delta: float, kappa: float, consts) -> CutoffChoice:
     """Cutoff round(log(kappa A W_mu / delta) / alpha), clamped to >= 0.
 
     The variation-prior counterpart of optimal_cutoff_l2.  Raises
-    ValueError unless delta and kappa are finite reals > 0.
+    ValueError unless delta and kappa are finite reals > 0, and where the
+    unrounded index leaves the double range.
     """
     return _cutoff(real("delta", delta, 0), real("kappa", kappa, 0), consts.log_w_mu, consts)
 

@@ -139,18 +139,8 @@ class SingularSystem:
         return (self.u.take(self.resolved, axis=1),
                 self.v.T[self.resolved].astype(np.longdouble))
 
-    def coefficients(self, g) -> np.ndarray:
-        """Read-only expansion coefficients step * (v.T @ g) of a data vector.
-
-        Raises ValueError unless g holds one value per data sample.
-        """
-        g = _data_vector(g, self.v.shape[0])
-        coeffs = self.step * (self.v.T @ g)
-        coeffs.flags.writeable = False
-        return coeffs
-
     def spectral_filter(self, g, psi, at_one: float) -> np.ndarray:
-        """Estimate sum_k psi_k c_k u_k of a data vector g, c = coefficients(g).
+        """Estimate sum_k psi_k c_k u_k of a data vector g, c = step * (v.T @ g).
 
         psi holds the filter on the resolved triples, in the order of
         `resolved`, and at_one is its value a at sigma = 1.  The estimate

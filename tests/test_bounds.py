@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 from functools import partial
 
@@ -505,12 +506,14 @@ class TestTwoExtremeArguments:
 def bound_arguments(draw):
     """Every numeric argument of v_mu, w_mu, the three validity functions and
     the three bounds together: delta, E and kappa in [1e-300, 1e300]; alpha
-    in [1e-2, 1e3] with the gap alpha - beta_mu from 1e-12 alpha to nearly
-    alpha; A in [0.01, 1.99]; N_mu from 2 to 2^53 - 1; c_tv up to 1.7e308."""
+    in [1e-2, 1e3] or down to 1e-307, where the quasi-optimal index can
+    leave the double range, with the gap alpha - beta_mu from 1e-12 alpha
+    to nearly alpha and beta_mu at least the smallest normal double; A in
+    [0.01, 1.99]; N_mu from 2 to 2^53 - 1; c_tv up to 1.7e308."""
     delta, E, kappa = [draw(_log_uniform(-300.0, 300.0)) for _ in range(3)]
-    alpha = draw(_log_uniform(-2.0, 3.0))
+    alpha = draw(_log_uniform(-2.0, 3.0) | _log_uniform(-307.0, -2.0))
     t = draw(st.floats(-12.0, 12.0))           # gap/alpha = 1/(1 + 10^-t)
-    beta = alpha * (1.0 - 1.0 / (1.0 + 10.0 ** -t))
+    beta = max(alpha * (1.0 - 1.0 / (1.0 + 10.0 ** -t)), sys.float_info.min)
     n_mu = draw(st.integers(2, 40) | st.integers(41, 2 ** 53 - 1))
     c_tv = draw(st.floats(1.0, 1.7)) * 10.0 ** draw(st.integers(-300, 308))
     return delta, E, kappa, draw(st.floats(0.01, 1.99)), alpha, beta, n_mu, c_tv
@@ -545,6 +548,17 @@ class TestOneValidityRule:
                 else:
                     with pytest.raises(BoundNotApplicableError):
                         bound(delta, size, k)
+
+    def test_index_past_the_double_range(self):
+        # n* = 1381/1e-307 overflows to inf.  Both validities said True and
+        # both bounds returned their head 2e-300 alone: beta_mu n* = inf
+        # dropped the second term.  The cutoffs: TestExtremeArguments
+        k = AsymptoticConstants(A=1, alpha=1e-307, beta_mu=5e-308, n_mu=2, c_tv=1)
+        for validity, bound in ((l2_validity, roi_bound_l2), (tv_validity, roi_bound_tv)):
+            assert validity(1e-300, 1e300, k) is False
+            with pytest.raises(BoundNotApplicableError,
+                               match="quasi-optimal index leaves the double range"):
+                bound(1e-300, 1e300, k)
 
     def test_numpy_alpha_near_the_double_range(self):
         # 2 alpha overflowed in numpy with a RuntimeWarning; the bundle keeps

@@ -16,6 +16,7 @@ reference copy of its earlier route through scipy.linalg.
 """
 
 import ctypes
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -511,11 +512,10 @@ class TestBlasThreadCap:
 
     @pytest.mark.parametrize("failure", ["no library", "unloadable", "no symbol"])
     def test_lookup_failure_still_solves(self, monkeypatch, fresh_lookup, failure):
-        import scipy
         expected = accurate_cauchy_svd(*SMALL_PRESET_NODES)
         fresh_lookup.cache_clear()
         if failure == "no library":
-            monkeypatch.setattr(scipy, "__file__", "/nonexistent/scipy/__init__.py")
+            monkeypatch.setattr(cauchy_svd, "_scipy_dir", lambda: Path("/nonexistent/scipy"))
         elif failure == "unloadable":
             def unloadable(path):
                 raise OSError(f"cannot load {path}")

@@ -1,8 +1,9 @@
 """Only a command that decomposes loads scipy or looks up its OpenBLAS.
 
 Each case runs CLI commands in one fresh interpreter and, after the last
-main() returns, lists the scipy modules in sys.modules and counts the
-lookups of scipy's OpenBLAS thread setter.
+main() returns, lists the scipy modules and the hashlib modules (whose
+_hashlib loads OpenSSL) in sys.modules and counts the lookups of scipy's
+OpenBLAS thread setter.
 """
 
 import json
@@ -23,12 +24,14 @@ for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
 print(json.dumps({
     "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+    "hashlib": sorted(m for m in ("_hashlib", "hashlib") if m in sys.modules),
     "lookups": _blas_threads_local.cache_info().misses}))
 """
 
 
 def probe(*commands, out):
-    """Run commands (lists of CLI args) in order; the scipy modules loaded and the lookups."""
+    """Run commands (lists of CLI args) in order; the scipy and hashlib modules
+    loaded and the lookups."""
     argvs = [cmd + ["--out", str(out)] for cmd in commands]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argvs)],
@@ -41,8 +44,9 @@ def test_cli_import_loads_no_scipy(tmp_path):
 
 
 def test_commands_without_a_decomposition_load_no_scipy(tmp_path):
+    # nor hashlib, whose _hashlib maps OpenSSL (3.6 MB of resident set)
     assert probe(["validate"], ["constants"], ["figure1", "--small"],
-                 out=tmp_path) == {"scipy": [], "lookups": 0}
+                 out=tmp_path) == {"scipy": [], "hashlib": [], "lookups": 0}
 
 
 @pytest.fixture(scope="module")
@@ -53,13 +57,17 @@ def cold_svd_report(tmp_path_factory):
 
 
 def test_cold_svd_report_loads_only_scipy_linalg(cold_svd_report):
-    # of the scipy.linalg package only its compiled LAPACK module, loaded
-    # without the package, whose __init__ brings scipy's array-API layer
+    # of scipy only its compiled LAPACK module, loaded without running any
+    # package __init__: scipy's own is not needed to find its directory,
+    # and scipy.linalg's brings scipy's array-API layer
     _, loaded = cold_svd_report
-    assert [m for m in loaded["scipy"] if m.startswith("scipy.linalg")] == [
-        "scipy.linalg._flapack"]
-    assert "scipy._lib._array_api" not in loaded["scipy"]
-    assert not any(m.startswith("scipy.special") for m in loaded["scipy"])
+    assert loaded["scipy"] == ["scipy.linalg._flapack"]
+
+
+def test_cold_svd_report_loads_no_hashlib(cold_svd_report):
+    # the cache key is compared as JSON, not hashed
+    _, loaded = cold_svd_report
+    assert loaded["hashlib"] == []
 
 
 def test_small_cold_svd_report_looks_up_the_setter_once(cold_svd_report):
@@ -71,7 +79,12 @@ def test_small_cold_svd_report_looks_up_the_setter_once(cold_svd_report):
 def test_warm_cache_commands_load_no_scipy(cold_svd_report, command):
     out, _ = cold_svd_report
     assert (out / "svd_cache.npy").exists()
-    assert probe([command, "--small"], out=out)["scipy"] == []
+    loaded = probe([command, "--small"], out=out)
+    assert loaded["scipy"] == []
+    # reconstruct's seeded noise imports numpy.random, which imports
+    # hashlib through secrets; the other two load no OpenSSL
+    if command != "reconstruct":
+        assert loaded["hashlib"] == []
 
 
 def test_version_has_one_source():

@@ -1,4 +1,6 @@
 import importlib
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,8 @@ from conftest import PAPER_GEOM, SMALL_PRESET_GEOM, TINY_GEOM
 from truncated_hilbert import (Geometry, SampledGrid, apply_adjoint,
                                apply_forward, build_operator, compute_svd,
                                make_phantom, weighted_norm)
-from truncated_hilbert.errors import GridError
+from truncated_hilbert.errors import GeometryError, GridError
+from truncated_hilbert.operator import MAX_SAMPLES
 
 
 @st.composite
@@ -184,6 +187,71 @@ class TestApply:
         e0[3] = 1.0
         np.testing.assert_allclose(apply_adjoint(tiny_op, e0),
                                    tiny_op.matrix[3, :], atol=0)
+
+
+@st.composite
+def extreme_grids(draw):
+    """step and the four breakpoints together, with a vector scale.
+
+    One end is any finite double, hypothesis's draw favouring 0 and the
+    ends of the range, or one of magnitude 1e307 to 1.79e308: a1 if it is
+    negative, else a4, so the others lie toward 0.  step is 10^[-300, 305],
+    or 10^[-12, -3] times that end, so that breakpoints near +-1e308 stay
+    apart.  Each segment is 0.5-50 steps, 1000-5000 steps (near the cap of
+    MAX_SAMPLES, about 4472 a side) or 10^[4, 308] steps, so the
+    breakpoints also run past 0 toward the other end of the range and past
+    it.  The vectors are scaled by 10^[-300, 300]; entries near 1e306
+    overflow the FFT's sums (apply_forward), which no config reaches: the
+    phantom's norm is at most E, and E^2 is a finite double.
+    """
+    end = draw(st.floats(allow_nan=False, allow_infinity=False)
+               | st.floats(1e307, sys.float_info.max).map(lambda x: -x)
+               | st.floats(1e307, sys.float_info.max))
+    step = 10.0 ** draw(st.floats(-300.0, 305.0)
+                        | st.floats(-12.0, -3.0).map(lambda t: t + math.log10(abs(end) or 1.0)))
+    sign = 1.0 if end < 0 else -1.0
+    points = [end]
+    for _ in range(3):
+        width = draw(st.floats(0.5, 50.0) | st.floats(1000.0, 5000.0)
+                     | st.floats(4.0, 308.0).map(lambda t: 10.0 ** t))
+        points.append(points[-1] + sign * width * step)
+    return step, points[::int(sign)], 10.0 ** draw(st.floats(-300.0, 300.0))
+
+
+class TestExtremeGrids:
+    # the argument sweep varies one parameter at a time; here step and all
+    # four breakpoints are extreme together.  The suite turns every warning
+    # into an error
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(extreme_grids())
+    def test_finite_grids_and_products_or_refused(self, case):
+        step, points, scale = case
+        try:
+            geom = Geometry(*points)
+        except GeometryError:     # a breakpoint past the double range
+            return
+        try:
+            op = build_operator(geom, step)
+        except GridError:
+            return
+        m, n = op.shape
+        assert m * n <= MAX_SAMPLES
+        assert np.isfinite(op.data_grid.points).all()
+        assert np.isfinite(op.object_grid.points).all()
+        if op.fft_size > 2 ** 20:   # accepted, but too long a product for the suite
+            return
+        rng = np.random.default_rng(0)
+        g = apply_forward(op, scale * rng.standard_normal(n))
+        f = apply_adjoint(op, scale * rng.standard_normal(m))
+        assert g.shape == (m,) and np.isfinite(g).all()
+        assert f.shape == (n,) and np.isfinite(f).all()
+
+    def test_object_span_past_the_double_range(self):
+        # (a4 - a1) / step = 2e308 / 1e305 overflows: refused, as before,
+        # but the message read "1501 x inf samples exceed the cap"
+        with pytest.raises(GridError, match=r"object span \(a4 - a1\) / step leaves "
+                                            r"the double range"):
+            build_operator(Geometry(-1e308, -5e307, 5e307, 1e308), step=1e305)
 
 
 EPS = np.finfo(float).eps

@@ -338,6 +338,15 @@ class TestExtremeArguments:
             except ValueError as exc:
                 assert "estimate" in str(exc)
 
+    def test_index_past_the_double_range(self):
+        # hand-built constants only (a geometry's alpha stays above about
+        # 0.007): n* = 1381/1e-307 overflows, and round(inf) ended in a bare
+        # OverflowError.  The validities and bounds: TestOneValidityRule
+        k = AsymptoticConstants(A=1, alpha=1e-307, beta_mu=5e-308, n_mu=2, c_tv=1)
+        for cutoff in (optimal_cutoff_l2, optimal_cutoff_tv):
+            with pytest.raises(ValueError, match="index at delta=1e-300 leaves the double range"):
+                cutoff(1e-300, 1e300, k)
+
 
 @pytest.fixture
 def adjoints(monkeypatch):
@@ -451,7 +460,7 @@ class TestAccuracy:
         for delta in cfg.delta_list:
             g = add_noise(apply_forward(op, f_true), delta, cfg.seed, step=op.step).g
             exact = op.step * (v.T @ g.astype(np.longdouble))
-            coeffs = sys_.coefficients(g)
+            coeffs = sys_.step * (sys_.v.T @ g)
             rows = []
             for n in range(len(sys_.tail) + 1):
                 keep = sys_.tail.start + n

@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -111,33 +109,21 @@ class TestComputeSvd:
     def test_descending_order(self, paper_sys):
         assert np.all(np.diff(paper_sys.sigmas) <= 0)
 
-
-class TestCoefficients:
-    def test_bitwise_equal_to_direct_projection(self, tiny_sys):
-        sys_ = tiny_sys
-        rng = np.random.default_rng(11)
-        g = rng.standard_normal(7)
-        direct = sys_.step * (sys_.v.T @ g)
-        assert sys_.coefficients(g).tobytes() == direct.tobytes()
-        g[3] += 1.0
-        changed = sys_.coefficients(g)
-        assert changed.tobytes() == (sys_.step * (sys_.v.T @ g)).tobytes()
-        assert changed.tobytes() != direct.tobytes()
-        h = rng.standard_normal(7)
-        assert sys_.coefficients(h).tobytes() == (sys_.step * (sys_.v.T @ h)).tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            sys_.coefficients(h)[0] = 0.0
-
-    @pytest.mark.parametrize("shape", [(6,), (7, 1), ()])
-    def test_wrong_shape(self, tiny_sys, shape):
-        msg = f"expected data vector of length 7, got shape {shape}"
-        with pytest.raises(ValueError, match=re.escape(msg)):
-            tiny_sys.coefficients(np.zeros(shape))
-
     @pytest.mark.parametrize("name", ["sigmas", "u", "v"])
     def test_owned_arrays_read_only(self, tiny_sys, name):
         with pytest.raises(ValueError, match="read-only"):
             getattr(tiny_sys, name)[0] = 0.0
+
+    @pytest.mark.parametrize("fixture, retained, cluster", [
+        ("paper_sys", 911, 894), ("small_preset_sys", 71, 53)], ids=["paper", "small"])
+    def test_cluster_at_one(self, request, fixture, retained, cluster):
+        # the one rule the README states: the retained triples before the
+        # tail that the system does not resolve from 1, |1 - sigma| <= residual
+        sys_ = request.getfixturevalue(fixture)
+        start = sys_.tail.start
+        assert sys_.count == retained
+        assert start - np.count_nonzero(sys_.resolved < start) == cluster
+        assert np.count_nonzero(np.abs(1.0 - sys_.sigmas[:start]) <= sys_.residual) == cluster
 
 
 class TestPaperSpectrum:

@@ -202,6 +202,26 @@ def test_raw_factor_cache_is_solved_again(tmp_path, solves, small_preset_op):
     assert (out / SVD_CACHE).read_bytes() == (fresh / SVD_CACHE).read_bytes()
 
 
+def test_digest_keyed_cache_is_solved_again_once(tmp_path, solves):
+    # the earlier key: the SHA-256 digest of the key document, over the
+    # same system.  Its 64-character record fails the key's dtype check,
+    # so the directory decomposes once and reads warm from then on
+    fresh = tmp_path / "fresh"
+    run("svd-report", fresh, "--small")
+    key, *system = read_records(fresh / SVD_CACHE)
+    digest = hashlib.sha256(key.item().encode()).hexdigest()
+    out = tmp_path / "o"
+    out.mkdir()
+    write_records(out / SVD_CACHE, [np.array(digest), *system])
+    del solves[:]
+    run("svd-report", out, "--small")
+    assert len(solves) == 1
+    assert outputs(out) == outputs(fresh)
+    assert (out / SVD_CACHE).read_bytes() == (fresh / SVD_CACHE).read_bytes()
+    run("figure2", out, "--small")
+    assert len(solves) == 1
+
+
 def test_failed_fresh_solve_exits_3_and_caches_nothing(tmp_path, monkeypatch):
     real = spectral.accurate_cauchy_svd
 
