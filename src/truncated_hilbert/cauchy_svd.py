@@ -29,24 +29,27 @@ additive cancellation:
    L*D*P = Q*R, so L D U = Q W with W = R * (P^T U).  The rows of W are
    graded by the pivots and W is otherwise well conditioned.  L*D is
    formed in Fortran order and L is released; LAPACK's dgeqp3 factors it
-   in place and dorgqr turns the same buffer into Q.  Both come from
-   scipy's compiled LAPACK module, scipy.linalg._flapack, loaded on its
-   own from beside the installed scipy, so no scipy package __init__
-   runs, neither scipy's nor scipy.linalg's.  U is released once P^T U is formed, R and P^T U once
-   W is.
+   in place, BLAS's dtrmm forms W^T = (P^T U)^T R^T in place in the
+   row-permuted copy of U, reading R from dgeqp3's output with no copy,
+   and dorgqr then turns the same buffer into Q.  U is released once
+   P^T U is formed.  Every BLAS and LAPACK call of the solve comes from
+   scipy's compiled modules, scipy.linalg._fblas and _flapack, loaded on
+   their own from beside the installed scipy, so no scipy package
+   __init__ runs, neither scipy's nor scipy.linalg's, and numpy's
+   OpenBLAS computes nothing of the solve.
 
 3. One-sided Jacobi SVD of W^T, whose columns are therefore scaled but
    otherwise well conditioned.  Jacobi rotations are accurate relative to
    each column's own scale, so W^T = u diag(sigma) v^T carries the tiny
    singular values to high relative accuracy, and the SVD of the
    original matrix is (Q v, sigma, u).  LAPACK's dgejsv does this step,
-   overwriting W (W^T is Fortran-ordered, so no copy is made); W is
-   released before Q v is formed.  While it runs only Q, W, its
-   workspace (2 r^2 doubles for rank r) and its u and v are alive,
-   about 3.5 m x n doubles on the paper grid.  The first k columns of
-   Q v and of u, k the values kept by the truncation, are scattered back
-   to the original index order straight into their m x k and n x k
-   results.
+   overwriting W^T (Fortran-ordered, so no copy is made), and BLAS's
+   dgemm forms Q v once W^T is released.  The peak working set is that
+   of the Jacobi step: Q, W^T, its workspace (2 r^2 doubles for rank r)
+   and its u and v, about 3.5 m x n doubles (48 MB) on the paper grid.
+   The first k columns of Q v and of u, k the values kept by the
+   truncation, are scattered back to the original index order straight
+   into their m x k and n x k results.
 
 Steps 1-3 are Algorithm 3.1 of Demmel, Gu, Eisenstat, Slapnicar, Veselic
 and Drmac, "Computing the singular value decomposition with high
@@ -204,15 +207,15 @@ def _scipy_dir() -> Path:
 
 
 @functools.cache
-def _lapack():
-    """scipy.linalg._flapack, scipy's compiled LAPACK wrappers, loaded once.
+def _linalg_extension(name: str):
+    """scipy.linalg.<name>, one of scipy's compiled BLAS or LAPACK wrappers, loaded once.
 
     The extension is loaded from its file beside the installed scipy and
     registered under its own name, so a later `import scipy.linalg` finds
     it instead of loading it again; the package's __init__, with its
     array-API layer, is never run for the solver.
     """
-    name = "scipy.linalg._flapack"
+    name = f"scipy.linalg.{name}"
     module = sys.modules.get(name)
     if module is None:
         finder = FileFinder(str(_scipy_dir() / "linalg"),
@@ -226,9 +229,19 @@ def _lapack():
     return module
 
 
+def _lapack():
+    """scipy.linalg._flapack, scipy's compiled LAPACK wrappers."""
+    return _linalg_extension("_flapack")
+
+
+def _blas():
+    """scipy.linalg._fblas, scipy's compiled BLAS wrappers, on the same OpenBLAS."""
+    return _linalg_extension("_fblas")
+
+
 @functools.cache
 def _blas_threads_local():
-    """openblas_set_num_threads_local of the OpenBLAS scipy's LAPACK uses, or None.
+    """openblas_set_num_threads_local of the OpenBLAS under scipy's BLAS and LAPACK, or None.
 
     On manylinux wheels that library is scipy.libs/libscipy_openblas*.so.
     The setter sets the library's thread count and returns the previous one.
@@ -246,7 +259,7 @@ def _blas_threads_local():
 
 @contextmanager
 def _blas_threads_for(rank: int):
-    """Run scipy's LAPACK on the calling thread when rank < SMALL_RANK.
+    """Run scipy's BLAS and LAPACK on the calling thread when rank < SMALL_RANK.
 
     numpy and scipy each bundle an OpenBLAS whose idle workers keep
     spinning, so on a small host the two pools compete when small numpy
@@ -295,7 +308,8 @@ def svd_from_rrd(rrd: CauchyRRD):
     if r == 0:
         return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
 
-    lapack = _lapack()   # here, so commands that do not decompose never load scipy
+    # here, so commands that do not decompose never load scipy
+    lapack, blas = _lapack(), _blas()
     # L * d in Fortran order, so the pivoted QR factors it in place and its
     # buffer becomes Q
     Q = np.multiply(L, d, order="F")
@@ -304,28 +318,31 @@ def svd_from_rrd(rrd: CauchyRRD):
     if not np.isfinite(Q).all():
         raise SpectralError("the scaled elimination factor L * d is not finite")
     with _blas_threads_for(r):
-        # the economic pivoted QR of scipy.linalg.qr: dgeqp3, R from the
-        # leading r rows, dorgqr forming Q in the same buffer
+        # the economic pivoted QR of scipy.linalg.qr: dgeqp3, then dorgqr
+        # forming Q in the same buffer.  Between the two, dtrmm reads R from
+        # the upper triangle of that buffer's leading r rows (leading
+        # dimension m) and forms W^T = (P^T U)^T R^T in place: the
+        # row-permuted copy of U is C-ordered, so its transpose is
+        # Fortran-ordered and is overwritten, not copied
         Q, piv, tau = _call("dgeqp3", Q, overwrite_a=1)
-        R = np.triu(Q[:r])
+        Wt = U[piv - 1, :].T   # dgeqp3's pivots count from one
+        del U
+        Wt = blas.dtrmm(1.0, Q, Wt, side=1, lower=0, trans_a=1, overwrite_b=1)
         Q, = _call("dorgqr", Q, tau, overwrite_a=1)
-        Up = U[piv - 1, :]   # dgeqp3's pivots count from one
-        del U, tau
-        W = R @ Up
-        del R, Up
-        # joba='C': W.T is a well-conditioned matrix times a column scaling,
+        # joba='C': W^T is a well-conditioned matrix times a column scaling,
         # the case dgejsv resolves to high relative accuracy (the default 'A'
         # treats values below eps * sigma_max as noise and zeroes the tail);
         # jobr='R' keeps the scaled values in [sqrt(sfmin), sqrt(big)],
         # jobp='N' adds no perturbation.  sigma is sva times work[1] /
-        # work[0].  W is C-ordered, so W.T is Fortran-ordered and dgejsv
-        # overwrites it instead of a copy.
+        # work[0].  W^T is Fortran-ordered, so dgejsv overwrites it instead
+        # of a copy.
         sva, u, v, work, _, info = lapack.dgejsv(
-            W.T, joba=0, jobu=0, jobv=0, jobr=1, jobt=0, jobp=0, overwrite_a=1)
-        del W
-    if info != 0:
-        raise SpectralError(f"Jacobi SVD (dgejsv) failed with info={info}")
-    return Q @ v, sva * (work[1] / work[0]), u
+            Wt, joba=0, jobu=0, jobv=0, jobr=1, jobt=0, jobp=0, overwrite_a=1)
+        del Wt
+        if info != 0:
+            raise SpectralError(f"Jacobi SVD (dgejsv) failed with info={info}")
+        left = blas.dgemm(1.0, Q, v)
+    return left, sva * (work[1] / work[0]), u
 
 
 def accurate_cauchy_svd(x_nodes, y_nodes, scale: float, rank_tol: float | None = None):

@@ -12,7 +12,8 @@ output directory: the first of them to run decomposes through compute_svd
 and writes the singular system to svd_cache.npy there; the others read
 it back, and SingularSystem.of checks it as it checks a fresh one.
 Only a command that decomposes loads scipy, and of it only the compiled
-LAPACK module scipy.linalg._flapack, never a scipy package __init__;
+BLAS and LAPACK modules scipy.linalg._fblas and _flapack, never a scipy
+package __init__;
 validate, constants and figure1 load no scipy.  No command but
 reconstruct, whose noise generator imports hashlib, loads OpenSSL: the
 cache key is the JSON document itself, not a digest of it.

@@ -210,6 +210,24 @@ def apply_adjoint(op: DiscreteOperator, g: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, size)[:op.shape[1]]
 
 
+# the smallest normal double: a sum of squares below it has lost digits
+_TINY = np.finfo(float).tiny
+
+
 def weighted_norm(v: np.ndarray, step: float) -> float:
-    """sqrt(step) |v|; ValueError unless step is a finite real > 0."""
-    return float(np.sqrt(real("step", step, 0)) * np.linalg.norm(v))
+    """sqrt(step) |v|, finite wherever it is a finite double, with no warning.
+
+    One dot product; only a sum of squares that overflows, or falls below
+    the smallest normal double while v is not zero, is formed again from
+    v / max |v|.  ValueError unless step is a finite real > 0.
+    """
+    root = math.sqrt(real("step", step, 0))
+    v = np.asarray(v, dtype=float).ravel()
+    with np.errstate(over="ignore"):
+        sq = float(v.dot(v))
+    if not _TINY <= sq < math.inf:
+        big = float(np.abs(v).max(initial=0.0))
+        if 0.0 < big < math.inf:
+            v = v / big
+            return root * big * math.sqrt(v.dot(v))
+    return root * math.sqrt(sq)

@@ -7,15 +7,19 @@ smaller instances, two of them slowly decaying, and on randomly drawn
 geometries, integer ones at step 1 and non-integer ones on the grids of
 build_operator) rather than against a double-precision SVD only.
 On one live instance the singular vectors and their ROI norms are
-checked as well.  The elimination is pinned bit for bit to a reference
-copy of its earlier loop.  Then the one-BLAS-thread cap on small solves: it
-restores the thread count, also when a LAPACK step fails, stays off above
-SMALL_RANK, degrades to the threaded path without the library, and changes
-no bit on the small preset.  Last, compute_svd is pinned bit for bit to a
-reference copy of its earlier route through scipy.linalg.
+checked as well.  Without mpmath, the paper grid and each fixed geometry
+of the benchmark's sweep agree with their mirror image, whose matrix is
+the index-reversed transpose.  The elimination is pinned bit for bit to
+a reference copy of its earlier loop.  Then the one-BLAS-thread cap on
+small solves: every BLAS and LAPACK call of the solve runs under it; it
+restores the thread count, also when a LAPACK step fails, stays off
+above SMALL_RANK, degrades to the threaded path without the library,
+and changes no bit on the small preset.  Last, compute_svd is pinned bit
+for bit to a reference copy of its earlier route through scipy.linalg.
 """
 
 import ctypes
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -400,6 +404,49 @@ class TestRandomGeometriesAgainstMultiprecision:
         assert worst(1e-21) < 2e-8
 
 
+def _fixed_sweep_geometries():
+    """bench/oracle.py's FIXED_GEOMETRIES, the geometry sweep's fixed members."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle.FIXED_GEOMETRIES
+
+
+EPS = np.finfo(float).eps
+# largest relative difference of the mirror pair's sigmas, by geometry;
+# 10 eps elsewhere.  Measured: 35.9 eps on the paper grid, at most 6.5 eps
+# on the others.  The one-step overlap decays slowly (ratio about e^1.6),
+# and the solver's relative accuracy on its deepest values is lower: its
+# mpmath test allows 2e-8 there.  Its last three retained values, 4e-17
+# down to 9.8e-21, differ by 242, 121 and 4.1e4 eps (9.16e-12, as with
+# numpy forming the products); its other values agree to 10 eps
+MIRROR_BOUND = {(0.0, 450.0, 1350.0, 1725.0): 48 * EPS, (0.0, 60.0, 61.0, 120.0): 2e-11}
+
+
+class TestMirrorImage:
+    """The geometry reflected about a4, (0, a4 - a3, a4 - a2, a4 - a1), samples
+    to the index-reversed transpose of H, so both have the same singular
+    values; the solver meets the two with different pivot orders, so their
+    computed values differ only by its rounding.  No mpmath is needed."""
+
+    @pytest.mark.parametrize("geometry", [tuple(PAPER_GEOM.points), *_fixed_sweep_geometries()],
+                             ids=lambda g: "-".join(f"{v:g}" for v in g))
+    def test_sigmas_match(self, geometry):
+        a1, a2, a3, a4 = geometry
+        op = build_operator(Geometry(*geometry))
+        mirror = build_operator(Geometry(0.0, a4 - a3, a4 - a2, a4 - a1))
+        # H'[i, j] = H[m - 1 - j, n - 1 - i]: the offsets c' + j - i and
+        # c + (n - 1 - i) - (m - 1 - j) agree
+        m, n = op.shape
+        assert mirror.shape == (n, m)
+        assert mirror.offset == op.offset + n - m
+        s, t = compute_svd(op).sigmas, compute_svd(mirror).sigmas
+        assert s.size == t.size
+        rel = np.abs(s - t) / s
+        assert rel.max() <= MIRROR_BOUND.get(geometry, 10 * EPS)
+
+
 class TestEdgeCases:
     def test_empty_rrd_svd(self):
         rrd = CauchyRRD(rperm=np.arange(3), cperm=np.arange(4), L=np.zeros((3, 0)),
@@ -504,6 +551,23 @@ class TestBlasThreadCap:
         assert spy.calls == [1, 2]
         assert spy.count == 2
 
+    def test_every_call_of_a_small_solve_runs_capped(self, monkeypatch):
+        # the pivoted QR, both products and the Jacobi step, each at one
+        # thread: the spy's count reads 1 only between setter(1) and the
+        # restore
+        spy = SetterSpy(count=2)
+        counts = {}
+        for module, names in ((cauchy_svd._lapack(), ("dgeqp3", "dorgqr", "dgejsv")),
+                              (cauchy_svd._blas(), ("dtrmm", "dgemm"))):
+            for name in names:
+                def recorded(*args, name=name, real=getattr(module, name), **kwargs):
+                    counts.setdefault(name, set()).add(spy.count)
+                    return real(*args, **kwargs)
+                monkeypatch.setattr(module, name, recorded)
+        small_preset_svd(monkeypatch, spy)
+        assert counts == {name: {1} for name in ("dgeqp3", "dorgqr", "dgejsv", "dtrmm", "dgemm")}
+        assert spy.calls == [1, 2]
+
     def test_setter_unused_from_small_rank_up(self, monkeypatch):
         rank = gecp_cauchy(*SMALL_PRESET_NODES).rank
         spy = SetterSpy()
@@ -543,20 +607,22 @@ class TestBlasThreadCap:
 
 def reference_compute_svd(op, tol=1e-21):
     """compute_svd's earlier route on the operator's step-unit nodes:
-    scipy.linalg.qr and scipy.linalg.lapack's dgejsv, a zeros_like scatter
-    of all r columns, then a compress truncation, the weighted scaling and
-    the sign convention.  compute_svd must return its sigmas, u and v bit
-    for bit."""
+    scipy.linalg.qr, W^T = (P^T U)^T R^T by scipy.linalg.blas's dtrmm,
+    scipy.linalg.lapack's dgejsv and Q v by scipy.linalg.blas's dgemm, a
+    zeros_like scatter of all r columns, then a compress truncation, the
+    weighted scaling and the sign convention.  compute_svd must return its
+    sigmas, u and v bit for bit."""
     import scipy.linalg as sla
     rrd = gecp_cauchy(*op.nodes, 1 / np.pi, floor_rel=min(1e-28, tol * 1e-7))
     Q = np.multiply(rrd.L, rrd.d, order="F")
     with cauchy_svd._blas_threads_for(rrd.rank):
         Q, R, piv = sla.qr(Q, mode="economic", pivoting=True, overwrite_a=True)
-        W = R @ rrd.U[piv, :]
+        Wt = sla.blas.dtrmm(1.0, R, rrd.U[piv, :].T, side=1, trans_a=1)
         sva, u, v, work, _, info = sla.lapack.dgejsv(
-            W.T, joba=0, jobu=0, jobv=0, jobr=1, jobt=0, jobp=0, overwrite_a=1)
+            Wt, joba=0, jobu=0, jobv=0, jobr=1, jobt=0, jobp=0, overwrite_a=1)
+        left = sla.blas.dgemm(1.0, Q, v)
     assert info == 0
-    left, s_all, right = Q @ v, sva * (work[1] / work[0]), u
+    s_all, right = sva * (work[1] / work[0]), u
     v_all = np.zeros_like(left)
     v_all[rrd.rperm, :] = left
     u_all = np.zeros_like(right)

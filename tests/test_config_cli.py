@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -279,6 +280,21 @@ class TestCliExitCodes:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "exceeds the prior bound E=0.001" in capsys.readouterr().err
+
+    def test_phantom_norm_past_1e154_refused_by_its_value(self, tmp_path, capsys):
+        # the entries' squares overflow, the norm does not: the message
+        # names it, and no overflow warning precedes it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"E": 1e150, "phantom": {
+            "kind": "bump", "center": 60.0, "width": 17.0, "amplitude": 1e155}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["reconstruct", "--small", "--config", str(cfg),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: phantom norm 4.0887e+155 exceeds the prior bound "
+            "E=1e+150; raise E or shrink the phantom\n")
 
     @pytest.mark.parametrize("doc", [
         {"E": 1e160}, {"delta_list": [1e300]}, {"delta_list": [1e-4, 1e-300]},

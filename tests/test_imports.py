@@ -57,11 +57,11 @@ def cold_svd_report(tmp_path_factory):
 
 
 def test_cold_svd_report_loads_only_scipy_linalg(cold_svd_report):
-    # of scipy only its compiled LAPACK module, loaded without running any
-    # package __init__: scipy's own is not needed to find its directory,
-    # and scipy.linalg's brings scipy's array-API layer
+    # of scipy only its compiled BLAS and LAPACK modules, loaded without
+    # running any package __init__: scipy's own is not needed to find its
+    # directory, and scipy.linalg's brings scipy's array-API layer
     _, loaded = cold_svd_report
-    assert loaded["scipy"] == ["scipy.linalg._flapack"]
+    assert loaded["scipy"] == ["scipy.linalg._fblas", "scipy.linalg._flapack"]
 
 
 def test_cold_svd_report_loads_no_hashlib(cold_svd_report):

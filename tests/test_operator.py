@@ -375,6 +375,16 @@ class TestWeightedNorms:
                              c=40.3, d=70.2)
             assert abs(weighted_norm(f, step) ** 2 - 29.9) <= step
 
+    @pytest.mark.parametrize("scale", [1e155, 1e300, 1e-170, 1e-300])
+    def test_norm_of_entries_whose_squares_leave_the_double_range(self, scale):
+        # 30 entries of scale, weight 4: the norm 2 sqrt(30) scale, finite,
+        # with warnings as errors
+        v = np.full(30, scale)
+        assert weighted_norm(v, 4.0) == pytest.approx(2 * np.sqrt(30.0) * scale, rel=1e-15)
+
+    def test_norm_past_the_double_range_is_inf(self):
+        assert weighted_norm(np.full(4, 1e308), 1.0) == np.inf
+
     def test_operator_norm_below_one_plus_tol(self, paper_op):
         smax = np.linalg.svd(paper_op.matrix, compute_uv=False)[0]
         assert smax <= 1.05
